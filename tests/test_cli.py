@@ -38,6 +38,24 @@ def write_three_class_fixture(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_query_files(directory: Path, columns: tuple[str, ...], label: str, seed: int,
+                      shift: float) -> tuple[Path, Path]:
+    """The same 30 deterministic query points twice: once with the label
+    column first, once without it and with the features in reverse order."""
+    stream = Stream(seed, 0)
+    points = stream.normal(2 * 30).reshape(30, 2) * 1.5 + shift
+    labeled = [",".join((label,) + columns)]
+    bare = [",".join(columns[::-1])]
+    for row in points:
+        cells = [repr(float(v)) for v in row]
+        labeled.append(",".join(["unknown"] + cells))
+        bare.append(",".join(cells[::-1]))
+    paths = directory / "labeled_queries.csv", directory / "bare_queries.csv"
+    for path, lines in zip(paths, (labeled, bare)):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
 @pytest.fixture()
 def binary_csv(tmp_path):
     path = tmp_path / "binary.csv"
@@ -243,6 +261,31 @@ class TestFitPredict:
         )
         assert code == 3
         assert "f2" in capsys.readouterr().err
+
+
+GOLDEN_FIT_PREDICT = {
+    "proposed": (write_binary_fixture, ("f1", "f2"), "outcome", 4321, 0.75),
+    "ovr_plus": (write_three_class_fixture, ("u", "v"), "species", 8661, 1.0),
+    "ovo_plus": (write_three_class_fixture, ("u", "v"), "species", 8661, 1.0),
+}
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "bare"])
+@pytest.mark.parametrize("method", sorted(GOLDEN_FIT_PREDICT))
+def test_fit_predict_golden_evidence(tmp_path, method, labeled):
+    # Frozen predictions and evidence: E1/E2 for the binary method, the
+    # first one-vs-rest round's evidence per class for the reductions.
+    write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
+    train = tmp_path / "train.csv"
+    write_train(train)
+    queries = write_query_files(tmp_path, columns, label, seed, shift)[0 if labeled else 1]
+    out = tmp_path / "preds.csv"
+    code = main(
+        ["fit-predict", "--train", str(train), "--queries", str(queries),
+         "--label-column", label, "--method", method, "--emit-evidence", "--output", str(out)]
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA_DIR / f"golden_fit_predict_{method}.csv").read_bytes()
 
 
 class TestSplit:
