@@ -8,23 +8,16 @@ strongest evidence over k = 1..k_max decides the class.  No weights, no
 synthetic points, and every result is exactly reproducible.
 """
 
-from .baselines import KnnConfig, knn_classify, knn_classify_batch, knn_with_cv, select_k_cv
-from .binary import (
-    BinaryEvidenceClassifier,
-    EvidencePair,
-    classify_binary,
-    classify_binary_batch,
-    evidence_pair,
-    fit_binary,
-)
+from .baselines import KnnConfig, knn_classify_batch, knn_with_cv, select_k_cv
+from .binary import BinaryEvidenceClassifier, binary_evidence_batch, classify_binary_batch, fit_binary
 from .benchmark import run_csv_benchmark
 from .data_io import (
     CsvDataset,
     CsvFormatError,
     SplitSpec,
     StandardizationParams,
-    load_csv,
     balanced_split,
+    load_csv,
     split_indices,
     standardize,
 )
@@ -40,24 +33,15 @@ from .metrics import (
     prf,
 )
 from .multiclass import (
-    classify_ovo_plus,
     classify_ovo_plus_batch,
-    classify_ovr_plus,
     classify_ovr_plus_batch,
+    ovr_evidence_batch,
     resolve_by_max_evidence,
 )
-from .negbin import NegBinParams, adjusted_pvalue, adjusted_pvalue_many, cdf_below, log_pmf
-from .neighbors import (
-    MinorityCapacityError,
-    MinorityCountStat,
-    NeighborOrdering,
-    count_to_kth_minority,
-    neighbor_order,
-)
+from .negbin import adjusted_pvalue_many
 from .rng import Stream, fold_seed, mix64, stream_id
 from .simulation import (
     GaussianClassSpec,
-    bayes_classify,
     bayes_classify_batch,
     location_specs,
     run_location_experiment,
@@ -73,47 +57,33 @@ __all__ = [
     "ConfusionMatrix",
     "CsvDataset",
     "CsvFormatError",
-    "EvidencePair",
     "GaussianClassSpec",
     "KnnConfig",
     "LabeledDataset",
     "MetricSummary",
-    "MinorityCapacityError",
-    "MinorityCountStat",
-    "NegBinParams",
-    "NeighborOrdering",
     "PrfReport",
     "SplitSpec",
     "StandardizationParams",
     "Stream",
     "TrialReport",
-    "adjusted_pvalue",
     "adjusted_pvalue_many",
     "aggregate_trials",
-    "bayes_classify",
+    "balanced_split",
     "bayes_classify_batch",
-    "cdf_below",
-    "classify_binary",
+    "binary_evidence_batch",
     "classify_binary_batch",
-    "classify_ovo_plus",
     "classify_ovo_plus_batch",
-    "classify_ovr_plus",
     "classify_ovr_plus_batch",
     "confusion",
-    "count_to_kth_minority",
     "efficiency_scores",
-    "evidence_pair",
     "fit_binary",
     "fold_seed",
-    "knn_classify",
     "knn_classify_batch",
     "knn_with_cv",
     "load_csv",
     "location_specs",
-    "log_pmf",
     "mix64",
-    "neighbor_order",
-    "balanced_split",
+    "ovr_evidence_batch",
     "prf",
     "resolve_by_max_evidence",
     "run_csv_benchmark",

@@ -83,11 +83,6 @@ def knn_classify_batch(train: LabeledDataset, queries, cfg: KnnConfig) -> np.nda
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
 
 
-def knn_classify(train: LabeledDataset, query, cfg: KnnConfig) -> int:
-    """k-NN vote for a single query."""
-    return int(knn_classify_batch(train, np.asarray(query, dtype=np.float64)[None, :], cfg)[0])
-
-
 def _stratified_folds(train: LabeledDataset, folds: int, stream: Stream) -> np.ndarray:
     """Fold id per row: each class is shuffled then dealt round-robin."""
     assignment = np.empty(train.n, dtype=np.int64)

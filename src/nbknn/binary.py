@@ -26,15 +26,6 @@ from .neighbors import _as_queries, order_rows
 
 
 @dataclass(frozen=True)
-class EvidencePair:
-    """Strongest majority (e1) and minority (e2) evidence for one query."""
-
-    e1: float
-    e2: float
-    per_k: tuple[tuple[int, int, float], ...] | None = None
-
-
-@dataclass(frozen=True)
 class BinaryEvidenceClassifier:
     """Immutable fitted state; all query methods are pure reads."""
 
@@ -92,32 +83,20 @@ def _evidence_arrays(
     return e1, e2, e, n_obs
 
 
-def evidence_pair(
-    clf: BinaryEvidenceClassifier, query, keep_trace: bool = False
-) -> EvidencePair:
-    """Evidence sweep for a single query.
+def binary_evidence_batch(
+    clf: BinaryEvidenceClassifier, queries
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted labels, E1 and E2 for many queries, one row each.
 
-    ``keep_trace`` additionally records (k, n_obs, e_k) triples; off by
-    default to keep per-query memory constant.
+    One neighbor ordering serves both the labels and the evidence; ties
+    E1 == E2 go to the majority class.
     """
-    q = _as_queries(query, clf.train.dim)
-    e1, e2, e, n_obs = _evidence_arrays(clf, q)
-    trace = None
-    if keep_trace:
-        trace = tuple(
-            (k + 1, int(n_obs[0, k]), float(e[0, k])) for k in range(clf.k_max_eff)
-        )
-    return EvidencePair(e1=float(e1[0]), e2=float(e2[0]), per_k=trace)
-
-
-def classify_binary(clf: BinaryEvidenceClassifier, query) -> int:
-    """Predicted class label; ties go to the majority class."""
-    pair = evidence_pair(clf, query)
-    return clf.minority_label if pair.e2 > pair.e1 else clf.majority_label
+    q = _as_queries(queries, clf.train.dim)
+    e1, e2, _, _ = _evidence_arrays(clf, q)
+    labels = np.where(e2 > e1, clf.minority_label, clf.majority_label).astype(np.int64)
+    return labels, e1, e2
 
 
 def classify_binary_batch(clf: BinaryEvidenceClassifier, queries) -> np.ndarray:
-    """Predicted labels for many queries; same arithmetic as the scalar path."""
-    q = _as_queries(queries, clf.train.dim)
-    e1, e2, _, _ = _evidence_arrays(clf, q)
-    return np.where(e2 > e1, clf.minority_label, clf.majority_label).astype(np.int64)
+    """Predicted labels for many queries; ties go to the majority class."""
+    return binary_evidence_batch(clf, queries)[0]

@@ -8,61 +8,27 @@ Exit codes: 0 success, 2 usage error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .benchmark import run_csv_benchmark
-from .binary import classify_binary_batch, evidence_pair, fit_binary
-from .data_io import CsvDataset, SplitSpec, load_csv, split_indices
-from .methods import ALL_METHODS, BAYES, OVO_PLUS, OVR_PLUS, PROPOSED, default_methods
+from .binary import binary_evidence_batch, fit_binary
+from .data_io import SplitSpec, load_csv, load_queries, split_indices
+from .methods import (
+    BAYES, OVO_PLUS, OVR_PLUS, PROPOSED, MethodNameError, default_methods, validate_methods,
+)
 from .metrics import TrialReport, efficiency_scores
-from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch, ovr_round_evidence
+from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch, ovr_evidence_batch
 from .simulation import MINORITY_ROLES, run_location_experiment, run_scale_experiment
 
 SCHEMA_VERSION = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus its common settings.
-
-    Built from parsed flags before execution; argparse has already
-    rejected unknown flags and malformed values by then.  Subcommand-
-    specific extras (design, alpha, sizes, jobs) stay on the namespace.
-    """
-
-    subcommand: str
-    k_max: int = 45
-    seed: int = 0
-    trials: int = 1
-    methods: tuple[str, ...] = ()
-    input_path: str | None = None
-    output_path: str | None = None
-    label_column: str | None = None
-    minority_test_fraction: float = 0.25
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        k_max=getattr(args, "k_max", 45),
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        methods=tuple(getattr(args, "methods", None) or ()),
-        input_path=getattr(args, "input", None) or getattr(args, "train", None),
-        output_path=args.output,
-        label_column=getattr(args, "label_column", None),
-        minority_test_fraction=getattr(args, "fraction", 0.25),
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -127,7 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--label-column", required=True)
     fp.add_argument("--k-max", type=_positive_int, default=45)
     fp.add_argument("--method", choices=("auto", PROPOSED, OVO_PLUS, OVR_PLUS), default="auto")
-    fp.add_argument("--emit-evidence", action="store_true")
+    fp.add_argument("--emit-evidence", action="store_true",
+                    help="add evidence columns: for proposed, E1,E2, the strongest "
+                         "majority and minority evidence; for ovo_plus and ovr_plus, "
+                         "one evidence_<class> column per class, the candidate-side "
+                         "evidence of that class against all other classes in the "
+                         "first one-vs-rest round")
     fp.add_argument("--output", default=None)
 
     sp = sub.add_parser("split", help="export split manifests as JSON")
@@ -188,20 +159,13 @@ def _print_table(reports: list[TrialReport]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip(), file=sys.stderr)
 
 
-def _cmd_simulate(config: RunConfig, args) -> int:
-    for name in config.methods:
-        if name not in (PROPOSED, "knn", "wnn", BAYES):
-            raise UsageError(
-                f"unknown method {name!r}; valid methods: bayes, knn, proposed, wnn"
-            )
-    if not config.methods:
-        raise UsageError("at least one method is required")
+def _cmd_simulate(args) -> int:
     kwargs = dict(
         alpha=args.alpha,
-        trials=config.trials,
-        seed=config.seed,
-        methods=config.methods,
-        k_max=config.k_max,
+        trials=args.trials,
+        seed=args.seed,
+        methods=args.methods,
+        k_max=args.k_max,
         train_size=args.train_size,
         test_size=args.test_size,
         jobs=args.jobs,
@@ -216,36 +180,23 @@ def _cmd_simulate(config: RunConfig, args) -> int:
         "design": args.design,
         "alpha": args.alpha,
         "minority_role": args.minority_role if args.design == "scale" else None,
-        "trials": config.trials,
-        "seed": config.seed,
-        "k_max": config.k_max,
+        "trials": args.trials,
+        "seed": args.seed,
+        "k_max": args.k_max,
         "train_size": args.train_size,
         "test_size": args.test_size,
         "methods": [_method_entry(r) for r in reports],
     }
-    _write_text(config.output_path, _report_json(document))
+    _write_text(args.output, _report_json(document))
     _print_table(reports)
     return 0
 
 
-def _cmd_benchmark(config: RunConfig, args) -> int:
-    csv_data = load_csv(config.input_path, config.label_column)
-    methods = config.methods
-    if not methods:
-        methods = default_methods(csv_data.data.n_classes)
-    else:
-        for name in methods:
-            if name not in set(ALL_METHODS) - {BAYES}:
-                raise UsageError(
-                    f"unknown method {name!r}; valid methods: "
-                    f"{', '.join(sorted(set(ALL_METHODS) - {BAYES}))}"
-                )
-    spec = SplitSpec(
-        minority_test_fraction=config.minority_test_fraction,
-        seed=config.seed,
-        trials=config.trials,
-    )
-    reports = run_csv_benchmark(csv_data, spec, methods, k_max=config.k_max, jobs=args.jobs)
+def _cmd_benchmark(args) -> int:
+    csv_data = load_csv(args.input, args.label_column)
+    methods = args.methods or default_methods(csv_data.data.n_classes)
+    spec = SplitSpec(minority_test_fraction=args.fraction, seed=args.seed, trials=args.trials)
+    reports = run_csv_benchmark(csv_data, spec, methods, k_max=args.k_max, jobs=args.jobs)
     efficiency = {
         metric: efficiency_scores(
             {r.method: getattr(r, metric).mean for r in reports}
@@ -255,119 +206,59 @@ def _cmd_benchmark(config: RunConfig, args) -> int:
     document = {
         "schema": SCHEMA_VERSION,
         "command": "benchmark",
-        "input": os.path.basename(config.input_path),
-        "label_column": config.label_column,
+        "input": os.path.basename(args.input),
+        "label_column": args.label_column,
         "n_rows": csv_data.data.n,
         "n_features": csv_data.data.dim,
         "n_classes": csv_data.data.n_classes,
         "class_names": list(csv_data.class_names),
         "class_counts": csv_data.data.class_counts.tolist(),
-        "trials": config.trials,
-        "seed": config.seed,
-        "k_max": config.k_max,
-        "fraction": config.minority_test_fraction,
+        "trials": args.trials,
+        "seed": args.seed,
+        "k_max": args.k_max,
+        "fraction": args.fraction,
         "methods": [_method_entry(r) for r in reports],
         "efficiency": efficiency,
     }
-    _write_text(config.output_path, _report_json(document))
+    _write_text(args.output, _report_json(document))
     _print_table(reports)
     return 0
 
 
-def _check_query_schema(train: CsvDataset, path: str, label_column: str) -> bool:
-    """Check the query header against training features; returns whether
-    the query file carries the (ignored) label column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValueError(f"{path}: file is empty")
-    header = [h.strip() for h in header]
-    has_label = label_column in header
-    expected = set(train.feature_names) | ({label_column} if has_label else set())
-    got = set(header)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing columns: {', '.join(missing)}")
-        if extra:
-            parts.append(f"unexpected columns: {', '.join(extra)}")
-        raise ValueError(f"{path}: query schema does not match training schema; " + "; ".join(parts))
-    return has_label
-
-
-def _cmd_fit_predict(config: RunConfig, args) -> int:
-    train_csv = load_csv(config.input_path, config.label_column)
-    has_label = _check_query_schema(train_csv, args.queries, config.label_column)
-    if has_label:
-        query_csv = load_csv(args.queries, config.label_column)
-        # Align query feature order with the training features.
-        perm = [query_csv.feature_names.index(f) for f in train_csv.feature_names]
-        queries = query_csv.data.points[:, perm]
-    else:
-        rows = []
-        with open(args.queries, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader)]
-            positions = [header.index(f) for f in train_csv.feature_names]
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(row[p]) for p in positions])
-                except ValueError as exc:
-                    raise ValueError(f"{args.queries}: row {line_no}: {exc}") from None
-        if not rows:
-            raise ValueError(f"{args.queries}: no data rows")
-        queries = np.asarray(rows, dtype=np.float64)
-
+def _cmd_fit_predict(args) -> int:
+    train_csv = load_csv(args.train, args.label_column)
+    queries = load_queries(args.queries, train_csv)
     data = train_csv.data
     method = args.method
     if method == "auto":
         method = PROPOSED if data.n_classes == 2 else OVR_PLUS
-    if method == PROPOSED and data.n_classes != 2:
-        raise ValueError("method 'proposed' requires exactly 2 classes; use ovo_plus or ovr_plus")
+    validate_methods((method,), n_classes=data.n_classes)
 
+    columns: list[str] = []
+    evidence = np.empty((queries.shape[0], 0))
     if method == PROPOSED:
-        clf = fit_binary(data, config.k_max)
-        preds = classify_binary_batch(clf, queries)
-    elif method == OVO_PLUS:
-        preds = classify_ovo_plus_batch(data, queries, config.k_max)
+        preds, e1, e2 = binary_evidence_batch(fit_binary(data, args.k_max), queries)
+        if args.emit_evidence:
+            columns, evidence = ["E1", "E2"], np.column_stack([e1, e2])
     else:
-        preds = classify_ovr_plus_batch(data, queries, config.k_max)
+        classify = classify_ovo_plus_batch if method == OVO_PLUS else classify_ovr_plus_batch
+        preds = classify(data, queries, args.k_max)
+        if args.emit_evidence:
+            columns = [f"evidence_{name}" for name in train_csv.class_names]
+            evidence = ovr_evidence_batch(data, queries, args.k_max)
 
-    header_out = [f"predicted_{config.label_column}"]
-    evidence_rows: list[list[str]] = [[] for _ in range(queries.shape[0])]
-    if args.emit_evidence:
-        if method == PROPOSED:
-            header_out += ["E1", "E2"]
-            for i in range(queries.shape[0]):
-                pair = evidence_pair(clf, queries[i])
-                evidence_rows[i] = [repr(pair.e1), repr(pair.e2)]
-        else:
-            header_out += [f"evidence_{name}" for name in train_csv.class_names]
-            for i in range(queries.shape[0]):
-                ev = ovr_round_evidence(data, queries[i], config.k_max)
-                evidence_rows[i] = [repr(ev[c]) for c in range(1, data.n_classes + 1)]
-
-    lines = [",".join(header_out)]
-    for i in range(queries.shape[0]):
-        cells = [train_csv.class_name(int(preds[i]))] + evidence_rows[i]
-        lines.append(",".join(cells))
-    _write_text(config.output_path, "\n".join(lines) + "\n")
+    lines = [",".join([f"predicted_{args.label_column}"] + columns)]
+    for label, row in zip(preds.tolist(), evidence.tolist()):
+        lines.append(",".join([train_csv.class_name(label)] + [repr(v) for v in row]))
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_split(config: RunConfig, args) -> int:
-    csv_data = load_csv(config.input_path, config.label_column)
-    spec = SplitSpec(
-        minority_test_fraction=config.minority_test_fraction,
-        seed=config.seed,
-        trials=config.trials,
-    )
+def _cmd_split(args) -> int:
+    csv_data = load_csv(args.input, args.label_column)
+    spec = SplitSpec(minority_test_fraction=args.fraction, seed=args.seed, trials=args.trials)
     splits = []
-    for trial in range(config.trials):
+    for trial in range(args.trials):
         train_idx, test_idx = split_indices(csv_data.data, spec, trial)
         splits.append(
             {"trial": trial, "train": train_idx.tolist(), "test": test_idx.tolist()}
@@ -375,19 +266,15 @@ def _cmd_split(config: RunConfig, args) -> int:
     document = {
         "schema": SCHEMA_VERSION,
         "command": "split",
-        "input": os.path.basename(config.input_path),
-        "label_column": config.label_column,
-        "seed": config.seed,
-        "trials": config.trials,
-        "fraction": config.minority_test_fraction,
+        "input": os.path.basename(args.input),
+        "label_column": args.label_column,
+        "seed": args.seed,
+        "trials": args.trials,
+        "fraction": args.fraction,
         "splits": splits,
     }
-    _write_text(config.output_path, _report_json(document))
+    _write_text(args.output, _report_json(document))
     return 0
-
-
-class UsageError(Exception):
-    """Bad flag combinations discovered after argparse."""
 
 
 _COMMANDS = {
@@ -402,8 +289,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](_config_from_args(args), args)
-    except UsageError as exc:
+        return _COMMANDS[args.subcommand](args)
+    except MethodNameError as exc:
         print(f"nbknn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:

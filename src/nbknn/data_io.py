@@ -64,31 +64,27 @@ class CsvDataset:
         return self.class_names[label - 1]
 
 
-def load_csv(path, label_column: str) -> CsvDataset:
-    """Read a headered CSV into a dataset.
+def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
+    """Header, float matrix of the feature columns, and the label cells.
 
-    Class labels are re-encoded to 1..J by descending class count (ties
-    by first appearance); every non-label column must parse as a finite
-    float.
+    ``select(header)`` checks the stripped header and returns the
+    positions of the feature columns, in output order, and the position
+    of the label column or None.  Header names must be unique, every
+    nonblank row must have one field per name, and every feature cell
+    must parse as a finite float; errors cite the row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise CsvFormatError(
-                f"{path}: label column {label_column!r} not found; "
-                f"available columns: {', '.join(header)}"
-            )
-        label_pos = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_pos)
-        if not feature_names:
-            raise CsvFormatError(f"{path}: no feature columns besides the label")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise CsvFormatError(f"{path}: duplicate column name {name!r} in the header")
+        positions, label_pos = select(header)
 
-        rows: list[list[float]] = []
+        values: list[list[float]] = []
         raw_labels: list[str] = []
         bad_cells: list[str] = []
         for line_no, row in enumerate(reader, start=2):
@@ -98,10 +94,9 @@ def load_csv(path, label_column: str) -> CsvDataset:
                 raise CsvFormatError(
                     f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
                 )
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_pos:
-                    continue
+            parsed = []
+            for i in positions:
+                cell = row[i]
                 try:
                     v = float(cell)
                 except ValueError:
@@ -114,16 +109,40 @@ def load_csv(path, label_column: str) -> CsvDataset:
                         f"row {line_no}, column {header[i]!r}: non-finite value {cell.strip()!r}"
                     )
                     continue
-                values.append(v)
-            rows.append(values)
-            raw_labels.append(row[label_pos].strip())
+                parsed.append(v)
+            values.append(parsed)
+            if label_pos is not None:
+                raw_labels.append(row[label_pos].strip())
 
     if bad_cells:
         shown = "; ".join(bad_cells[:5])
         more = f" (and {len(bad_cells) - 5} more)" if len(bad_cells) > 5 else ""
         raise CsvFormatError(f"{path}: {shown}{more}")
-    if not rows:
+    if not values:
         raise CsvFormatError(f"{path}: no data rows")
+    return header, np.array(values, dtype=np.float64), raw_labels
+
+
+def load_csv(path, label_column: str) -> CsvDataset:
+    """Read a headered CSV into a dataset.
+
+    Class labels are re-encoded to 1..J by descending class count (ties
+    by first appearance); every non-label column must parse as a finite
+    float.
+    """
+
+    def select(header: list[str]) -> tuple[list[int], int]:
+        if label_column not in header:
+            raise CsvFormatError(
+                f"{path}: label column {label_column!r} not found; "
+                f"available columns: {', '.join(header)}"
+            )
+        positions = [i for i, h in enumerate(header) if h != label_column]
+        if not positions:
+            raise CsvFormatError(f"{path}: no feature columns besides the label")
+        return positions, header.index(label_column)
+
+    header, points, raw_labels = _read_csv(path, select)
 
     # Encode by descending count, ties by first appearance.
     first_seen: dict[str, int] = {}
@@ -135,13 +154,38 @@ def load_csv(path, label_column: str) -> CsvDataset:
     encoding = {lab: i + 1 for i, lab in enumerate(ordered)}
     labels = np.array([encoding[lab] for lab in raw_labels], dtype=np.int64)
 
-    data = LabeledDataset(np.array(rows, dtype=np.float64), labels)
     return CsvDataset(
-        data=data,
+        data=LabeledDataset(points, labels),
         label_column=label_column,
-        feature_names=feature_names,
+        feature_names=tuple(h for h in header if h != label_column),
         class_names=tuple(ordered),
     )
+
+
+def load_queries(path, train: CsvDataset) -> np.ndarray:
+    """Query rows of a headered CSV, columns in the training feature order.
+
+    The header must name exactly the training features, plus optionally
+    the training label column, whose values are ignored.
+    """
+
+    def select(header: list[str]) -> tuple[list[int], None]:
+        expected = set(train.feature_names)
+        if train.label_column in header:
+            expected.add(train.label_column)
+        got = set(header)
+        if got != expected:
+            parts = []
+            if expected - got:
+                parts.append(f"missing columns: {', '.join(sorted(expected - got))}")
+            if got - expected:
+                parts.append(f"unexpected columns: {', '.join(sorted(got - expected))}")
+            raise CsvFormatError(
+                f"{path}: query schema does not match training schema; " + "; ".join(parts)
+            )
+        return [header.index(name) for name in train.feature_names], None
+
+    return _read_csv(path, select)[1]
 
 
 def standardize(

@@ -70,8 +70,3 @@ class LabeledDataset:
         """Rows ``indices`` as a new dataset in the same label space."""
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.points[idx], self.labels[idx], self.n_classes)
-
-    def relabeled(self, mapping: dict[int, int], n_classes: int) -> "LabeledDataset":
-        """New dataset with labels sent through ``mapping``."""
-        new = np.array([mapping[int(lab)] for lab in self.labels], dtype=np.int64)
-        return LabeledDataset(self.points, new, n_classes)

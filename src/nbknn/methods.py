@@ -18,7 +18,13 @@ KNN = "knn"
 WNN = "wnn"
 BAYES = "bayes"
 
-ALL_METHODS = (PROPOSED, OVO_PLUS, OVR_PLUS, KNN, WNN, BAYES)
+# The Gaussian designs are binary and come with a Bayes oracle.
+SIMULATION_METHODS = (PROPOSED, KNN, WNN, BAYES)
+CSV_METHODS = (PROPOSED, OVO_PLUS, OVR_PLUS, KNN, WNN)
+
+
+class MethodNameError(ValueError):
+    """A method list that is empty or names an unknown method."""
 
 
 def default_methods(n_classes: int) -> tuple[str, ...]:
@@ -27,20 +33,23 @@ def default_methods(n_classes: int) -> tuple[str, ...]:
     return (OVO_PLUS, OVR_PLUS, KNN, WNN)
 
 
-def validate_methods(methods, n_classes: int | None = None, allow_bayes: bool = False) -> tuple[str, ...]:
-    valid = set(ALL_METHODS) if allow_bayes else set(ALL_METHODS) - {BAYES}
-    out = []
-    for name in methods:
+def validate_methods(methods, n_classes: int | None = None, valid=CSV_METHODS) -> tuple[str, ...]:
+    """The method names as a tuple, each checked against ``valid``.
+
+    Raises MethodNameError for an empty list or an unknown name, and
+    ValueError when 'proposed' meets data without exactly 2 classes.
+    """
+    out = tuple(methods)
+    for name in out:
         if name not in valid:
-            raise ValueError(
+            raise MethodNameError(
                 f"unknown method {name!r}; valid methods: {', '.join(sorted(valid))}"
             )
-        out.append(name)
     if not out:
-        raise ValueError("at least one method is required")
+        raise MethodNameError("at least one method is required")
     if n_classes is not None and n_classes != 2 and PROPOSED in out:
         raise ValueError("method 'proposed' requires exactly 2 classes; use ovo_plus/ovr_plus")
-    return tuple(out)
+    return out
 
 
 def predict_with_method(

@@ -116,9 +116,33 @@ def classify_ovo_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> 
     return out
 
 
-def classify_ovo_plus(train: LabeledDataset, query, k_max: int = 45) -> int:
-    """Ordered one-vs-one prediction for a single query."""
-    return int(classify_ovo_plus_batch(train, np.asarray(query, dtype=np.float64)[None, :], k_max)[0])
+def _ovr_pairs(
+    train: LabeledDataset, active: tuple[int, ...], queries: np.ndarray, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each active class against the pooled rest of the active set.
+
+    Returns (wins, evidence), one row per query and one column per
+    active class: whether the class's side won its pairing, and the
+    evidence on that side (E2 when it is the minority, else E1).
+    """
+    counts = train.class_counts
+    wins = np.zeros((queries.shape[0], len(active)), dtype=bool)
+    evidence = np.zeros((queries.shape[0], len(active)), dtype=np.float64)
+    for j, cls in enumerate(active):
+        rest = tuple(c for c in active if c != cls)
+        cand_is_minority = _candidate_is_minority(counts, cls, rest)
+        if cand_is_minority:
+            pair = _pair_dataset(train, rest, (cls,))
+        else:
+            pair = _pair_dataset(train, (cls,), rest)
+        e1, e2, _, _ = _evidence_arrays(fit_binary(pair, k_max), queries)
+        if cand_is_minority:
+            wins[:, j] = e2 > e1
+            evidence[:, j] = e2
+        else:
+            wins[:, j] = e1 >= e2
+            evidence[:, j] = e1
+    return wins, evidence
 
 
 def _ovr_round(
@@ -128,24 +152,7 @@ def _ovr_round(
     if len(active) == 1:
         out[idx] = active[0]
         return
-    counts = train.class_counts
-    wins = np.zeros((idx.size, len(active)), dtype=bool)
-    evidence = np.zeros((idx.size, len(active)), dtype=np.float64)
-    for j, cls in enumerate(active):
-        rest = tuple(c for c in active if c != cls)
-        cand_is_minority = _candidate_is_minority(counts, cls, rest)
-        if cand_is_minority:
-            pair = _pair_dataset(train, rest, (cls,))
-        else:
-            pair = _pair_dataset(train, (cls,), rest)
-        clf = fit_binary(pair, k_max)
-        e1, e2, _, _ = _evidence_arrays(clf, queries[idx])
-        if cand_is_minority:
-            wins[:, j] = e2 > e1
-            evidence[:, j] = e2
-        else:
-            wins[:, j] = e1 >= e2
-            evidence[:, j] = e1
+    wins, evidence = _ovr_pairs(train, active, queries[idx], k_max)
 
     to_recurse: dict[tuple[int, ...], list[int]] = {}
     for pos in range(idx.size):
@@ -171,30 +178,13 @@ def classify_ovr_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> 
     return out
 
 
-def classify_ovr_plus(train: LabeledDataset, query, k_max: int = 45) -> int:
-    """One-vs-rest prediction for a single query."""
-    return int(classify_ovr_plus_batch(train, np.asarray(query, dtype=np.float64)[None, :], k_max)[0])
+def ovr_evidence_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:
+    """First one-vs-rest round evidence: one row per query, one column per class.
 
-
-def ovr_round_evidence(train: LabeledDataset, query, k_max: int = 45) -> dict[int, float]:
-    """Per-class candidate-side evidence from the first one-vs-rest round.
-
-    Diagnostic companion to :func:`classify_ovr_plus`; used by the CLI
-    to emit per-class evidence columns.
+    Column j holds the evidence on class j+1's side of its pairing
+    against all other classes, as the first round of
+    :func:`classify_ovr_plus_batch` records it.
     """
     _validate(train)
-    q = _as_queries(query, train.dim)
-    counts = train.class_counts
-    active = tuple(range(1, train.n_classes + 1))
-    result: dict[int, float] = {}
-    for cls in active:
-        rest = tuple(c for c in active if c != cls)
-        cand_is_minority = _candidate_is_minority(counts, cls, rest)
-        if cand_is_minority:
-            pair = _pair_dataset(train, rest, (cls,))
-        else:
-            pair = _pair_dataset(train, (cls,), rest)
-        clf = fit_binary(pair, k_max)
-        e1, e2, _, _ = _evidence_arrays(clf, q)
-        result[cls] = float(e2[0] if cand_is_minority else e1[0])
-    return result
+    q = _as_queries(queries, train.dim)
+    return _ovr_pairs(train, tuple(range(1, train.n_classes + 1)), q, k_max)[1]

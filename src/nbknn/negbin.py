@@ -19,15 +19,14 @@ of summands:
 * n - k > 64: the lower tail equals the regularized incomplete beta
   I_{p0}(k, n-k), with no explicit summation.
 
-Everything here is a pure function of its arguments.  Scalar entry
-points delegate to the array kernels, so scalar and vectorized callers
-see bit-identical values.
+Everything here is a pure function of its arguments and works
+elementwise on arrays, so a value never depends on the other entries of
+the batch it is computed in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -38,31 +37,6 @@ _DIRECT_TERMS = 64
 # Lower clamp for probabilities that feed comparisons; keeps evidence
 # values strictly positive instead of propagating underflow zeros.
 _TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class NegBinParams:
-    """Null model: k required minority successes at proportion p0."""
-
-    k: int
-    p0: float
-
-    def __post_init__(self) -> None:
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        p0 = float(self.p0)
-        if not math.isfinite(p0) or not 0.0 < p0 < 1.0:
-            raise ValueError(f"p0 must lie strictly inside (0, 1), got {self.p0!r}")
-
-
-def _check_support(params: NegBinParams, n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < params.k:
-        raise ValueError(f"n={n} is below the support start n=k={params.k}")
-    return int(n)
 
 
 def _log_pmf_grid(k: np.ndarray, n: np.ndarray, log_p0: float, log_q0: float) -> np.ndarray:
@@ -124,37 +98,3 @@ def adjusted_pvalue_many(k, n_obs, p0: float) -> np.ndarray:
         raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
     e = _lower_tail_many(kb, nb, p0) + 0.5 * np.exp(_log_pmf_many(kb, nb, p0))
     return np.clip(e, _TINY, 1.0).reshape(shape)
-
-
-def log_pmf(params: NegBinParams, n: int) -> float:
-    """Natural log of f_k(n); computed via log-gamma, never overflows."""
-    n = _check_support(params, n)
-    return float(_log_pmf_many(np.array([params.k]), np.array([n]), float(params.p0))[0])
-
-
-def cdf_below(params: NegBinParams, n: int) -> float:
-    """P(N < n), the lower tail excluding n itself; 0 at n = k."""
-    n = _check_support(params, n)
-    return float(
-        _lower_tail_many(
-            np.array([params.k], dtype=np.int64),
-            np.array([n], dtype=np.int64),
-            float(params.p0),
-        )[0]
-    )
-
-
-def adjusted_pvalue(params: NegBinParams, n_obs: int) -> float:
-    """Mid-p value P(N < n_obs) + f_k(n_obs)/2, in (0, 1].
-
-    Strictly increasing in n_obs up to float resolution; the
-    complementary evidence is 1 minus this value by construction.
-    """
-    n_obs = _check_support(params, n_obs)
-    return float(
-        adjusted_pvalue_many(
-            np.array([params.k], dtype=np.int64),
-            np.array([n_obs], dtype=np.int64),
-            float(params.p0),
-        )[0]
-    )

@@ -1,4 +1,4 @@
-"""Exact neighbor ordering and the minority counting statistic.
+"""Exact neighbor ordering.
 
 Ordering is a full sort per query (the evidence sweep consumes a
 prefix of unknown length, so fixed-k tree queries do not apply) with
@@ -9,31 +9,7 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .dataset import LabeledDataset
-
-
-class MinorityCapacityError(ValueError):
-    """Fewer minority points are available than the requested k."""
-
-
-@dataclass(frozen=True)
-class NeighborOrdering:
-    """Training indices sorted by distance to one query."""
-
-    order: np.ndarray
-    distances: np.ndarray
-
-
-@dataclass(frozen=True)
-class MinorityCountStat:
-    """Realized count: position of the k-th minority neighbor."""
-
-    k: int
-    n_obs: int
 
 
 def _as_queries(queries, dim: int) -> np.ndarray:
@@ -51,7 +27,7 @@ def distance_rows(points: np.ndarray, queries: np.ndarray, chunk_elems: int = 1 
     """Euclidean distance matrix (queries x points), chunked for memory.
 
     Chunking never changes values: rows are independent and each row is
-    computed with the same elementwise operations as the scalar path.
+    computed with the same elementwise operations whatever the chunk.
     """
     m = queries.shape[0]
     n, p = points.shape
@@ -67,30 +43,3 @@ def distance_rows(points: np.ndarray, queries: np.ndarray, chunk_elems: int = 1 
 def order_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Per-query neighbor orderings; stable argsort breaks ties by index."""
     return np.argsort(distance_rows(points, queries), axis=1, kind="stable")
-
-
-def neighbor_order(train: LabeledDataset, query) -> NeighborOrdering:
-    """Sort all training points by distance to ``query``."""
-    q = _as_queries(query, train.dim)
-    if q.shape[0] != 1:
-        raise ValueError("neighbor_order takes a single query vector")
-    dist = distance_rows(train.points, q)[0]
-    order = np.argsort(dist, kind="stable")
-    ordering = NeighborOrdering(order=order, distances=dist[order])
-    ordering.order.setflags(write=False)
-    ordering.distances.setflags(write=False)
-    return ordering
-
-
-def count_to_kth_minority(
-    ordering: NeighborOrdering, labels: np.ndarray, minority: int, k: int
-) -> MinorityCountStat:
-    """1-based position at which the k-th minority label appears."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    hits = np.flatnonzero(np.asarray(labels)[ordering.order] == minority)
-    if hits.size < k:
-        raise MinorityCapacityError(
-            f"only {hits.size} minority points available, cannot reach k={k}"
-        )
-    return MinorityCountStat(k=int(k), n_obs=int(hits[k - 1]) + 1)

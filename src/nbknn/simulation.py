@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .methods import BAYES, map_trials, predict_with_method, validate_methods
+from .methods import BAYES, SIMULATION_METHODS, map_trials, predict_with_method, validate_methods
 from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
 from .rng import Stream, fold_seed, stream_id
 
@@ -107,11 +107,6 @@ def bayes_classify_batch(specs, queries) -> np.ndarray:
     return np.argmax(logd, axis=1).astype(np.int64) + 1
 
 
-def bayes_classify(specs, query) -> int:
-    """Bayes oracle label for one query."""
-    return int(bayes_classify_batch(specs, np.asarray(query, dtype=np.float64)[None, :])[0])
-
-
 def location_specs() -> tuple[GaussianClassSpec, GaussianClassSpec]:
     return (
         GaussianClassSpec(mean=(0.0, 0.0), sigma2=1.0, prior=0.5),
@@ -149,11 +144,11 @@ def _simulation_trial(args) -> dict[str, PrfReport]:
 def _run_design(
     specs, alpha, trials, seed, methods, k_max, train_size, test_size, jobs
 ) -> list[TrialReport]:
+    methods = validate_methods(methods, valid=SIMULATION_METHODS)
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    methods = validate_methods(methods, n_classes=2, allow_bayes=True)
     args = [
         (specs, float(alpha), int(seed), t, methods, int(k_max), int(train_size), int(test_size))
         for t in range(trials)

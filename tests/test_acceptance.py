@@ -18,13 +18,11 @@ from nbknn import (
     GaussianClassSpec,
     adjusted_pvalue_many,
     bayes_classify_batch,
-    classify_binary,
-    classify_ovo_plus,
+    binary_evidence_batch,
+    classify_binary_batch,
     classify_ovo_plus_batch,
-    classify_ovr_plus,
     classify_ovr_plus_batch,
     confusion,
-    evidence_pair,
     fit_binary,
     prf,
     run_location_experiment,
@@ -196,11 +194,10 @@ def test_criterion_09_binary_fixture_vs_oracle(two_class_fixture):
     )
     worst = 0.0
     for k_max in (1, 2, 3):
-        clf = fit_binary(two_class_fixture, k_max)
-        for q in queries:
+        _, got1, got2 = binary_evidence_batch(fit_binary(two_class_fixture, k_max), queries)
+        for q, g1, g2 in zip(queries, got1, got2):
             e1, e2 = brute_force_evidence(two_class_fixture, q, k_max)
-            pair = evidence_pair(clf, q)
-            worst = max(worst, abs(pair.e1 - e1), abs(pair.e2 - e2))
+            worst = max(worst, abs(g1 - e1), abs(g2 - e2))
     detail = f"max |err| = {worst:.2e} over k_max in 1..3 (tol 1e-12)"
     check(9, "evidence matches scripted oracle on fixture", worst <= 1e-12, detail)
 
@@ -210,9 +207,10 @@ def test_criterion_10_multiclass_degeneracy():
     mismatches = 0
     for trial in range(1000):
         ds = make_dataset(rng, n=int(rng.integers(5, 25)), dim=2, n_classes=2)
-        query = rng.normal(size=2)
-        binary = classify_binary(fit_binary(ds, 45), query)
-        if classify_ovo_plus(ds, query, 45) != binary or classify_ovr_plus(ds, query, 45) != binary:
+        query = rng.normal(size=(1, 2))
+        binary = classify_binary_batch(fit_binary(ds, 45), query)[0]
+        if (classify_ovo_plus_batch(ds, query, 45)[0] != binary
+                or classify_ovr_plus_batch(ds, query, 45)[0] != binary):
             mismatches += 1
     detail = f"{mismatches} mismatches over 1000 random 2-class fixtures"
     check(10, "reductions degenerate to binary rule", mismatches == 0, detail)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nbknn import KnnConfig, LabeledDataset, knn_classify, knn_classify_batch, select_k_cv
+from nbknn import KnnConfig, LabeledDataset, knn_classify_batch, select_k_cv
 
 from conftest import make_dataset
 
@@ -30,11 +30,11 @@ class TestKnnConfig:
 class TestKnnClassify:
     def test_k1_nearest_label(self):
         ds = line_dataset([2, 1, 1])
-        assert knn_classify(ds, [0.2], KnnConfig(k=1)) == 2
+        assert knn_classify_batch(ds, [[0.2]], KnnConfig(k=1)).tolist() == [2]
 
     def test_plurality_vote(self):
         ds = line_dataset([1, 1, 2])
-        assert knn_classify(ds, [0.0], KnnConfig(k=3)) == 1
+        assert knn_classify_batch(ds, [[0.0]], KnnConfig(k=3)).tolist() == [1]
 
     def test_inverse_class_size_flips_vote(self):
         # Neighbor labels [1, 1, 2] but class sizes 100 vs 10 give the
@@ -44,8 +44,8 @@ class TestKnnClassify:
         ds = LabeledDataset(points[:, None], labels.astype(np.int64))
         assert ds.class_counts.tolist() == [100, 10]
         cfg = KnnConfig(k=3, weighting="inverse-class-size")
-        assert knn_classify(ds, [0.0], cfg) == 2
-        assert knn_classify(ds, [0.0], KnnConfig(k=3)) == 1
+        assert knn_classify_batch(ds, [[0.0]], cfg).tolist() == [2]
+        assert knn_classify_batch(ds, [[0.0]], KnnConfig(k=3)).tolist() == [1]
 
     def test_k_equals_n_uniform_predicts_largest_class(self, rng):
         ds = make_dataset(rng, n=30, weights=[0.7, 0.3])
@@ -78,12 +78,12 @@ class TestKnnClassify:
 
     def test_vote_tie_breaks_to_smaller_class_id(self):
         ds = line_dataset([2, 1, 1, 2])
-        assert knn_classify(ds, [-1.0], KnnConfig(k=2)) == 1
+        assert knn_classify_batch(ds, [[-1.0]], KnnConfig(k=2)).tolist() == [1]
 
     def test_k_exceeding_n_rejected(self):
         ds = line_dataset([1, 2])
         with pytest.raises(ValueError, match="exceeds"):
-            knn_classify(ds, [0.0], KnnConfig(k=3))
+            knn_classify_batch(ds, [[0.0]], KnnConfig(k=3))
 
 
 class TestSelectKCv:

@@ -8,12 +8,12 @@ import pytest
 from nbknn import (
     BinaryEvidenceClassifier,
     LabeledDataset,
-    classify_binary,
+    binary_evidence_batch,
     classify_binary_batch,
-    evidence_pair,
     fit_binary,
-    neighbor_order,
 )
+from nbknn.binary import _evidence_arrays
+from nbknn.neighbors import order_rows
 
 from conftest import brute_force_evidence, make_dataset
 
@@ -63,39 +63,38 @@ class TestEvidencePair:
         ds = LabeledDataset([[-1.0], [1.0]], [1, 2])
         clf = fit_binary(ds, 45)
         assert clf.k_max_eff == 1
-        pair = evidence_pair(clf, [0.0])
-        assert pair.e1 == pytest.approx(0.625, abs=1e-15)
-        assert pair.e2 == pytest.approx(0.5, abs=1e-15)
+        _, e1, e2 = binary_evidence_batch(clf, [[0.0]])
+        assert e1[0] == pytest.approx(0.625, abs=1e-15)
+        assert e2[0] == pytest.approx(0.5, abs=1e-15)
 
-    def test_trace_off_by_default_and_contents(self):
+    def test_per_k_matrices_contents(self):
         ds = LabeledDataset([[-1.0], [1.0]], [1, 2])
         clf = fit_binary(ds, 45)
-        assert evidence_pair(clf, [0.0]).per_k is None
-        trace = evidence_pair(clf, [0.0], keep_trace=True).per_k
-        assert trace == ((1, 2, 0.625),)
+        _, _, e, n_obs = _evidence_arrays(clf, np.array([[0.0]]))
+        assert n_obs.tolist() == [[2]]
+        assert e.tolist() == [[0.625]]
 
     def test_floors_at_half(self, two_class_fixture):
         clf = fit_binary(two_class_fixture, 3)
-        for i in range(two_class_fixture.n):
-            pair = evidence_pair(clf, two_class_fixture.points[i])
-            assert pair.e1 >= 0.5
-            assert pair.e2 >= 0.5
+        _, e1, e2 = binary_evidence_batch(clf, two_class_fixture.points)
+        assert np.all(e1 >= 0.5)
+        assert np.all(e2 >= 0.5)
 
     @pytest.mark.parametrize("k_max", [1, 2, 3])
     def test_matches_exact_rational_oracle(self, two_class_fixture, k_max):
         clf = fit_binary(two_class_fixture, k_max)
         queries = np.array([[0.2, 0.1], [4.4, 0.4], [1.0, 3.9], [2.4, 1.6], [9.0, 9.0]])
-        for q in queries:
+        _, got1, got2 = binary_evidence_batch(clf, queries)
+        for q, g1, g2 in zip(queries, got1, got2):
             e1, e2 = brute_force_evidence(two_class_fixture, q, k_max)
-            pair = evidence_pair(clf, q)
-            assert pair.e1 == pytest.approx(e1, abs=1e-12)
-            assert pair.e2 == pytest.approx(e2, abs=1e-12)
+            assert g1 == pytest.approx(e1, abs=1e-12)
+            assert g2 == pytest.approx(e2, abs=1e-12)
 
     def test_all_minority_prefix_favors_minority(self, two_class_fixture):
         # Query buried among the three minority points.
         clf = fit_binary(two_class_fixture, 3)
-        pair = evidence_pair(clf, [4.6, 0.6])
-        assert pair.e2 > pair.e1
+        _, e1, e2 = binary_evidence_batch(clf, [[4.6, 0.6]])
+        assert e2[0] > e1[0]
 
     def test_all_minority_prefix_hits_support_start(self):
         # With the first k neighbors all minority, each e_k is half the
@@ -107,46 +106,49 @@ class TestEvidencePair:
         labels = np.r_[np.full(3, 2, dtype=np.int64), np.ones(7, dtype=np.int64)]
         ds = LabeledDataset(points, labels)
         clf = fit_binary(ds, 3)
-        trace = evidence_pair(clf, [10.05, 10.05], keep_trace=True).per_k
+        e1, e2, e, n_obs = _evidence_arrays(clf, np.array([[10.05, 10.05]]))
         p0 = 0.3
-        for k, n_obs, e_k in trace:
-            assert n_obs == k
+        assert n_obs.tolist() == [[1, 2, 3]]
+        for k, e_k in enumerate(e[0], start=1):
             assert e_k == pytest.approx(0.5 * p0**k, rel=1e-12)
-        pair = evidence_pair(clf, [10.05, 10.05])
-        assert pair.e2 > pair.e1
+        assert e2[0] > e1[0]
 
     def test_deterministic_bit_identical(self, rng):
         ds = make_dataset(rng, n=60, weights=[0.8, 0.2])
         clf = fit_binary(ds, 10)
-        q = rng.normal(size=2)
-        first = evidence_pair(clf, q, keep_trace=True)
-        second = evidence_pair(clf, q, keep_trace=True)
-        assert first == second
+        q = rng.normal(size=(3, 2))
+        first = _evidence_arrays(clf, q)
+        second = _evidence_arrays(clf, q)
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
     def test_batch_matches_scalar_bitwise(self, rng):
+        # Row independence: a batch equals, bit for bit, the batch run on
+        # each of its rows alone.
         ds = make_dataset(rng, n=80, weights=[0.75, 0.25])
         clf = fit_binary(ds, 8)
         queries = rng.normal(size=(25, 2))
-        batch = classify_binary_batch(clf, queries)
+        labels, e1, e2 = binary_evidence_batch(clf, queries)
         for i in range(25):
-            assert classify_binary(clf, queries[i]) == batch[i]
+            one = binary_evidence_batch(clf, queries[i : i + 1])
+            assert one[0][0] == labels[i]
+            assert one[1].tobytes() == e1[i : i + 1].tobytes()
+            assert one[2].tobytes() == e2[i : i + 1].tobytes()
 
     def test_batch_matches_scalar_across_tail_branches(self, rng):
         # Heavy imbalance pushes the counting statistic far past the
-        # direct-summation window, so both tail strategies are in play.
+        # direct-summation window, so both tail strategies are in play;
+        # every per-k value of a row is the same alone as in the batch.
         ds = make_dataset(rng, n=400, weights=[0.95, 0.05])
         clf = fit_binary(ds, 10)
         queries = rng.normal(size=(30, 2)) * 1.5
-        from nbknn.binary import _evidence_arrays
-
-        _, _, _, n_obs = _evidence_arrays(clf, queries)
-        spans = n_obs - np.arange(1, clf.k_max_eff + 1)
+        batch = _evidence_arrays(clf, queries)
+        spans = batch[3] - np.arange(1, clf.k_max_eff + 1)
         assert spans.max() > 64 and spans.min() <= 64
-        batch_e1, batch_e2, _, _ = _evidence_arrays(clf, queries)
         for i in range(queries.shape[0]):
-            pair = evidence_pair(clf, queries[i])
-            assert pair.e1 == batch_e1[i]
-            assert pair.e2 == batch_e2[i]
+            alone = _evidence_arrays(clf, queries[i : i + 1])
+            for a, b in zip(alone, batch):
+                assert a.tobytes() == b[i : i + 1].tobytes()
 
 
 class TestClassifyBinary:
@@ -156,25 +158,24 @@ class TestClassifyBinary:
             np.array([[0.0], [0.1], [0.2], [0.3], [9.0]]), [1, 1, 1, 1, 2]
         )
         clf = fit_binary(ds, 1)
-        assert classify_binary(clf, [0.05]) == 1
+        assert classify_binary_batch(clf, [[0.05]]).tolist() == [1]
 
     def test_minority_needs_strictly_larger_e2(self):
         ds = LabeledDataset([[-1.0], [1.0]], [1, 2])
         clf = fit_binary(ds, 1)
-        # Both evidences 0.5 at the minority point? e at n_obs=1 is 0.25,
-        # so e2 = 0.75 > e1 = 0.5: minority wins.
-        assert classify_binary(clf, [1.0]) == 2
-        # At the majority point the pair is (0.625, 0.5): majority.
-        assert classify_binary(clf, [-1.0]) == 1
+        # At the minority point e at n_obs=1 is 0.25, so e2 = 0.75 > e1 =
+        # 0.5: minority wins.  At the majority point the pair is
+        # (0.625, 0.5): majority.
+        assert classify_binary_batch(clf, [[1.0], [-1.0]]).tolist() == [2, 1]
 
     def test_exact_tie_goes_to_majority(self):
         # Symmetric duplicated points make every e_k hit both extremes
         # identically, leaving E1 == E2 == 0.625 at the midpoint.
         ds = LabeledDataset([[-1.0], [1.0], [-1.0], [1.0]], [1, 2, 2, 1])
         clf = fit_binary(ds, 2)
-        pair = evidence_pair(clf, [0.0])
-        assert pair.e1 == pair.e2
-        assert classify_binary(clf, [0.0]) == 1
+        labels, e1, e2 = binary_evidence_batch(clf, [[0.0]])
+        assert e1[0] == e2[0]
+        assert labels.tolist() == [1]
 
     def test_scale_equivariance_power_of_two_exact(self, rng):
         ds = make_dataset(rng, n=50, weights=[0.7, 0.3])
@@ -203,13 +204,13 @@ class TestClassifyBinary:
         # k_max_eff-th minority neighbor, holding p0 and the cap fixed.
         ds = make_dataset(rng, n=70, weights=[0.7, 0.3])
         clf = fit_binary(ds, 4)
-        query = rng.normal(size=2)
-        full = evidence_pair(clf, query)
+        query = rng.normal(size=(1, 2))
+        full = _evidence_arrays(clf, query)
 
-        ordering = neighbor_order(ds, query)
-        hits = np.flatnonzero(ds.labels[ordering.order] == clf.minority_label)
+        order = order_rows(ds.points, query)[0]
+        hits = np.flatnonzero(ds.labels[order] == clf.minority_label)
         cutoff = hits[clf.k_max_eff - 1] + 1
-        prefix_rows = ordering.order[:cutoff]
+        prefix_rows = order[:cutoff]
         truncated = BinaryEvidenceClassifier(
             train=LabeledDataset(ds.points[prefix_rows], ds.labels[prefix_rows], 2),
             majority_label=clf.majority_label,
@@ -218,14 +219,14 @@ class TestClassifyBinary:
             k_max_config=clf.k_max_config,
             k_max_eff=clf.k_max_eff,
         )
-        pruned = evidence_pair(truncated, query)
-        assert pruned == full
+        pruned = _evidence_arrays(truncated, query)
+        for a, b in zip(pruned, full):
+            assert a.tobytes() == b.tobytes()
 
     def test_null_symmetry_mean_evidence_near_half(self):
         # Both classes iid from the same distribution, equal sizes: the
         # mean of e_k over queries should sit near 1/2 for each k.
         from nbknn import Stream
-        from nbknn.binary import _evidence_arrays
 
         stream = Stream(2024, 0)
         points = stream.normal(2 * 600).reshape(600, 2)

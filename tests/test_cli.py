@@ -262,6 +262,27 @@ class TestFitPredict:
         assert code == 3
         assert "f2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, cited",
+        [
+            ("f1,f2\n0.0,0.0\n0.0\n", "row 3 has 1 fields"),
+            ("f1,f2\n0.0,1.0,2.0\n", "row 2 has 3 fields"),
+            ("f1,f1,f2\n0.0,0.0,0.0\n", "duplicate column name 'f1'"),
+            ("f1,f2\n0.0,0.0\n1.0,nan\n", "row 3, column 'f2'"),
+            ("outcome,f1,f2\n,0.0,x\n", "row 2, column 'f2'"),
+        ],
+        ids=["short_row", "long_row", "duplicate_header", "nan_cell", "labeled_bad_cell"],
+    )
+    def test_malformed_query_file_cites_row(self, binary_csv, tmp_path, capsys, text, cited):
+        queries = tmp_path / "q.csv"
+        queries.write_text(text, encoding="utf-8")
+        code = main(
+            ["fit-predict", "--train", str(binary_csv), "--queries", str(queries),
+             "--label-column", "outcome"]
+        )
+        assert code == 3
+        assert cited in capsys.readouterr().err
+
 
 GOLDEN_FIT_PREDICT = {
     "proposed": (write_binary_fixture, ("f1", "f2"), "outcome", 4321, 0.75),

@@ -71,6 +71,11 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=r"row 3, column 'y'"):
             load_csv(path, "cls")
 
+    def test_duplicate_header_name_rejected(self, csv_file):
+        path = csv_file("x,y,x,cls\n0,1,2,a\n3,4,5,b\n")
+        with pytest.raises(CsvFormatError, match="duplicate column name 'x'"):
+            load_csv(path, "cls")
+
     def test_empty_file(self, csv_file):
         path = csv_file("")
         with pytest.raises(CsvFormatError, match="empty"):

@@ -5,15 +5,14 @@ import pytest
 
 from nbknn import (
     LabeledDataset,
-    classify_binary,
-    classify_ovo_plus,
+    binary_evidence_batch,
+    classify_binary_batch,
     classify_ovo_plus_batch,
-    classify_ovr_plus,
     classify_ovr_plus_batch,
     fit_binary,
+    ovr_evidence_batch,
     resolve_by_max_evidence,
 )
-from nbknn.multiclass import ovr_round_evidence
 
 from conftest import make_dataset
 
@@ -44,10 +43,10 @@ class TestReductions:
     def test_two_class_degenerates_to_binary(self, rng):
         for trial in range(60):
             ds = make_dataset(rng, n=int(rng.integers(6, 30)), n_classes=2)
-            query = rng.normal(size=2)
-            expected = classify_binary(fit_binary(ds, 45), query)
-            assert classify_ovo_plus(ds, query, 45) == expected
-            assert classify_ovr_plus(ds, query, 45) == expected
+            query = rng.normal(size=(1, 2))
+            expected = classify_binary_batch(fit_binary(ds, 45), query)
+            np.testing.assert_array_equal(classify_ovo_plus_batch(ds, query, 45), expected)
+            np.testing.assert_array_equal(classify_ovr_plus_batch(ds, query, 45), expected)
 
     def test_two_class_degenerates_when_label_two_is_larger(self, rng):
         # Role assignment must follow counts even when class 2 dominates.
@@ -55,23 +54,21 @@ class TestReductions:
         labels = np.r_[np.ones(8, dtype=np.int64), np.full(22, 2, dtype=np.int64)]
         ds = LabeledDataset(points, labels)
         queries = rng.normal(size=(20, 2))
-        clf = fit_binary(ds, 45)
-        for q in queries:
-            expected = classify_binary(clf, q)
-            assert classify_ovo_plus(ds, q, 45) == expected
-            assert classify_ovr_plus(ds, q, 45) == expected
+        expected = classify_binary_batch(fit_binary(ds, 45), queries)
+        np.testing.assert_array_equal(classify_ovo_plus_batch(ds, queries, 45), expected)
+        np.testing.assert_array_equal(classify_ovr_plus_batch(ds, queries, 45), expected)
 
     def test_cluster_centers_recovered(self, rng):
         ds = three_cluster_fixture(rng)
-        for cls, center in [(1, [0.0, 0.0]), (2, [10.0, 0.0]), (3, [0.0, 10.0])]:
-            assert classify_ovo_plus(ds, center, 15) == cls
-            assert classify_ovr_plus(ds, center, 15) == cls
+        centers = [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]
+        assert classify_ovo_plus_batch(ds, centers, 15).tolist() == [1, 2, 3]
+        assert classify_ovr_plus_batch(ds, centers, 15).tolist() == [1, 2, 3]
 
     def test_smallest_class_wins_by_empty_winner_set(self, rng):
         # Query at the smallest class's center: every larger class loses
         # its round, so the empty-set branch fires.
         ds = three_cluster_fixture(rng, n_per=(30, 20, 10))
-        assert classify_ovo_plus(ds, [0.0, 10.0], 10) == 3
+        assert classify_ovo_plus_batch(ds, [[0.0, 10.0]], 10).tolist() == [3]
 
     def test_row_order_invariance(self, rng):
         ds = three_cluster_fixture(rng)
@@ -88,25 +85,32 @@ class TestReductions:
         )
 
     def test_batch_matches_scalar(self, rng):
+        # Row independence: a batch equals the batch run on each row alone,
+        # although rows of one batch recurse through different rounds.
         ds = three_cluster_fixture(rng)
         queries = rng.normal(size=(10, 2)) * 5.0 + 2.0
         ovo = classify_ovo_plus_batch(ds, queries, 8)
         ovr = classify_ovr_plus_batch(ds, queries, 8)
+        evidence = ovr_evidence_batch(ds, queries, 8)
         for i in range(10):
-            assert classify_ovo_plus(ds, queries[i], 8) == ovo[i]
-            assert classify_ovr_plus(ds, queries[i], 8) == ovr[i]
+            row = queries[i : i + 1]
+            assert classify_ovo_plus_batch(ds, row, 8)[0] == ovo[i]
+            assert classify_ovr_plus_batch(ds, row, 8)[0] == ovr[i]
+            assert ovr_evidence_batch(ds, row, 8).tobytes() == evidence[i : i + 1].tobytes()
 
     def test_rejects_empty_class(self):
         ds = LabeledDataset([[0.0], [1.0], [2.0]], [1, 1, 3], n_classes=3)
         with pytest.raises(ValueError, match="no training points"):
-            classify_ovo_plus(ds, [0.0])
+            classify_ovo_plus_batch(ds, [[0.0]])
         with pytest.raises(ValueError, match="no training points"):
-            classify_ovr_plus(ds, [0.0])
+            classify_ovr_plus_batch(ds, [[0.0]])
+        with pytest.raises(ValueError, match="no training points"):
+            ovr_evidence_batch(ds, [[0.0]])
 
     def test_rejects_single_class(self):
         ds = LabeledDataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(ValueError, match="at least 2"):
-            classify_ovr_plus(ds, [0.0])
+            classify_ovr_plus_batch(ds, [[0.0]])
 
 
 class TestOvrFallback:
@@ -117,7 +121,7 @@ class TestOvrFallback:
             points = rng.normal(size=(9, 1))
             labels = np.asarray(rng.permutation([1, 1, 1, 2, 2, 2, 3, 3, 3]), dtype=np.int64)
             ds = LabeledDataset(points, labels)
-            query = rng.normal(size=1)
+            query = rng.normal(size=(1, 1))
             counts = ds.class_counts
             wins = {}
             evid = {}
@@ -126,17 +130,13 @@ class TestOvrFallback:
                 n_cls = int(counts[cls - 1])
                 n_rest = ds.n - n_cls
                 cand_minor = n_cls < n_rest if n_cls != n_rest else cls > min(rest)
-                mapping = {cls: 2 if cand_minor else 1}
-                for r in rest:
-                    mapping[r] = 1 if cand_minor else 2
-                pair = ds.relabeled(mapping, 2)
-                clf = fit_binary(pair, 3)
-                from nbknn import evidence_pair
-
-                pr = evidence_pair(clf, query)
-                cand_side_wins = pr.e2 > pr.e1 if cand_minor else pr.e1 >= pr.e2
+                cand_label = 2 if cand_minor else 1
+                pair_labels = np.where(ds.labels == cls, cand_label, 3 - cand_label)
+                clf = fit_binary(LabeledDataset(ds.points, pair_labels, 2), 3)
+                _, e1, e2 = binary_evidence_batch(clf, query)
+                cand_side_wins = e2[0] > e1[0] if cand_minor else e1[0] >= e2[0]
                 wins[cls] = cand_side_wins
-                evid[cls] = pr.e2 if cand_minor else pr.e1
+                evid[cls] = e2[0] if cand_minor else e1[0]
             n_wins = sum(wins.values())
             if n_wins == 0 or n_wins == 3:
                 return ds, query, evid
@@ -145,15 +145,17 @@ class TestOvrFallback:
     def test_fallback_returns_max_evidence_argmax(self, rng):
         ds, query, evid = self._no_winner_fixture(rng)
         expected = resolve_by_max_evidence(evid)
-        assert classify_ovr_plus(ds, query, 3) == expected
+        assert classify_ovr_plus_batch(ds, query, 3).tolist() == [expected]
+        # The first-round evidence equals the hand-built pairings' values.
+        assert ovr_evidence_batch(ds, query, 3).tolist() == [[evid[1], evid[2], evid[3]]]
 
     def test_round_evidence_reports_all_classes(self, rng):
         ds = three_cluster_fixture(rng)
-        ev = ovr_round_evidence(ds, [0.0, 0.0], 10)
-        assert sorted(ev) == [1, 2, 3]
-        assert all(0.0 < v <= 1.0 for v in ev.values())
+        ev = ovr_evidence_batch(ds, [[0.0, 0.0]], 10)
+        assert ev.shape == (1, 3)
+        assert np.all((ev > 0.0) & (ev <= 1.0))
         # At class 1's center its candidate evidence dominates.
-        assert max(ev, key=ev.get) == 1
+        assert int(np.argmax(ev[0])) == 0
 
 
 class TestConsistencyTrend:

@@ -1,145 +1,137 @@
-"""Tail, pmf, and mid-p value checks against exact rational oracles."""
+"""Tail, pmf, and mid-p value kernels against exact rational oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nbknn import NegBinParams, adjusted_pvalue, adjusted_pvalue_many, cdf_below, log_pmf
+from nbknn import adjusted_pvalue_many
+from nbknn.negbin import _log_pmf_many, _lower_tail_many
 from scipy.special import betainc
 
 from conftest import nb_lower_tail_exact, nb_midp_exact, nb_pmf_exact
 
 
+def grid(k: int, ns) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (k, n) arrays for one k and the listed n values."""
+    n = np.asarray(ns, dtype=np.int64)
+    return np.full(n.shape, k, dtype=np.int64), n
+
+
 class TestParams:
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k must be"):
-            NegBinParams(0, 0.5)
-        with pytest.raises(ValueError, match="k must be"):
-            NegBinParams(-3, 0.5)
-        with pytest.raises(ValueError, match="k must be"):
-            NegBinParams(1.5, 0.5)
+        with pytest.raises(ValueError, match="k values"):
+            adjusted_pvalue_many(0, 5, 0.5)
+        with pytest.raises(ValueError, match="k values"):
+            adjusted_pvalue_many(np.array([2, -3]), np.array([5, 5]), 0.5)
 
     def test_rejects_bad_p0(self):
         for p0 in (0.0, 1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="p0"):
-                NegBinParams(1, p0)
+                adjusted_pvalue_many(1, 1, p0)
 
     def test_rejects_n_below_support(self):
-        params = NegBinParams(3, 0.2)
         with pytest.raises(ValueError, match="below the support"):
-            log_pmf(params, 2)
+            adjusted_pvalue_many(3, 2, 0.2)
         with pytest.raises(ValueError, match="below the support"):
-            cdf_below(params, 2)
-        with pytest.raises(ValueError, match="below the support"):
-            adjusted_pvalue(params, 2)
+            adjusted_pvalue_many(np.array([3, 3]), np.array([3, 2]), 0.2)
 
 
 class TestLogPmf:
     def test_geometric_first_trial(self):
-        assert log_pmf(NegBinParams(1, 0.5), 1) == pytest.approx(math.log(0.5), rel=1e-15)
+        assert _log_pmf_many(*grid(1, [1]), 0.5)[0] == pytest.approx(math.log(0.5), rel=1e-15)
 
     def test_two_immediate_successes(self):
-        assert log_pmf(NegBinParams(2, 0.5), 2) == pytest.approx(math.log(0.25), rel=1e-15)
+        assert _log_pmf_many(*grid(2, [2]), 0.5)[0] == pytest.approx(math.log(0.25), rel=1e-15)
 
     def test_exact_rational_value(self):
         # C(4,1) * 0.3**2 * 0.7**3 evaluated in exact rational arithmetic
         expected = nb_pmf_exact(2, 0.3, 5)
-        got = math.exp(log_pmf(NegBinParams(2, 0.3), 5))
+        got = math.exp(_log_pmf_many(*grid(2, [5]), 0.3)[0])
         assert got == pytest.approx(float(expected), rel=1e-13)
         assert got == pytest.approx(0.123480, abs=1e-6)
 
     @pytest.mark.parametrize("p0", [0.05, 0.1, 0.3, 0.5])
     def test_matches_exact_rational_on_grid(self, p0):
         for k in (1, 2, 5, 11, 20):
-            params = NegBinParams(k, p0)
-            for n in (k, k + 1, k + 7, k + 50, 200):
-                if n < k:
-                    continue
-                expected = float(nb_pmf_exact(k, p0, n))
-                assert math.exp(log_pmf(params, n)) == pytest.approx(expected, rel=1e-12)
+            ns = [n for n in (k, k + 1, k + 7, k + 50, 200) if n >= k]
+            got = np.exp(_log_pmf_many(*grid(k, ns), p0))
+            for n, value in zip(ns, got):
+                assert value == pytest.approx(float(nb_pmf_exact(k, p0, n)), rel=1e-12)
 
     def test_no_overflow_at_extreme_arguments(self):
-        value = log_pmf(NegBinParams(10_000, 0.005), 10_000_000)
-        assert math.isfinite(value)
-        value2 = log_pmf(NegBinParams(10_000, 0.005), 2_000_000)
-        assert math.isfinite(value2)
+        values = _log_pmf_many(*grid(10_000, [10_000_000, 2_000_000]), 0.005)
+        assert np.all(np.isfinite(values))
 
 
 class TestCdfBelow:
     def test_empty_sum_at_support_start(self):
-        assert cdf_below(NegBinParams(3, 0.2), 3) == 0.0
+        assert _lower_tail_many(*grid(3, [3]), 0.2)[0] == 0.0
 
     def test_direct_summation_half(self):
-        assert cdf_below(NegBinParams(1, 0.5), 3) == pytest.approx(0.75, abs=1e-15)
+        assert _lower_tail_many(*grid(1, [3]), 0.5)[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_direct_summation_quarters(self):
-        assert cdf_below(NegBinParams(2, 0.5), 4) == pytest.approx(0.5, abs=1e-15)
+        assert _lower_tail_many(*grid(2, [4]), 0.5)[0] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("p0", [0.05, 0.3, 0.5])
     def test_matches_exact_rational_including_beta_branch(self, p0):
         # n - k spans both the summation branch (<= 64) and the beta branch.
         for k in (1, 3, 10):
-            params = NegBinParams(k, p0)
-            for n in (k, k + 1, k + 64, k + 65, k + 200, 500):
-                if n < k:
-                    continue
+            ns = [n for n in (k, k + 1, k + 64, k + 65, k + 200, 500) if n >= k]
+            got = _lower_tail_many(*grid(k, ns), p0)
+            for n, value in zip(ns, got):
                 expected = float(nb_lower_tail_exact(k, p0, n))
-                assert cdf_below(params, n) == pytest.approx(expected, abs=1e-10)
+                assert value == pytest.approx(expected, abs=1e-10)
 
     def test_value_stays_in_unit_interval(self):
-        params = NegBinParams(2, 0.9)
-        for n in range(2, 400):
-            v = cdf_below(params, n)
-            assert 0.0 <= v <= 1.0
+        values = _lower_tail_many(*grid(2, range(2, 400)), 0.9)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 class TestAdjustedPvalue:
     def test_support_start_half_pmf(self):
-        assert adjusted_pvalue(NegBinParams(1, 0.5), 1) == pytest.approx(0.25, abs=1e-15)
+        assert adjusted_pvalue_many(1, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_one_term_plus_half(self):
-        assert adjusted_pvalue(NegBinParams(1, 0.5), 2) == pytest.approx(0.625, abs=1e-15)
+        assert adjusted_pvalue_many(1, 2, 0.5) == pytest.approx(0.625, abs=1e-15)
 
     def test_k2_support_start(self):
-        assert adjusted_pvalue(NegBinParams(2, 0.5), 2) == pytest.approx(0.125, abs=1e-15)
+        assert adjusted_pvalue_many(2, 2, 0.5) == pytest.approx(0.125, abs=1e-15)
 
     def test_monotone_in_n_while_increments_representable(self):
         # Strictly increasing until the value saturates at 1 in doubles.
         for k, p0 in [(1, 0.5), (4, 0.1), (9, 0.05), (3, 0.3)]:
-            params = NegBinParams(k, p0)
-            prev = adjusted_pvalue(params, k)
-            for n in range(k + 1, k + 300):
-                cur = adjusted_pvalue(params, n)
+            values = adjusted_pvalue_many(*grid(k, range(k, k + 300)), p0)
+            for n, prev, cur in zip(range(k + 1, k + 300), values[:-1], values[1:]):
                 if prev < 1.0 - 1e-12:
                     assert cur > prev, (k, p0, n)
                 else:
                     assert cur >= prev, (k, p0, n)
-                prev = cur
 
     def test_midp_symmetry_against_independent_upper_tail(self):
         # P(N < n) + f(n) + P(N > n) = 1; the upper tail comes from an
         # independent identity, not from the lower-tail code path.
         for k, p0 in [(1, 0.5), (2, 0.3), (7, 0.1), (15, 0.05), (20, 0.5)]:
-            params = NegBinParams(k, p0)
-            for n in (k, k + 1, k + 17, k + 66, k + 140):
-                e = adjusted_pvalue(params, n)
-                upper = betainc(n - k + 1.0, float(k), 1.0 - p0)
-                half_pmf = 0.5 * math.exp(log_pmf(params, n))
-                assert e + upper + half_pmf == pytest.approx(1.0, abs=1e-13)
+            ks, ns = grid(k, (k, k + 1, k + 17, k + 66, k + 140))
+            e = adjusted_pvalue_many(ks, ns, p0)
+            upper = betainc(ns - k + 1.0, float(k), 1.0 - p0)
+            half_pmf = 0.5 * np.exp(_log_pmf_many(ks, ns, p0))
+            for total in e + upper + half_pmf:
+                assert total == pytest.approx(1.0, abs=1e-13)
 
     def test_clamped_away_from_zero(self):
         # Deep-minority evidence underflows the pmf; the clamp keeps it positive.
-        e = adjusted_pvalue(NegBinParams(1000, 0.005), 1000)
-        assert e >= 1e-300
+        assert adjusted_pvalue_many(1000, 1000, 0.005) >= 1e-300
 
     def test_scalar_equals_array_kernel(self):
+        # Row independence: each entry of a batch, on both tail branches,
+        # equals the kernel evaluated on that (k, n) pair alone.
         ks = np.array([1, 2, 5, 20, 20])
         ns = np.array([1, 9, 80, 20, 500])
         batch = adjusted_pvalue_many(ks, ns, 0.3)
         for i in range(ks.size):
-            scalar = adjusted_pvalue(NegBinParams(int(ks[i]), 0.3), int(ns[i]))
-            assert scalar == batch[i]
+            assert adjusted_pvalue_many(int(ks[i]), int(ns[i]), 0.3) == batch[i]
 
     def test_array_kernel_validates_inputs(self):
         with pytest.raises(ValueError, match="support"):
@@ -152,27 +144,25 @@ class TestAdjustedPvalue:
     @pytest.mark.parametrize("p0", [0.05, 0.1, 0.3, 0.5])
     def test_matches_exact_rational_spot_grid(self, p0):
         for k in (1, 4, 12, 20):
-            params = NegBinParams(k, p0)
-            for n in (k, k + 3, k + 64, k + 65, k + 130, 480):
-                if n < k:
-                    continue
-                expected = float(nb_midp_exact(k, p0, n))
-                assert adjusted_pvalue(params, n) == pytest.approx(expected, abs=1e-10)
+            ns = [n for n in (k, k + 3, k + 64, k + 65, k + 130, 480) if n >= k]
+            got = adjusted_pvalue_many(*grid(k, ns), p0)
+            for n, value in zip(ns, got):
+                assert value == pytest.approx(float(nb_midp_exact(k, p0, n)), abs=1e-10)
 
 
 class TestNormalization:
     @pytest.mark.parametrize("p0", [0.1, 0.5])
     @pytest.mark.parametrize("k", [1, 6, 20])
     def test_pmf_sums_to_one(self, k, p0):
-        params = NegBinParams(k, p0)
         q = 1.0 - p0
         n = k
         total = 0.0
         while True:
-            total += math.exp(log_pmf(params, n))
+            pmf = math.exp(_log_pmf_many(*grid(k, [n]), p0)[0])
+            total += pmf
             ratio = q * n / (n - k + 1)
             if ratio < 1.0:
-                bound = math.exp(log_pmf(params, n)) * ratio / (1.0 - ratio)
+                bound = pmf * ratio / (1.0 - ratio)
                 if bound < 1e-13:
                     break
             n += 1

@@ -1,14 +1,11 @@
-"""Dataset container, neighbor ordering, and minority counting."""
+"""Dataset container, distances and neighbor ordering, and minority counting."""
 
 import numpy as np
 import pytest
 
-from nbknn import (
-    LabeledDataset,
-    MinorityCapacityError,
-    count_to_kth_minority,
-    neighbor_order,
-)
+from nbknn import LabeledDataset, fit_binary
+from nbknn.binary import _evidence_arrays
+from nbknn.neighbors import _as_queries, distance_rows, order_rows
 
 from conftest import make_dataset
 
@@ -65,77 +62,94 @@ class TestLabeledDataset:
 
 class TestNeighborOrder:
     def test_equidistant_tie_break_by_index(self):
-        ds = LabeledDataset([[0.0], [2.0], [5.0]], [1, 1, 2])
-        ordering = neighbor_order(ds, [1.0])
-        assert ordering.order.tolist() == [0, 1, 2]
-        assert ordering.distances.tolist() == [1.0, 1.0, 4.0]
+        points, query = np.array([[0.0], [2.0], [5.0]]), np.array([[1.0]])
+        assert order_rows(points, query).tolist() == [[0, 1, 2]]
+        assert distance_rows(points, query).tolist() == [[1.0, 1.0, 4.0]]
 
     def test_self_distance_zero_first(self):
-        ds = LabeledDataset([[3.0, 1.0], [0.0, 0.0], [7.0, 7.0]], [1, 2, 1])
-        ordering = neighbor_order(ds, [0.0, 0.0])
-        assert ordering.order[0] == 1
-        assert ordering.distances[0] == 0.0
+        points, query = np.array([[3.0, 1.0], [0.0, 0.0], [7.0, 7.0]]), np.array([[0.0, 0.0]])
+        assert order_rows(points, query)[0, 0] == 1
+        assert distance_rows(points, query)[0, 1] == 0.0
 
     def test_three_four_five(self):
-        ds = LabeledDataset([[0.0, 0.0], [3.0, 4.0]], [1, 2])
-        ordering = neighbor_order(ds, [0.0, 0.0])
-        assert ordering.distances.tolist() == [0.0, 5.0]
+        dist = distance_rows(np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[0.0, 0.0]]))
+        assert dist.tolist() == [[0.0, 5.0]]
 
     def test_distances_nondecreasing_and_order_is_permutation(self, rng):
         ds = make_dataset(rng, n=60, dim=3)
-        ordering = neighbor_order(ds, rng.normal(size=3))
-        assert np.all(np.diff(ordering.distances) >= 0)
-        assert sorted(ordering.order.tolist()) == list(range(60))
+        queries = rng.normal(size=(5, 3))
+        orders = order_rows(ds.points, queries)
+        dist = distance_rows(ds.points, queries)
+        for row, order in zip(dist, orders):
+            assert np.all(np.diff(row[order]) >= 0)
+            assert sorted(order.tolist()) == list(range(60))
 
     def test_dimension_mismatch(self):
-        ds = LabeledDataset([[0.0, 0.0]], [1])
         with pytest.raises(ValueError, match="dimension"):
-            neighbor_order(ds, [1.0, 2.0, 3.0])
+            _as_queries([1.0, 2.0, 3.0], 2)
 
     def test_row_shuffle_orders_same_points(self, rng):
         # With distinct distances the ordered point sequence is invariant
         # to how training rows are stored.
         ds = make_dataset(rng, n=50, dim=2)
-        query = rng.normal(size=2)
+        queries = rng.normal(size=(4, 2))
         perm = rng.permutation(50)
-        shuffled = LabeledDataset(ds.points[perm], ds.labels[perm], ds.n_classes)
-        a = ds.points[neighbor_order(ds, query).order]
-        b = shuffled.points[neighbor_order(shuffled, query).order]
+        shuffled = ds.points[perm]
+        a = ds.points[order_rows(ds.points, queries)]
+        b = shuffled[order_rows(shuffled, queries)]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [1, 2, 12])
+    def test_chunking_never_changes_distances(self, rng, p):
+        # The evidence a batch reports for a query must not depend on the
+        # other queries in it.  At p = 12 a row sum spans more than
+        # numpy's 8-element summation block.
+        points = rng.normal(size=(300, p))
+        queries = rng.normal(size=(40, p))
+        default = distance_rows(points, queries)
+        one_cell = distance_rows(points, queries, chunk_elems=1)
+        alone = np.vstack([distance_rows(points, queries[i : i + 1]) for i in range(40)])
+        assert one_cell.tobytes() == default.tobytes()
+        assert alone.tobytes() == default.tobytes()
 
 
 class TestCountToKthMinority:
+    """Positions of the k-th minority neighbor: the n_obs matrix of the sweep."""
+
     @pytest.fixture()
     def fixture(self):
-        # Ordering by distance from 0 gives labels [maj, min, maj, min].
+        # Ordering by distance from 0 gives labels [maj, min, maj, min];
+        # with equal counts the larger label is the minority.
         ds = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [1, 2, 1, 2])
-        return ds, neighbor_order(ds, [0.0])
+        clf = fit_binary(ds, 2)
+        assert clf.minority_label == 2
+        return _evidence_arrays(clf, np.array([[0.0]]))[3]
 
     def test_first_minority_slot_two(self, fixture):
-        ds, ordering = fixture
-        assert count_to_kth_minority(ordering, ds.labels, 2, 1).n_obs == 2
+        assert fixture[0, 0] == 2
 
     def test_second_minority_slot_four(self, fixture):
-        ds, ordering = fixture
-        assert count_to_kth_minority(ordering, ds.labels, 2, 2).n_obs == 4
+        assert fixture[0, 1] == 4
 
     def test_all_minority_prefix_gives_minimum(self):
-        ds = LabeledDataset(np.array([[0.0], [1.0], [2.0]]), [2, 2, 2], n_classes=2)
-        ordering = neighbor_order(ds, [0.0])
-        assert count_to_kth_minority(ordering, ds.labels, 2, 3).n_obs == 3
+        ds = LabeledDataset(np.arange(7.0)[:, None], [2, 2, 2, 1, 1, 1, 1])
+        n_obs = _evidence_arrays(fit_binary(ds, 3), np.array([[0.0]]))[3]
+        assert n_obs.tolist() == [[1, 2, 3]]
 
-    def test_capacity_error(self, fixture):
-        ds, ordering = fixture
-        with pytest.raises(MinorityCapacityError):
-            count_to_kth_minority(ordering, ds.labels, 2, 3)
+    def test_sweep_capped_at_minority_count(self):
+        # k_max beyond the minority count: the sweep stops at the last
+        # minority point instead of asking for a k it cannot reach.
+        ds = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [1, 2, 1, 2])
+        clf = fit_binary(ds, 3)
+        assert clf.k_max_eff == 2
+        _, _, e, n_obs = _evidence_arrays(clf, np.array([[0.0], [3.0]]))
+        assert n_obs.tolist() == [[2, 4], [1, 3]]
+        assert e.shape == (2, 2)
 
     def test_strictly_increasing_in_k_and_at_least_k(self, rng):
         ds = make_dataset(rng, n=80, dim=2, weights=[0.7, 0.3])
-        ordering = neighbor_order(ds, rng.normal(size=2))
-        n_min = int(ds.class_counts[1])
-        values = [
-            count_to_kth_minority(ordering, ds.labels, 2, k).n_obs
-            for k in range(1, n_min + 1)
-        ]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert all(v >= k for k, v in enumerate(values, start=1))
+        n_min = int(ds.class_counts.min())
+        n_obs = _evidence_arrays(fit_binary(ds, n_min), rng.normal(size=(6, 2)))[3]
+        assert n_obs.shape == (6, n_min)
+        assert np.all(np.diff(n_obs, axis=1) > 0)
+        assert np.all(n_obs >= np.arange(1, n_min + 1))

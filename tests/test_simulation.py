@@ -7,7 +7,6 @@ import pytest
 
 from nbknn import (
     GaussianClassSpec,
-    bayes_classify,
     bayes_classify_batch,
     run_location_experiment,
     run_scale_experiment,
@@ -70,12 +69,12 @@ class TestSampleMixture:
 
 class TestBayesOracle:
     def test_separating_diagonal_tie_break(self):
-        assert bayes_classify(location_specs(), [0.5, 0.5]) == 1
+        assert bayes_classify_batch(location_specs(), [[0.5, 0.5]]).tolist() == [1]
 
     def test_class_means(self):
         specs = location_specs()
-        assert bayes_classify(specs, [0.0, 0.0]) == 1
-        assert bayes_classify(specs, [1.0, 1.0]) == 2
+        assert bayes_classify_batch(specs, [[0.0, 0.0]]).tolist() == [1]
+        assert bayes_classify_batch(specs, [[1.0, 1.0]]).tolist() == [2]
 
     def test_scale_design_circular_boundary(self):
         # Equal priors, sigma 1 vs 2 in two dimensions: the narrow class
@@ -84,9 +83,9 @@ class TestBayesOracle:
         r2 = 4.0 * math.log(2.0)
         inside = math.sqrt(r2 * 0.98)
         outside = math.sqrt(r2 * 1.02)
-        assert bayes_classify(specs, [inside, 0.0]) == 1
-        assert bayes_classify(specs, [outside, 0.0]) == 2
-        assert bayes_classify(specs, [0.0, -outside]) == 2
+        assert bayes_classify_batch(specs, [[inside, 0.0]]).tolist() == [1]
+        assert bayes_classify_batch(specs, [[outside, 0.0]]).tolist() == [2]
+        assert bayes_classify_batch(specs, [[0.0, -outside]]).tolist() == [2]
 
     def test_prior_scaling_invariance_of_argmax(self):
         base = (
