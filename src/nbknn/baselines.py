@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .metrics import confusion, prf
-from .neighbors import _as_queries, order_rows
+from .neighbors import Ranking, restrict
 from .rng import Stream
 
 WEIGHTINGS = ("uniform", "inverse-class-size")
@@ -72,12 +72,13 @@ def _votes_for_grid(
     return preds
 
 
-def knn_classify_batch(train: LabeledDataset, queries, cfg: KnnConfig) -> np.ndarray:
-    """k-NN vote for many queries at once."""
+def knn_classify_batch(
+    train: LabeledDataset, queries, cfg: KnnConfig, *, ranking: Ranking | None = None
+) -> np.ndarray:
+    """k-NN vote for many queries at once (from ``ranking.test`` if given)."""
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
-    q = _as_queries(queries, train.dim)
-    orders = order_rows(train.points, q)
+    orders = Ranking.of(train.points, queries, ranking).test
     ordered_labels = train.labels[orders[:, : cfg.k]]
     weights = _vote_weights(train, cfg.weighting)
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
@@ -97,29 +98,28 @@ def _stratified_folds(train: LabeledDataset, folds: int, stream: Stream) -> np.n
     return assignment
 
 
-def select_k_cv(train: LabeledDataset, cfg: KnnConfig, seed: int) -> int:
+def select_k_cv(
+    train: LabeledDataset, cfg: KnnConfig, seed: int, *, ranking: Ranking | None = None
+) -> int:
     """Grid k with the best mean macro F1 over stratified folds.
 
     Deterministic given ``seed``; score ties resolve to the smaller k.
+    A fold reads the training rows' ordering (``ranking.train`` if given)
+    restricted to its own training rows, which drops the validation row.
     """
     assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
-    min_fit = min(
-        int(np.sum(assignment != f)) for f in range(cfg.cv_folds)
-    )
+    min_fit = train.n - int(np.bincount(assignment).max())
     ks = tuple(k for k in cfg.k_grid if k <= min_fit)
     if not ks:
-        raise ValueError(
-            f"no k_grid value fits the fold training size {min_fit}"
-        )
-    weights_name = cfg.weighting
+        raise ValueError(f"no k_grid value fits the fold training size {min_fit}")
+    orders = Ranking.of(train.points, ranking=ranking).train
     scores = {k: [] for k in ks}
     for f in range(cfg.cv_folds):
-        fit_idx = np.flatnonzero(assignment != f)
-        val_idx = np.flatnonzero(assignment == f)
-        fold_train = train.subset(fit_idx)
-        orders = order_rows(fold_train.points, train.points[val_idx])
-        ordered_labels = fold_train.labels[orders[:, : max(ks)]]
-        weights = _vote_weights(fold_train, weights_name)
+        fit = assignment != f
+        val_idx = np.flatnonzero(~fit)
+        fold_train = train.subset(np.flatnonzero(fit))
+        ordered_labels = fold_train.labels[restrict(orders[val_idx], fit)[:, : max(ks)]]
+        weights = _vote_weights(fold_train, cfg.weighting)
         preds = _votes_for_grid(ordered_labels, ks, train.n_classes, weights)
         actual = train.labels[val_idx]
         for k in ks:
@@ -130,7 +130,9 @@ def select_k_cv(train: LabeledDataset, cfg: KnnConfig, seed: int) -> int:
     return int(best)
 
 
-def knn_with_cv(train: LabeledDataset, queries, cfg: KnnConfig, seed: int) -> np.ndarray:
+def knn_with_cv(
+    train: LabeledDataset, queries, cfg: KnnConfig, seed: int, *, ranking: Ranking | None = None
+) -> np.ndarray:
     """Select k by cross-validation, then classify ``queries``."""
-    k = select_k_cv(train, cfg, seed)
-    return knn_classify_batch(train, queries, replace(cfg, k=k))
+    k = select_k_cv(train, cfg, seed, ranking=ranking)
+    return knn_classify_batch(train, queries, replace(cfg, k=k), ranking=ranking)

@@ -9,9 +9,10 @@ the majority class and E2 = 1 - min(0.5, min_k e_k) for the minority
 class; the query goes to the minority class exactly when E2 > E1, so
 exact ties fall to the majority.
 
-One neighbor sort serves the whole k sweep.  The sweep length is
-min(k_max, minority training count): beyond the minority count the
-counting statistic is undefined, so the cap is forced.
+The sweep reads one given ordering of the training rows per query (a
+trial's shared ranking, or a restricted view of it) and never sorts.
+Its length is min(k_max, minority training count): beyond the minority
+count the counting statistic is undefined, so the cap is forced.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .negbin import adjusted_pvalue_many
-from .neighbors import _as_queries, order_rows
+from .neighbors import Ranking
 
 
 @dataclass(frozen=True)
@@ -63,18 +64,17 @@ def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifi
 
 
 def _evidence_arrays(
-    clf: BinaryEvidenceClassifier, queries: np.ndarray
+    clf: BinaryEvidenceClassifier, orders: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized evidence sweep.
+    """Vectorized evidence sweep over one ordering of clf.train per query.
 
     Returns (e1, e2, e_matrix, n_obs_matrix) with one row per query and
     one column per k in 1..k_max_eff.  Every ordering contains all
     minority points, so the position extraction below is rectangular.
     """
-    orders = order_rows(clf.train.points, queries)
     is_minority = clf.train.labels[orders] == clf.minority_label
     n_min = int(clf.train.class_counts[clf.minority_label - 1])
-    positions = np.nonzero(is_minority)[1].reshape(queries.shape[0], n_min)
+    positions = np.nonzero(is_minority)[1].reshape(orders.shape[0], n_min)
     n_obs = positions[:, : clf.k_max_eff].astype(np.int64) + 1
     ks = np.arange(1, clf.k_max_eff + 1, dtype=np.int64)
     e = adjusted_pvalue_many(ks[None, :], n_obs, clf.p0)
@@ -84,19 +84,20 @@ def _evidence_arrays(
 
 
 def binary_evidence_batch(
-    clf: BinaryEvidenceClassifier, queries
+    clf: BinaryEvidenceClassifier, queries, *, ranking: Ranking | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicted labels, E1 and E2 for many queries, one row each.
 
-    One neighbor ordering serves both the labels and the evidence; ties
-    E1 == E2 go to the majority class.
+    One neighbor ordering, ``ranking.test`` when given, serves both the
+    labels and the evidence; ties E1 == E2 go to the majority class.
     """
-    q = _as_queries(queries, clf.train.dim)
-    e1, e2, _, _ = _evidence_arrays(clf, q)
+    e1, e2, _, _ = _evidence_arrays(clf, Ranking.of(clf.train.points, queries, ranking).test)
     labels = np.where(e2 > e1, clf.minority_label, clf.majority_label).astype(np.int64)
     return labels, e1, e2
 
 
-def classify_binary_batch(clf: BinaryEvidenceClassifier, queries) -> np.ndarray:
+def classify_binary_batch(
+    clf: BinaryEvidenceClassifier, queries, *, ranking: Ranking | None = None
+) -> np.ndarray:
     """Predicted labels for many queries; ties go to the majority class."""
-    return binary_evidence_batch(clf, queries)[0]
+    return binary_evidence_batch(clf, queries, ranking=ranking)[0]

@@ -23,7 +23,8 @@ from .methods import (
     BAYES, OVO_PLUS, OVR_PLUS, PROPOSED, MethodNameError, default_methods, validate_methods,
 )
 from .metrics import TrialReport, efficiency_scores
-from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch, ovr_evidence_batch
+from .multiclass import classify_ovo_plus_batch, ovr_evidence_batch, ovr_plus_evidence_batch
+from .neighbors import Ranking
 from .simulation import MINORITY_ROLES, run_location_experiment, run_scale_experiment
 
 SCHEMA_VERSION = 1
@@ -236,16 +237,21 @@ def _cmd_fit_predict(args) -> int:
 
     columns: list[str] = []
     evidence = np.empty((queries.shape[0], 0))
+    per_class = [f"evidence_{name}" for name in train_csv.class_names]
     if method == PROPOSED:
         preds, e1, e2 = binary_evidence_batch(fit_binary(data, args.k_max), queries)
         if args.emit_evidence:
             columns, evidence = ["E1", "E2"], np.column_stack([e1, e2])
-    else:
-        classify = classify_ovo_plus_batch if method == OVO_PLUS else classify_ovr_plus_batch
-        preds = classify(data, queries, args.k_max)
+    elif method == OVR_PLUS:
+        preds, first_round = ovr_plus_evidence_batch(data, queries, args.k_max)
         if args.emit_evidence:
-            columns = [f"evidence_{name}" for name in train_csv.class_names]
-            evidence = ovr_evidence_batch(data, queries, args.k_max)
+            columns, evidence = per_class, first_round
+    else:
+        ranking = Ranking(data.points, queries)
+        preds = classify_ovo_plus_batch(data, queries, args.k_max, ranking=ranking)
+        if args.emit_evidence:
+            columns = per_class
+            evidence = ovr_evidence_batch(data, queries, args.k_max, ranking=ranking)
 
     lines = [",".join([f"predicted_{args.label_column}"] + columns)]
     for label, row in zip(preds.tolist(), evidence.tolist()):

@@ -10,6 +10,7 @@ from .baselines import KnnConfig, knn_with_cv
 from .binary import classify_binary_batch, fit_binary
 from .dataset import LabeledDataset
 from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch
+from .neighbors import Ranking
 
 PROPOSED = "proposed"
 OVO_PLUS = "ovo_plus"
@@ -24,7 +25,7 @@ CSV_METHODS = (PROPOSED, OVO_PLUS, OVR_PLUS, KNN, WNN)
 
 
 class MethodNameError(ValueError):
-    """A method list that is empty or names an unknown method."""
+    """A method list that is empty, names an unknown method or repeats one."""
 
 
 def default_methods(n_classes: int) -> tuple[str, ...]:
@@ -36,15 +37,18 @@ def default_methods(n_classes: int) -> tuple[str, ...]:
 def validate_methods(methods, n_classes: int | None = None, valid=CSV_METHODS) -> tuple[str, ...]:
     """The method names as a tuple, each checked against ``valid``.
 
-    Raises MethodNameError for an empty list or an unknown name, and
-    ValueError when 'proposed' meets data without exactly 2 classes.
+    Raises MethodNameError for an empty list, an unknown name or a
+    repeated one, and ValueError when 'proposed' meets data without
+    exactly 2 classes.
     """
     out = tuple(methods)
-    for name in out:
+    for i, name in enumerate(out):
         if name not in valid:
             raise MethodNameError(
                 f"unknown method {name!r}; valid methods: {', '.join(sorted(valid))}"
             )
+        if name in out[:i]:
+            raise MethodNameError(f"method {name!r} is listed more than once")
     if not out:
         raise MethodNameError("at least one method is required")
     if n_classes is not None and n_classes != 2 and PROPOSED in out:
@@ -59,18 +63,19 @@ def predict_with_method(
     k_max: int,
     cv_seed: int,
     bayes_oracle=None,
+    ranking: Ranking | None = None,
 ) -> np.ndarray:
-    """Run one named method end to end for a single trial."""
+    """Run one named method end to end for a single trial; share one
+    ``ranking`` of ``train.points`` and ``queries`` among a trial's methods."""
     if name == PROPOSED:
-        return classify_binary_batch(fit_binary(train, k_max), queries)
+        return classify_binary_batch(fit_binary(train, k_max), queries, ranking=ranking)
     if name == OVO_PLUS:
-        return classify_ovo_plus_batch(train, queries, k_max)
+        return classify_ovo_plus_batch(train, queries, k_max, ranking=ranking)
     if name == OVR_PLUS:
-        return classify_ovr_plus_batch(train, queries, k_max)
-    if name == KNN:
-        return knn_with_cv(train, queries, KnnConfig(weighting="uniform"), cv_seed)
-    if name == WNN:
-        return knn_with_cv(train, queries, KnnConfig(weighting="inverse-class-size"), cv_seed)
+        return classify_ovr_plus_batch(train, queries, k_max, ranking=ranking)
+    if name in (KNN, WNN):
+        cfg = KnnConfig(weighting="uniform" if name == KNN else "inverse-class-size")
+        return knn_with_cv(train, queries, cfg, cv_seed, ranking=ranking)
     if name == BAYES:
         if bayes_oracle is None:
             raise ValueError("method 'bayes' is only available in simulations")

@@ -82,11 +82,15 @@ def _log_pmf_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
 def adjusted_pvalue_many(k, n_obs, p0: float) -> np.ndarray:
     """Mid-p value P(N < n_obs) + f_k(n_obs)/2, elementwise.
 
-    ``k`` and ``n_obs`` are broadcast together; the result is clamped
-    to [1e-300, 1] so downstream comparisons never see zeros.
+    ``k`` and ``n_obs`` are integers (integral floats too), broadcast
+    together; the result is clamped to [1e-300, 1] so downstream
+    comparisons never see zeros.
     """
-    k = np.asarray(k, dtype=np.int64)
-    n = np.asarray(n_obs, dtype=np.int64)
+    k, n = np.asarray(k), np.asarray(n_obs)
+    for name, a in (("k", k), ("n_obs", n)):  # integer arrays are not copied
+        if a.dtype.kind not in "iu" and not np.all(np.isfinite(a) & (a == np.round(a))):
+            raise ValueError(f"{name} values must be integers")
+    k, n = k.astype(np.int64, copy=False), n.astype(np.int64, copy=False)
     shape = np.broadcast_shapes(k.shape, n.shape)
     kb = np.broadcast_to(k, shape).reshape(-1)
     nb = np.broadcast_to(n, shape).reshape(-1)

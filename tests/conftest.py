@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from nbknn import LabeledDataset
+from nbknn.binary import _evidence_arrays
+from nbknn.neighbors import order_rows
 
 
 def nb_pmf_exact(k: int, p0: float, n: int) -> Fraction:
@@ -30,6 +32,12 @@ def nb_lower_tail_exact(k: int, p0: float, n: int) -> Fraction:
 def nb_midp_exact(k: int, p0: float, n: int) -> Fraction:
     """Exact rational mid-p value."""
     return nb_lower_tail_exact(k, p0, n) + Fraction(1, 2) * nb_pmf_exact(k, p0, n)
+
+
+def evidence_arrays(clf, queries):
+    """The evidence sweep of ``clf`` over a fresh ordering of ``queries``."""
+    q = np.asarray(queries, dtype=np.float64)
+    return _evidence_arrays(clf, order_rows(clf.train.points, q))
 
 
 def brute_force_evidence(train: LabeledDataset, query, k_max: int):

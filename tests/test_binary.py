@@ -12,10 +12,9 @@ from nbknn import (
     classify_binary_batch,
     fit_binary,
 )
-from nbknn.binary import _evidence_arrays
 from nbknn.neighbors import order_rows
 
-from conftest import brute_force_evidence, make_dataset
+from conftest import brute_force_evidence, evidence_arrays, make_dataset
 
 
 class TestFitBinary:
@@ -70,7 +69,7 @@ class TestEvidencePair:
     def test_per_k_matrices_contents(self):
         ds = LabeledDataset([[-1.0], [1.0]], [1, 2])
         clf = fit_binary(ds, 45)
-        _, _, e, n_obs = _evidence_arrays(clf, np.array([[0.0]]))
+        _, _, e, n_obs = evidence_arrays(clf, np.array([[0.0]]))
         assert n_obs.tolist() == [[2]]
         assert e.tolist() == [[0.625]]
 
@@ -106,7 +105,7 @@ class TestEvidencePair:
         labels = np.r_[np.full(3, 2, dtype=np.int64), np.ones(7, dtype=np.int64)]
         ds = LabeledDataset(points, labels)
         clf = fit_binary(ds, 3)
-        e1, e2, e, n_obs = _evidence_arrays(clf, np.array([[10.05, 10.05]]))
+        e1, e2, e, n_obs = evidence_arrays(clf, np.array([[10.05, 10.05]]))
         p0 = 0.3
         assert n_obs.tolist() == [[1, 2, 3]]
         for k, e_k in enumerate(e[0], start=1):
@@ -117,8 +116,8 @@ class TestEvidencePair:
         ds = make_dataset(rng, n=60, weights=[0.8, 0.2])
         clf = fit_binary(ds, 10)
         q = rng.normal(size=(3, 2))
-        first = _evidence_arrays(clf, q)
-        second = _evidence_arrays(clf, q)
+        first = evidence_arrays(clf, q)
+        second = evidence_arrays(clf, q)
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
@@ -142,11 +141,11 @@ class TestEvidencePair:
         ds = make_dataset(rng, n=400, weights=[0.95, 0.05])
         clf = fit_binary(ds, 10)
         queries = rng.normal(size=(30, 2)) * 1.5
-        batch = _evidence_arrays(clf, queries)
+        batch = evidence_arrays(clf, queries)
         spans = batch[3] - np.arange(1, clf.k_max_eff + 1)
         assert spans.max() > 64 and spans.min() <= 64
         for i in range(queries.shape[0]):
-            alone = _evidence_arrays(clf, queries[i : i + 1])
+            alone = evidence_arrays(clf, queries[i : i + 1])
             for a, b in zip(alone, batch):
                 assert a.tobytes() == b[i : i + 1].tobytes()
 
@@ -205,7 +204,7 @@ class TestClassifyBinary:
         ds = make_dataset(rng, n=70, weights=[0.7, 0.3])
         clf = fit_binary(ds, 4)
         query = rng.normal(size=(1, 2))
-        full = _evidence_arrays(clf, query)
+        full = evidence_arrays(clf, query)
 
         order = order_rows(ds.points, query)[0]
         hits = np.flatnonzero(ds.labels[order] == clf.minority_label)
@@ -219,7 +218,7 @@ class TestClassifyBinary:
             k_max_config=clf.k_max_config,
             k_max_eff=clf.k_max_eff,
         )
-        pruned = _evidence_arrays(truncated, query)
+        pruned = evidence_arrays(truncated, query)
         for a, b in zip(pruned, full):
             assert a.tobytes() == b.tobytes()
 
@@ -234,7 +233,7 @@ class TestClassifyBinary:
         ds = LabeledDataset(points, labels)
         clf = fit_binary(ds, 9)
         queries = stream.normal(2 * 400).reshape(400, 2)
-        _, _, e, _ = _evidence_arrays(clf, queries)
+        _, _, e, _ = evidence_arrays(clf, queries)
         for col in (0, 2, 8):
             values = e[:, col]
             se = values.std(ddof=1) / math.sqrt(values.size)

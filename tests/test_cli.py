@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import nbknn.multiclass
+import nbknn.neighbors
 from nbknn import Stream
 from nbknn.cli import main
 
@@ -102,6 +104,14 @@ class TestSimulate:
         assert "foo" in err
         assert "proposed" in err and "knn" in err
 
+    def test_repeated_method_exit_2(self, capsys):
+        code = main(
+            ["simulate", "--design", "location", "--alpha", "0.3",
+             "--trials", "1", "--methods", "knn,proposed,knn"]
+        )
+        assert code == 2
+        assert "'knn' is listed more than once" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "simulate", "--design", "scale", "--alpha", "0.4",
@@ -181,6 +191,14 @@ class TestBenchmark:
              "--trials", "1", "--methods", "proposed"]
         )
         assert code == 3
+
+    def test_repeated_method_exit_2(self, three_class_csv, capsys):
+        code = main(
+            ["benchmark", "--input", str(three_class_csv), "--label-column", "species",
+             "--trials", "1", "--methods", "ovr_plus,wnn,ovr_plus"]
+        )
+        assert code == 2
+        assert "'ovr_plus' is listed more than once" in capsys.readouterr().err
 
     def test_golden_report(self, binary_csv, tmp_path):
         # Frozen end-to-end run: any change to the PRNG, split protocol,
@@ -307,6 +325,39 @@ def test_fit_predict_golden_evidence(tmp_path, method, labeled):
     )
     assert code == 0
     assert out.read_bytes() == (DATA_DIR / f"golden_fit_predict_{method}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method, emit, pair_fits", [
+    ("proposed", True, 0),
+    ("ovr_plus", False, 7),
+    ("ovr_plus", True, 7),
+    ("ovo_plus", False, 3),
+    ("ovo_plus", True, 6),
+])
+def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_fits):
+    # One neighbor ordering per call; --emit-evidence reuses the OvR+
+    # first round instead of fitting its pairs again.
+    write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
+    train = tmp_path / "train.csv"
+    write_train(train)
+    queries = write_query_files(tmp_path, columns, label, seed, shift)[0]
+    counts = {"fit_binary": 0, "order_rows": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(nbknn.multiclass, "fit_binary")
+    counted(nbknn.neighbors, "order_rows")
+    argv = ["fit-predict", "--train", str(train), "--queries", str(queries),
+            "--label-column", label, "--method", method, "--output", str(tmp_path / "p.csv")]
+    assert main(argv + (["--emit-evidence"] if emit else [])) == 0
+    assert counts == {"fit_binary": pair_fits, "order_rows": 1}
 
 
 class TestSplit:

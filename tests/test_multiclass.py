@@ -98,6 +98,13 @@ class TestReductions:
             assert classify_ovr_plus_batch(ds, row, 8)[0] == ovr[i]
             assert ovr_evidence_batch(ds, row, 8).tobytes() == evidence[i : i + 1].tobytes()
 
+    def test_empty_query_batch(self, rng):
+        ds = three_cluster_fixture(rng)
+        none = np.empty((0, 2))
+        assert classify_ovo_plus_batch(ds, none, 8).shape == (0,)
+        assert classify_ovr_plus_batch(ds, none, 8).shape == (0,)
+        assert ovr_evidence_batch(ds, none, 8).shape == (0, 3)
+
     def test_rejects_empty_class(self):
         ds = LabeledDataset([[0.0], [1.0], [2.0]], [1, 1, 3], n_classes=3)
         with pytest.raises(ValueError, match="no training points"):

@@ -25,6 +25,18 @@ class TestParams:
         with pytest.raises(ValueError, match="k values"):
             adjusted_pvalue_many(np.array([2, -3]), np.array([5, 5]), 0.5)
 
+    def test_rejects_non_integer_k_and_n(self):
+        for k, n in ((1.5, 5), (1, 5.5), (np.array([1.0, 2.5]), 6), (float("nan"), 5), (1, float("inf"))):
+            with pytest.raises(ValueError, match="must be integers"):
+                adjusted_pvalue_many(k, n, 0.5)
+
+    def test_integral_floats_accepted(self):
+        k, n = grid(2, [2, 3, 9, 80])
+        expected = adjusted_pvalue_many(k, n, 0.3)
+        as_float = adjusted_pvalue_many(k.astype(np.float64), n.astype(np.float64), 0.3)
+        assert as_float.tobytes() == expected.tobytes()
+        assert adjusted_pvalue_many(1.0, 5.0, 0.5) == adjusted_pvalue_many(1, 5, 0.5)
+
     def test_rejects_bad_p0(self):
         for p0 in (0.0, 1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="p0"):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nbknn import LabeledDataset, fit_binary
-from nbknn.binary import _evidence_arrays
 from nbknn.neighbors import _as_queries, distance_rows, order_rows
 
-from conftest import make_dataset
+from conftest import evidence_arrays, make_dataset
 
 
 class TestLabeledDataset:
@@ -99,16 +98,22 @@ class TestNeighborOrder:
         b = shuffled[order_rows(shuffled, queries)]
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("p", [1, 2, 12])
-    def test_chunking_never_changes_distances(self, rng, p):
+    @pytest.mark.parametrize("p, n, m", [
+        pytest.param(1, 300, 40, id="1"),
+        pytest.param(2, 300, 40, id="2"),
+        pytest.param(12, 300, 40, id="12"),
+        pytest.param(6, 4000, 200, id="6-several-chunks"),
+    ])
+    def test_chunking_never_changes_distances(self, rng, p, n, m):
         # The evidence a batch reports for a query must not depend on the
         # other queries in it.  At p = 12 a row sum spans more than
-        # numpy's 8-element summation block.
-        points = rng.normal(size=(300, p))
-        queries = rng.normal(size=(40, p))
+        # numpy's 8-element summation block; 4000 x 6 spans several
+        # chunks at the default chunk size.
+        points = rng.normal(size=(n, p))
+        queries = rng.normal(size=(m, p))
         default = distance_rows(points, queries)
         one_cell = distance_rows(points, queries, chunk_elems=1)
-        alone = np.vstack([distance_rows(points, queries[i : i + 1]) for i in range(40)])
+        alone = np.vstack([distance_rows(points, queries[i : i + 1]) for i in range(m)])
         assert one_cell.tobytes() == default.tobytes()
         assert alone.tobytes() == default.tobytes()
 
@@ -123,7 +128,7 @@ class TestCountToKthMinority:
         ds = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [1, 2, 1, 2])
         clf = fit_binary(ds, 2)
         assert clf.minority_label == 2
-        return _evidence_arrays(clf, np.array([[0.0]]))[3]
+        return evidence_arrays(clf, np.array([[0.0]]))[3]
 
     def test_first_minority_slot_two(self, fixture):
         assert fixture[0, 0] == 2
@@ -133,7 +138,7 @@ class TestCountToKthMinority:
 
     def test_all_minority_prefix_gives_minimum(self):
         ds = LabeledDataset(np.arange(7.0)[:, None], [2, 2, 2, 1, 1, 1, 1])
-        n_obs = _evidence_arrays(fit_binary(ds, 3), np.array([[0.0]]))[3]
+        n_obs = evidence_arrays(fit_binary(ds, 3), np.array([[0.0]]))[3]
         assert n_obs.tolist() == [[1, 2, 3]]
 
     def test_sweep_capped_at_minority_count(self):
@@ -142,14 +147,14 @@ class TestCountToKthMinority:
         ds = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [1, 2, 1, 2])
         clf = fit_binary(ds, 3)
         assert clf.k_max_eff == 2
-        _, _, e, n_obs = _evidence_arrays(clf, np.array([[0.0], [3.0]]))
+        _, _, e, n_obs = evidence_arrays(clf, np.array([[0.0], [3.0]]))
         assert n_obs.tolist() == [[2, 4], [1, 3]]
         assert e.shape == (2, 2)
 
     def test_strictly_increasing_in_k_and_at_least_k(self, rng):
         ds = make_dataset(rng, n=80, dim=2, weights=[0.7, 0.3])
         n_min = int(ds.class_counts.min())
-        n_obs = _evidence_arrays(fit_binary(ds, n_min), rng.normal(size=(6, 2)))[3]
+        n_obs = evidence_arrays(fit_binary(ds, n_min), rng.normal(size=(6, 2)))[3]
         assert n_obs.shape == (6, n_min)
         assert np.all(np.diff(n_obs, axis=1) > 0)
         assert np.all(n_obs >= np.arange(1, n_min + 1))

@@ -1,0 +1,243 @@
+"""The shared neighbor ranking: restricted views equal fresh sorts.
+
+A stable (distance, index) order restricted to a subset of the training
+rows is that subset's own order.  Points on a small integer grid make
+distance ties and duplicate rows common, which is where a restriction
+that lost the index tie-break would show.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nbknn.benchmark
+import nbknn.neighbors
+import nbknn.simulation
+from nbknn import (
+    KnnConfig,
+    LabeledDataset,
+    SplitSpec,
+    binary_evidence_batch,
+    classify_ovo_plus_batch,
+    classify_ovr_plus_batch,
+    fit_binary,
+    knn_classify_batch,
+    location_specs,
+    ovr_evidence_batch,
+    resolve_by_max_evidence,
+    select_k_cv,
+)
+from nbknn.baselines import _stratified_folds, _vote_weights, _votes_for_grid
+from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
+from nbknn.neighbors import Ranking, distance_rows, order_rows, restrict
+from nbknn.rng import Stream
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def grid(n_rows, dim):
+    return st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=n_rows, max_size=n_rows
+    ).map(lambda rows: np.array(rows, dtype=np.float64))
+
+
+@st.composite
+def grid_problem(draw, min_classes=2, max_classes=2, min_per_class=1):
+    """Integer-grid training rows, every class nonempty, and queries."""
+    dim = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(min_classes, max_classes))
+    counts = draw(st.lists(st.integers(min_per_class, min_per_class + 8),
+                           min_size=n_classes, max_size=n_classes))
+    labels = np.repeat(np.arange(1, n_classes + 1), counts)
+    labels = labels[draw(st.permutations(range(labels.size)))]
+    points = draw(grid(labels.size, dim))
+    queries = draw(grid(draw(st.integers(1, 12)), dim))
+    return LabeledDataset(points, labels.astype(np.int64)), queries
+
+
+@SETTINGS
+@given(grid_problem(), st.data())
+def test_restriction_equals_fresh_sort(problem, data):
+    train, queries = problem
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
+    if not keep.any():
+        keep[0] = True
+    restricted = restrict(order_rows(train.points, queries), keep)
+    np.testing.assert_array_equal(restricted, order_rows(train.points[keep], queries))
+
+
+@pytest.mark.parametrize("p", [1, 2, 6, 12])
+def test_subset_distances_are_bit_identical(rng, p):
+    # The restriction lemma needs the subset's distances to be the very
+    # same floats: a row sum never depends on which other points share
+    # the matrix, also past numpy's 8-element summation block.
+    points = rng.normal(size=(500, p))
+    queries = rng.normal(size=(30, p))
+    keep = rng.random(500) < 0.4
+    full = distance_rows(points, queries)
+    assert distance_rows(points[keep], queries).tobytes() == full[:, keep].tobytes()
+
+
+def test_ranking_of_other_points_rejected(rng):
+    points = rng.normal(size=(20, 2))
+    ranking = Ranking(points, rng.normal(size=(3, 2)))
+    assert Ranking.of(points, ranking=ranking) is ranking
+    with pytest.raises(ValueError, match="other training points"):
+        Ranking.of(points.copy(), ranking=ranking)
+
+
+def _select_k_fresh_sorts(train, cfg, seed):
+    """Cross-validated k with a fresh sort per fold."""
+    assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
+    min_fit = min(int(np.sum(assignment != f)) for f in range(cfg.cv_folds))
+    ks = tuple(k for k in cfg.k_grid if k <= min_fit)
+    scores = {k: [] for k in ks}
+    for f in range(cfg.cv_folds):
+        fold = train.subset(np.flatnonzero(assignment != f))
+        val = np.flatnonzero(assignment == f)
+        orders = order_rows(fold.points, train.points[val])
+        preds = _votes_for_grid(fold.labels[orders[:, : max(ks)]], ks, train.n_classes,
+                                _vote_weights(fold, cfg.weighting))
+        for k in ks:
+            actual, pred = train.labels[val], preds[k]
+            f1s = []
+            for c in range(1, train.n_classes + 1):
+                tp = np.sum((pred == c) & (actual == c))
+                denom = np.sum(pred == c) + np.sum(actual == c)
+                f1s.append(2 * tp / denom if denom else 0.0)
+            scores[k].append(np.mean(f1s))
+    means = {k: float(np.mean(scores[k])) for k in ks}
+    return max(sorted(means), key=lambda k: (means[k], -k))
+
+
+@SETTINGS
+@given(grid_problem(max_classes=3, min_per_class=5), st.integers(0, 2**32 - 1),
+       st.sampled_from(["uniform", "inverse-class-size"]))
+def test_cv_and_votes_from_shared_ranking(problem, seed, weighting):
+    train, queries = problem
+    cfg = KnnConfig(weighting=weighting, k_grid=(1, 2, 3, 5, 8))
+    ranking = Ranking(train.points, queries)
+    k = select_k_cv(train, cfg, seed, ranking=ranking)
+    assert k == _select_k_fresh_sorts(train, cfg, seed)
+    for vote_k in (1, k, train.n):
+        vote_cfg = KnnConfig(k=vote_k, weighting=weighting)
+        fresh = knn_classify_batch(train, queries, vote_cfg)
+        shared = knn_classify_batch(train, queries, vote_cfg, ranking=ranking)
+        np.testing.assert_array_equal(shared, fresh)
+
+
+def _pair_evidence_fresh(train, queries, label1, label2, k_max):
+    """E1, E2 of the pair classifier, sorting the pair's own points."""
+    in1 = np.isin(train.labels, label1)
+    in_pair = in1 | np.isin(train.labels, label2)
+    pair = LabeledDataset(train.points[in_pair], np.where(in1[in_pair], 1, 2), 2)
+    _, e1, e2 = binary_evidence_batch(fit_binary(pair, k_max), queries)
+    return e1, e2
+
+
+def _ovo_fresh(train, active, query, k_max):
+    counts = train.class_counts
+    order = sorted(active, key=lambda c: (-int(counts[c - 1]), c))
+    minority, others = order[-1], order[:-1]
+    winners = tuple(
+        cls for cls in others
+        if np.all(np.greater_equal(*_pair_evidence_fresh(train, query, (cls,), (minority,), k_max)))
+    )
+    if not winners:
+        return minority
+    return winners[0] if len(winners) == 1 else _ovo_fresh(train, winners, query, k_max)
+
+
+def _ovr_fresh(train, active, query, k_max):
+    counts = train.class_counts
+    wins, evidence = [], {}
+    for cls in active:
+        rest = tuple(c for c in active if c != cls)
+        n_cls, n_rest = int(counts[cls - 1]), int(sum(counts[c - 1] for c in rest))
+        minor = n_cls < n_rest if n_cls != n_rest else cls > min(rest)
+        groups = (rest, (cls,)) if minor else ((cls,), rest)
+        (e1,), (e2,) = _pair_evidence_fresh(train, query, *groups, k_max)
+        wins.append(e2 > e1 if minor else e1 >= e2)
+        evidence[cls] = e2 if minor else e1
+    winners = tuple(cls for cls, won in zip(active, wins) if won)
+    if len(winners) == 1:
+        return winners[0], evidence
+    if len(winners) in (0, len(active)):
+        return resolve_by_max_evidence(evidence), evidence
+    return _ovr_fresh(train, winners, query, k_max)[0], evidence
+
+
+@SETTINGS
+@given(grid_problem(min_classes=3, max_classes=5), st.integers(1, 6))
+def test_reductions_equal_per_pair_resort(problem, k_max):
+    train, queries = problem
+    ranking = Ranking(train.points, queries)
+    ovo = classify_ovo_plus_batch(train, queries, k_max, ranking=ranking)
+    ovr = classify_ovr_plus_batch(train, queries, k_max, ranking=ranking)
+    evidence = ovr_evidence_batch(train, queries, k_max, ranking=ranking)
+    active = tuple(range(1, train.n_classes + 1))
+    for i in range(queries.shape[0]):
+        q = queries[i : i + 1]
+        assert ovo[i] == _ovo_fresh(train, active, q, k_max)
+        label, first_round = _ovr_fresh(train, active, q, k_max)
+        assert ovr[i] == label
+        assert evidence[i].tolist() == [first_round[c] for c in active]
+
+
+def _count_orderings(monkeypatch):
+    calls = []
+    original = nbknn.neighbors.order_rows
+
+    def counted(points, queries):
+        calls.append(queries.shape[0])
+        return original(points, queries)
+
+    monkeypatch.setattr(nbknn.neighbors, "order_rows", counted)
+    return calls
+
+
+def _trial_with_and_without_sharing(monkeypatch, module, trial, args):
+    """A trial's reports (as bytes) with its shared ranking, and with
+    every method sorting for itself; also the orderings the first made."""
+
+    def as_bytes(reports):
+        return {name: [np.asarray(v).tobytes() for v in dataclasses.astuple(r)]
+                for name, r in reports.items()}
+
+    calls = _count_orderings(monkeypatch)
+    shared = as_bytes(trial(args))
+    shared_calls = len(calls)
+    with monkeypatch.context() as m:
+        m.setattr(module, "Ranking", lambda points, queries: None)
+        alone = as_bytes(trial(args))
+    return shared, alone, shared_calls
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from([0.2, 0.35, 0.5]))
+def test_simulation_trial_same_with_shared_ranking(seed, trial, alpha):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        args = (location_specs(), alpha, seed, trial, SIMULATION_METHODS, 8, 60, 30)
+        shared, alone, orderings = _trial_with_and_without_sharing(
+            monkeypatch, nbknn.simulation, nbknn.simulation._simulation_trial, args
+        )
+    assert shared == alone
+    assert orderings == 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid_problem(min_classes=3, max_classes=4, min_per_class=12), st.integers(0, 2**32 - 1))
+def test_benchmark_trial_same_with_shared_ranking(problem, seed):
+    train, _ = problem
+    data = LabeledDataset(train.points + np.arange(train.n)[:, None] % 3 * 0.25, train.labels)
+    spec = SplitSpec(minority_test_fraction=0.25, seed=seed, trials=1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        shared, alone, orderings = _trial_with_and_without_sharing(
+            monkeypatch, nbknn.benchmark, nbknn.benchmark._benchmark_trial,
+            (data, spec, 0, CSV_METHODS[1:], 6),
+        )
+    assert shared == alone
+    assert orderings == 2
