@@ -32,12 +32,7 @@ from .metrics import (
     efficiency_scores,
     prf,
 )
-from .multiclass import (
-    classify_ovo_plus_batch,
-    classify_ovr_plus_batch,
-    ovr_evidence_batch,
-    resolve_by_max_evidence,
-)
+from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch, ovr_evidence_batch
 from .negbin import adjusted_pvalue_many
 from .rng import Stream, fold_seed, mix64, stream_id
 from .simulation import (
@@ -85,7 +80,6 @@ __all__ = [
     "mix64",
     "ovr_evidence_batch",
     "prf",
-    "resolve_by_max_evidence",
     "run_csv_benchmark",
     "run_location_experiment",
     "run_scale_experiment",

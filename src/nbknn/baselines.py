@@ -38,12 +38,11 @@ class KnnConfig:
             raise ValueError("k_grid must be a nonempty list of positive integers")
 
 
-def _vote_weights(train: LabeledDataset, weighting: str) -> np.ndarray:
+def _vote_weights(class_counts: np.ndarray, weighting: str) -> np.ndarray:
     if weighting == "uniform":
-        return np.ones(train.n_classes, dtype=np.float64)
-    counts = train.class_counts.astype(np.float64)
-    weights = np.zeros(train.n_classes, dtype=np.float64)
-    np.divide(1.0, counts, out=weights, where=counts > 0)
+        return np.ones(class_counts.size, dtype=np.float64)
+    weights = np.zeros(class_counts.size, dtype=np.float64)
+    np.divide(1.0, class_counts, out=weights, where=class_counts > 0)
     return weights
 
 
@@ -80,7 +79,7 @@ def knn_classify_batch(
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
     orders = Ranking.of(train.points, queries, ranking).test
     ordered_labels = train.labels[orders[:, : cfg.k]]
-    weights = _vote_weights(train, cfg.weighting)
+    weights = _vote_weights(train.class_counts, cfg.weighting)
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
 
 
@@ -104,8 +103,8 @@ def select_k_cv(
     """Grid k with the best mean macro F1 over stratified folds.
 
     Deterministic given ``seed``; score ties resolve to the smaller k.
-    A fold reads the training rows' ordering (``ranking.train`` if given)
-    restricted to its own training rows, which drops the validation row.
+    A fold reads labels only, in the training rows' ordering (``ranking.train``
+    if given) restricted to its own training rows, which drops the validation row.
     """
     assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
     min_fit = train.n - int(np.bincount(assignment).max())
@@ -117,9 +116,10 @@ def select_k_cv(
     for f in range(cfg.cv_folds):
         fit = assignment != f
         val_idx = np.flatnonzero(~fit)
-        fold_train = train.subset(np.flatnonzero(fit))
-        ordered_labels = fold_train.labels[restrict(orders[val_idx], fit)[:, : max(ks)]]
-        weights = _vote_weights(fold_train, cfg.weighting)
+        fit_labels = train.labels[fit]
+        ordered_labels = fit_labels[restrict(orders[val_idx], fit)[:, : max(ks)]]
+        counts = np.bincount(fit_labels, minlength=train.n_classes + 1)[1:]
+        weights = _vote_weights(counts, cfg.weighting)
         preds = _votes_for_grid(ordered_labels, ks, train.n_classes, weights)
         actual = train.labels[val_idx]
         for k in ks:

@@ -9,10 +9,10 @@ the majority class and E2 = 1 - min(0.5, min_k e_k) for the minority
 class; the query goes to the minority class exactly when E2 > E1, so
 exact ties fall to the majority.
 
-The sweep reads one given ordering of the training rows per query (a
-trial's shared ranking, or a restricted view of it) and never sorts.
-Its length is min(k_max, minority training count): beyond the minority
-count the counting statistic is undefined, so the cap is forced.
+The sweep reads labels only: which rows of one given ordering per query
+(a trial's shared ranking, or a restricted view of it, as an OvO+/OvR+
+pair passes) are minority rows.  It never sorts.  Its length is
+min(k_max, minority count): beyond it the statistic is undefined.
 """
 
 from __future__ import annotations
@@ -64,20 +64,19 @@ def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifi
 
 
 def _evidence_arrays(
-    clf: BinaryEvidenceClassifier, orders: np.ndarray
+    is_minority: np.ndarray, n_min: int, p0: float, k_max_eff: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized evidence sweep over one ordering of clf.train per query.
+    """Vectorized evidence sweep over ``is_minority``, one row per query
+    marking the minority rows in that query's neighbor order.
 
     Returns (e1, e2, e_matrix, n_obs_matrix) with one row per query and
-    one column per k in 1..k_max_eff.  Every ordering contains all
+    one column per k in 1..k_max_eff.  Every row marks all ``n_min``
     minority points, so the position extraction below is rectangular.
     """
-    is_minority = clf.train.labels[orders] == clf.minority_label
-    n_min = int(clf.train.class_counts[clf.minority_label - 1])
-    positions = np.nonzero(is_minority)[1].reshape(orders.shape[0], n_min)
-    n_obs = positions[:, : clf.k_max_eff].astype(np.int64) + 1
-    ks = np.arange(1, clf.k_max_eff + 1, dtype=np.int64)
-    e = adjusted_pvalue_many(ks[None, :], n_obs, clf.p0)
+    positions = np.nonzero(is_minority)[1].reshape(is_minority.shape[0], n_min)
+    n_obs = positions[:, :k_max_eff].astype(np.int64) + 1
+    ks = np.arange(1, k_max_eff + 1, dtype=np.int64)
+    e = adjusted_pvalue_many(ks[None, :], n_obs, p0)
     e1 = np.maximum(0.5, e.max(axis=1))
     e2 = 1.0 - np.minimum(0.5, e.min(axis=1))
     return e1, e2, e, n_obs
@@ -91,7 +90,10 @@ def binary_evidence_batch(
     One neighbor ordering, ``ranking.test`` when given, serves both the
     labels and the evidence; ties E1 == E2 go to the majority class.
     """
-    e1, e2, _, _ = _evidence_arrays(clf, Ranking.of(clf.train.points, queries, ranking).test)
+    orders = Ranking.of(clf.train.points, queries, ranking).test
+    n_min = int(clf.train.class_counts[clf.minority_label - 1])
+    is_minority = clf.train.labels[orders] == clf.minority_label
+    e1, e2, _, _ = _evidence_arrays(is_minority, n_min, clf.p0, clf.k_max_eff)
     labels = np.where(e2 > e1, clf.minority_label, clf.majority_label).astype(np.int64)
     return labels, e1, e2
 

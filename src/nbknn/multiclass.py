@@ -1,179 +1,131 @@
-"""One-vs-one and one-vs-rest reductions with evidence tie resolution.
+"""One-vs-one (OvO+) and one-vs-rest (OvR+) reductions to the binary
+evidence classifier.
 
-Both reductions play rounds of the binary evidence classifier and
-recurse on the set of winners, which strictly shrinks, so they
-terminate for every input.
-
-OvO+: active classes are ordered by nonincreasing training count (ties
-by ascending id) and each larger class plays the smallest one, which is
-the designated minority of every pair.  An empty winner set elects the
-smallest class; a singleton wins outright; otherwise the winners replay
-among themselves with counts, p0, and k caps recomputed from the
-restricted training data.
-
-OvR+: every active class plays the pooled remainder of the active set;
-the smaller-by-count side of each pairing is the minority (ties: the
-group whose smallest class id is larger, which generalizes the binary
-tie rule).  A singleton winner set wins; an empty winner set, or one
-that fails to shrink, falls back to the maximum recorded evidence;
-otherwise the winners replay.  No pair sorts: each reads the shared
-test ordering restricted to its training rows (``restrict``).
+Both play rounds of binary pairings among the active classes; one
+driver, :func:`_reduce`, settles each round for all of its queries and
+replays winner sets, which strictly shrink, so every query terminates.
+A pair reads labels only: its minority group's rows in the shared test
+ordering restricted to the pair's rows (``restrict``), with no sort and
+no classifier fit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from functools import partial
 
 import numpy as np
 
-from .binary import _evidence_arrays, fit_binary
+from .binary import _evidence_arrays
 from .dataset import LabeledDataset
 from .neighbors import Ranking, restrict
 
 
-def resolve_by_max_evidence(per_class_evidence: Mapping[int, float]) -> int:
-    """Class with the largest recorded evidence; ties to the smaller id."""
-    if not per_class_evidence:
-        raise ValueError("per-class evidence map is empty")
-    best_cls = None
-    best_val = None
-    for cls in sorted(per_class_evidence):
-        val = float(per_class_evidence[cls])
-        if best_cls is None or val > best_val:
-            best_cls, best_val = cls, val
-    return int(best_cls)
-
-
-def _test_orders(train: LabeledDataset, queries, ranking: Ranking | None) -> np.ndarray:
-    """Check ``train`` and return its ordering for each query row."""
+def _test_orders(
+    train: LabeledDataset, queries, k_max: int, ranking: Ranking | None
+) -> np.ndarray:
+    """Check ``train`` and ``k_max`` and return the ordering for each query row."""
     if train.n_classes < 2:
         raise ValueError("multiclass reduction needs at least 2 classes")
     if train.class_counts.min() < 1:
         empty = int(np.argmin(train.class_counts)) + 1
         raise ValueError(f"class {empty} has no training points")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     return Ranking.of(train.points, queries, ranking).test
 
 
 def _pair_evidence(
-    train: LabeledDataset, orders: np.ndarray, label1: tuple[int, ...],
-    label2: tuple[int, ...], k_max: int,
+    labels: np.ndarray, orders: np.ndarray, majority: tuple[int, ...],
+    minority: tuple[int, ...], k_max: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """E1, E2 of the classifier fitted on the listed classes' rows, relabeled
-    to {1, 2} by group, from ``orders`` of all of ``train``'s rows."""
-    in1 = np.isin(train.labels, label1)
-    in_pair = in1 | np.isin(train.labels, label2)
-    pair = LabeledDataset(train.points[in_pair], np.where(in1[in_pair], 1, 2), 2)
-    e1, e2, _, _ = _evidence_arrays(fit_binary(pair, k_max), restrict(orders, in_pair))
+    """E1, E2 of the binary classifier of the ``majority`` classes' rows
+    against the ``minority`` classes' rows (the roles ``fit_binary`` would
+    give the two groups), from ``orders`` of all training rows."""
+    in_min = np.isin(labels, minority)
+    in_pair = in_min | np.isin(labels, majority)
+    n_min = int(np.count_nonzero(in_min))
+    is_minority = in_min[in_pair][restrict(orders, in_pair)]
+    p0 = n_min / int(np.count_nonzero(in_pair))
+    e1, e2, _, _ = _evidence_arrays(is_minority, n_min, p0, min(int(k_max), n_min))
     return e1, e2
 
 
-def _candidate_is_minority(counts: np.ndarray, cls: int, rest: tuple[int, ...]) -> bool:
-    """Minority side of a one-vs-rest pairing: fewer training rows; on a
-    tie, the group whose smallest class id is larger (which reduces to
-    the binary larger-label rule when the rest is a single class)."""
-    n_cls = int(counts[cls - 1])
-    n_rest = int(sum(counts[c - 1] for c in rest))
-    if n_cls != n_rest:
-        return n_cls < n_rest
-    return cls > min(rest)
+def _reduce(play, active: tuple[int, ...], orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the queries of ``orders`` among ``active``, and this round's scores.
+
+    ``play(active, orders)`` gives (classes, wins, score), one column per class.
+    A single winner wins; a winner set of 2 or more that is smaller than
+    ``classes`` replays among itself (counts, p0 and k caps recomputed); any
+    other query goes to the class of its first maximum score.
+    """
+    classes, wins, score = play(active, orders)
+    single = wins.sum(axis=1) == 1
+    labels = classes[np.where(single, wins.argmax(axis=1), score.argmax(axis=1))]
+    sets, inverse = np.unique(wins, axis=0, return_inverse=True)
+    for s, members in enumerate(sets):
+        if 2 <= np.count_nonzero(members) < classes.size:
+            replay = inverse == s
+            labels[replay] = _reduce(play, tuple(classes[members]), orders[replay])[0]
+    return labels, score
 
 
 def _ovo_round(
-    train: LabeledDataset, active: tuple[int, ...], orders: np.ndarray,
-    idx: np.ndarray, out: np.ndarray, k_max: int,
-) -> None:
+    train: LabeledDataset, k_max: int, active: tuple[int, ...], orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active classes by nonincreasing count (ties by ascending id); each
+    larger class plays the smallest, the minority of every pair.  The
+    smallest wins no pairing and is the fallback of an empty winner set."""
     counts = train.class_counts
-    order = sorted(active, key=lambda c: (-int(counts[c - 1]), c))
-    minority_cls = order[-1]
-    others = order[:-1]
+    classes = np.array(sorted(active, key=lambda c: (-int(counts[c - 1]), c)), dtype=np.int64)
+    smallest = (int(classes[-1]),)
+    wins = np.zeros((orders.shape[0], classes.size), dtype=bool)
+    for j, cls in enumerate(classes[:-1]):
+        e1, e2 = _pair_evidence(train.labels, orders, (int(cls),), smallest, k_max)
+        wins[:, j] = e1 >= e2
+    return classes, wins, np.broadcast_to(classes == smallest[0], wins.shape)
 
-    wins = np.zeros((idx.size, len(others)), dtype=bool)
-    round_orders = orders[idx]
-    for j, cls in enumerate(others):
-        e1, e2 = _pair_evidence(train, round_orders, (cls,), (minority_cls,), k_max)
-        wins[:, j] = e1 >= e2  # class 1 side = cls
 
-    # Settle empty and singleton winner sets directly; recurse the rest.
-    to_recurse: dict[tuple[int, ...], list[int]] = {}
-    for pos in range(idx.size):
-        s = tuple(cls for j, cls in enumerate(others) if wins[pos, j])
-        if len(s) == 0:
-            out[idx[pos]] = minority_cls
-        elif len(s) == 1:
-            out[idx[pos]] = s[0]
+def _ovr_round(
+    train: LabeledDataset, k_max: int, active: tuple[int, ...], orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each active class (ascending ids) against the pooled rest of the
+    active set.  The smaller side is the minority; on a tie, the side whose
+    smallest id is larger (the binary larger-label rule for one class).
+    The score is the evidence on the class's side (E2 as minority, else
+    E1), so the fallback is the maximum evidence, ties to the smaller id."""
+    counts = train.class_counts
+    wins = np.zeros((orders.shape[0], len(active)), dtype=bool)
+    evidence = np.zeros(wins.shape, dtype=np.float64)
+    for j, cls in enumerate(active):
+        rest = tuple(c for c in active if c != cls)
+        n_cls, n_rest = int(counts[cls - 1]), int(sum(counts[c - 1] for c in rest))
+        if n_cls < n_rest or (n_cls == n_rest and cls > min(rest)):
+            e1, e2 = _pair_evidence(train.labels, orders, rest, (cls,), k_max)
+            wins[:, j], evidence[:, j] = e2 > e1, e2
         else:
-            to_recurse.setdefault(s, []).append(pos)
-    for s, positions in sorted(to_recurse.items()):
-        _ovo_round(train, s, orders, idx[np.asarray(positions)], out, k_max)
+            e1, e2 = _pair_evidence(train.labels, orders, (cls,), rest, k_max)
+            wins[:, j], evidence[:, j] = e1 >= e2, e1
+    return np.array(active, dtype=np.int64), wins, evidence
+
+
+def _reduction(round_fn, train: LabeledDataset, queries, k_max: int, ranking: Ranking | None):
+    """Labels and first-round scores of one reduction over all classes."""
+    orders = _test_orders(train, queries, k_max, ranking)
+    return _reduce(partial(round_fn, train, k_max), tuple(range(1, train.n_classes + 1)), orders)
 
 
 def classify_ovo_plus_batch(
     train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
 ) -> np.ndarray:
     """Ordered one-vs-one predictions for many queries (from ``ranking`` if given)."""
-    orders = _test_orders(train, queries, ranking)
-    out = np.zeros(orders.shape[0], dtype=np.int64)
-    _ovo_round(train, tuple(range(1, train.n_classes + 1)), orders, np.arange(out.size), out, k_max)
-    return out
-
-
-def _ovr_pairs(
-    train: LabeledDataset, active: tuple[int, ...], orders: np.ndarray, k_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each active class against the pooled rest of the active set.
-
-    Returns (wins, evidence), one row per query and one column per
-    active class: whether the class's side won its pairing, and the
-    evidence on that side (E2 when it is the minority, else E1).
-    """
-    counts = train.class_counts
-    wins = np.zeros((orders.shape[0], len(active)), dtype=bool)
-    evidence = np.zeros((orders.shape[0], len(active)), dtype=np.float64)
-    for j, cls in enumerate(active):
-        rest = tuple(c for c in active if c != cls)
-        cand_is_minority = _candidate_is_minority(counts, cls, rest)
-        groups = (rest, (cls,)) if cand_is_minority else ((cls,), rest)
-        e1, e2 = _pair_evidence(train, orders, *groups, k_max)
-        if cand_is_minority:
-            wins[:, j] = e2 > e1
-            evidence[:, j] = e2
-        else:
-            wins[:, j] = e1 >= e2
-            evidence[:, j] = e1
-    return wins, evidence
-
-
-def _ovr_round(
-    train: LabeledDataset, active: tuple[int, ...], orders: np.ndarray,
-    idx: np.ndarray, out: np.ndarray, k_max: int,
-) -> np.ndarray:
-    """Settle queries ``idx`` into ``out``; returns this round's evidence."""
-    wins, evidence = _ovr_pairs(train, active, orders[idx], k_max)
-
-    to_recurse: dict[tuple[int, ...], list[int]] = {}
-    for pos in range(idx.size):
-        s = tuple(cls for j, cls in enumerate(active) if wins[pos, j])
-        if len(s) == 1:
-            out[idx[pos]] = s[0]
-        elif len(s) == 0 or len(s) == len(active):
-            out[idx[pos]] = resolve_by_max_evidence(
-                {cls: evidence[pos, j] for j, cls in enumerate(active)}
-            )
-        else:
-            to_recurse.setdefault(s, []).append(pos)
-    for s, positions in sorted(to_recurse.items()):
-        _ovr_round(train, s, orders, idx[np.asarray(positions)], out, k_max)
-    return evidence
+    return _reduction(_ovo_round, train, queries, k_max, ranking)[0]
 
 
 def ovr_plus_evidence_batch(
     train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest predictions and first-round evidence from one pass."""
-    orders = _test_orders(train, queries, ranking)
-    out = np.zeros(orders.shape[0], dtype=np.int64)
-    active = tuple(range(1, train.n_classes + 1))
-    return out, _ovr_round(train, active, orders, np.arange(out.size), out, k_max)
+    return _reduction(_ovr_round, train, queries, k_max, ranking)
 
 
 def classify_ovr_plus_batch(
@@ -186,11 +138,8 @@ def classify_ovr_plus_batch(
 def ovr_evidence_batch(
     train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
 ) -> np.ndarray:
-    """First one-vs-rest round evidence: one row per query, one column per class.
-
-    Column j holds the evidence on class j+1's side of its pairing
-    against all other classes, as the first round of
-    :func:`classify_ovr_plus_batch` records it.
-    """
-    orders = _test_orders(train, queries, ranking)
-    return _ovr_pairs(train, tuple(range(1, train.n_classes + 1)), orders, k_max)[1]
+    """First one-vs-rest round evidence, one row per query: column j is class
+    j+1's side of its pairing against all other classes, as the first round
+    of :func:`classify_ovr_plus_batch` records it."""
+    orders = _test_orders(train, queries, k_max, ranking)
+    return _ovr_round(train, k_max, tuple(range(1, train.n_classes + 1)), orders)[2]

@@ -75,8 +75,15 @@ class Ranking:
 
     @classmethod
     def of(cls, points: np.ndarray, queries=None, ranking: "Ranking | None" = None) -> "Ranking":
-        """``ranking``, which must be built from ``points``, or a new ranking
-        of ``queries`` (by default the points themselves)."""
-        if ranking is not None and ranking.points is not points:
+        """``ranking``, which must be built from ``points`` and, if ``queries``
+        is given, from equal queries, or a new ranking of ``queries`` (by
+        default the points themselves)."""
+        if ranking is None:
+            return cls(points, points if queries is None else queries)
+        if ranking.points is not points:
             raise ValueError("the ranking was built for other training points")
-        return ranking or cls(points, points if queries is None else queries)
+        if queries is not None and queries is not ranking.queries:
+            q = _as_queries(queries, points.shape[1])
+            if q.shape != ranking.queries.shape or q.tobytes() != ranking.queries.tobytes():
+                raise ValueError("the ranking was built for other queries")
+        return ranking

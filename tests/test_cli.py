@@ -327,21 +327,21 @@ def test_fit_predict_golden_evidence(tmp_path, method, labeled):
     assert out.read_bytes() == (DATA_DIR / f"golden_fit_predict_{method}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("method, emit, pair_fits", [
+@pytest.mark.parametrize("method, emit, pair_evals", [
     ("proposed", True, 0),
     ("ovr_plus", False, 7),
     ("ovr_plus", True, 7),
     ("ovo_plus", False, 3),
     ("ovo_plus", True, 6),
 ])
-def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_fits):
+def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals):
     # One neighbor ordering per call; --emit-evidence reuses the OvR+
-    # first round instead of fitting its pairs again.
+    # first round instead of evaluating its pairs again.
     write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
     train = tmp_path / "train.csv"
     write_train(train)
     queries = write_query_files(tmp_path, columns, label, seed, shift)[0]
-    counts = {"fit_binary": 0, "order_rows": 0}
+    counts = {"_pair_evidence": 0, "order_rows": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -352,12 +352,12 @@ def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_fits):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(nbknn.multiclass, "fit_binary")
+    counted(nbknn.multiclass, "_pair_evidence")
     counted(nbknn.neighbors, "order_rows")
     argv = ["fit-predict", "--train", str(train), "--queries", str(queries),
             "--label-column", label, "--method", method, "--output", str(tmp_path / "p.csv")]
     assert main(argv + (["--emit-evidence"] if emit else [])) == 0
-    assert counts == {"fit_binary": pair_fits, "order_rows": 1}
+    assert counts == {"_pair_evidence": pair_evals, "order_rows": 1}
 
 
 class TestSplit:

@@ -11,23 +11,11 @@ from nbknn import (
     classify_ovr_plus_batch,
     fit_binary,
     ovr_evidence_batch,
-    resolve_by_max_evidence,
 )
 
+from nbknn.multiclass import _reduce
+
 from conftest import make_dataset
-
-
-class TestResolveByMaxEvidence:
-    def test_argmax(self):
-        assert resolve_by_max_evidence({1: 0.9, 2: 0.7}) == 1
-        assert resolve_by_max_evidence({1: 0.2, 2: 0.95, 3: 0.6}) == 2
-
-    def test_tie_breaks_to_smaller_id(self):
-        assert resolve_by_max_evidence({2: 0.8, 1: 0.8}) == 1
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            resolve_by_max_evidence({})
 
 
 def three_cluster_fixture(rng, n_per=(30, 20, 10)):
@@ -114,10 +102,38 @@ class TestReductions:
         with pytest.raises(ValueError, match="no training points"):
             ovr_evidence_batch(ds, [[0.0]])
 
+    @pytest.mark.parametrize("entry", [classify_ovo_plus_batch, classify_ovr_plus_batch,
+                                       ovr_evidence_batch])
+    def test_rejects_k_max_below_one(self, rng, entry):
+        ds = three_cluster_fixture(rng)
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            entry(ds, [[0.0, 0.0]], 0)
+
     def test_rejects_single_class(self):
         ds = LabeledDataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(ValueError, match="at least 2"):
             classify_ovr_plus_batch(ds, [[0.0]])
+
+
+class TestRoundDriver:
+    """The shared settle-and-replay driver on a stub round with 3 classes."""
+
+    @staticmethod
+    def _settle(wins, score):
+        def play(active, orders):
+            return np.array([1, 2, 3]), np.array(wins, dtype=bool), np.array(score)
+
+        return _reduce(play, (1, 2, 3), np.zeros((len(wins), 1), dtype=np.int64))[0].tolist()
+
+    def test_fallback_takes_max_score(self):
+        # No winner, or every class winning, falls back to the maximum score.
+        assert self._settle([[0, 0, 0], [1, 1, 1]], [[0.9, 0.7, 0.1], [0.2, 0.95, 0.6]]) == [1, 2]
+
+    def test_fallback_tie_goes_to_smaller_id(self):
+        assert self._settle([[0, 0, 0], [1, 1, 1]], [[0.3, 0.8, 0.8], [0.8, 0.8, 0.1]]) == [2, 1]
+
+    def test_single_winner_beats_score(self):
+        assert self._settle([[0, 0, 1]], [[0.9, 0.9, 0.1]]) == [3]
 
 
 class TestOvrFallback:
@@ -151,7 +167,8 @@ class TestOvrFallback:
 
     def test_fallback_returns_max_evidence_argmax(self, rng):
         ds, query, evid = self._no_winner_fixture(rng)
-        expected = resolve_by_max_evidence(evid)
+        # Maximum evidence; ties to the smaller class id.
+        expected = max(sorted(evid), key=lambda cls: evid[cls])
         assert classify_ovr_plus_batch(ds, query, 3).tolist() == [expected]
         # The first-round evidence equals the hand-built pairings' values.
         assert ovr_evidence_batch(ds, query, 3).tolist() == [[evid[1], evid[2], evid[3]]]

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nbknn.benchmark
@@ -21,13 +21,14 @@ from nbknn import (
     LabeledDataset,
     SplitSpec,
     binary_evidence_batch,
+    classify_binary_batch,
     classify_ovo_plus_batch,
     classify_ovr_plus_batch,
     fit_binary,
     knn_classify_batch,
+    knn_with_cv,
     location_specs,
     ovr_evidence_batch,
-    resolve_by_max_evidence,
     select_k_cv,
 )
 from nbknn.baselines import _stratified_folds, _vote_weights, _votes_for_grid
@@ -89,6 +90,33 @@ def test_ranking_of_other_points_rejected(rng):
         Ranking.of(points.copy(), ranking=ranking)
 
 
+QUERY_ENTRY_POINTS = {
+    "binary_evidence_batch": lambda t, q, r: binary_evidence_batch(fit_binary(t), q, ranking=r),
+    "classify_binary_batch": lambda t, q, r: classify_binary_batch(fit_binary(t), q, ranking=r),
+    "knn_classify_batch": lambda t, q, r: knn_classify_batch(t, q, KnnConfig(k=3), ranking=r),
+    "knn_with_cv": lambda t, q, r: knn_with_cv(t, q, KnnConfig(k_grid=(1, 3)), 0, ranking=r),
+    "classify_ovo_plus_batch": lambda t, q, r: classify_ovo_plus_batch(t, q, ranking=r),
+    "classify_ovr_plus_batch": lambda t, q, r: classify_ovr_plus_batch(t, q, ranking=r),
+    "ovr_evidence_batch": lambda t, q, r: ovr_evidence_batch(t, q, ranking=r),
+}
+
+
+@pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS.values(), ids=QUERY_ENTRY_POINTS.keys())
+def test_ranking_of_other_queries_rejected(rng, entry):
+    # A ranking answers only for the queries it was built from: other
+    # rows, more rows, or one changed bit must not read its orderings.
+    train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
+    built = rng.normal(size=(5, 2))
+    ranking = Ranking(train.points, built)
+    same = entry(train, built.tolist(), ranking)
+    np.testing.assert_array_equal(np.asarray(same), np.asarray(entry(train, built, None)))
+    tweaked = built.copy()
+    tweaked[2, 1] = np.nextafter(tweaked[2, 1], np.inf)
+    for queries in (built[:3], rng.normal(size=(5, 2)), tweaked):
+        with pytest.raises(ValueError, match="other queries"):
+            entry(train, queries, ranking)
+
+
 def _select_k_fresh_sorts(train, cfg, seed):
     """Cross-validated k with a fresh sort per fold."""
     assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
@@ -100,7 +128,7 @@ def _select_k_fresh_sorts(train, cfg, seed):
         val = np.flatnonzero(assignment == f)
         orders = order_rows(fold.points, train.points[val])
         preds = _votes_for_grid(fold.labels[orders[:, : max(ks)]], ks, train.n_classes,
-                                _vote_weights(fold, cfg.weighting))
+                                _vote_weights(fold.class_counts, cfg.weighting))
         for k in ks:
             actual, pred = train.labels[val], preds[k]
             f1s = []
@@ -166,12 +194,23 @@ def _ovr_fresh(train, active, query, k_max):
     if len(winners) == 1:
         return winners[0], evidence
     if len(winners) in (0, len(active)):
-        return resolve_by_max_evidence(evidence), evidence
+        # Maximum evidence; ties to the smaller class id.
+        return max(sorted(evidence), key=lambda cls: evidence[cls]), evidence
     return _ovr_fresh(train, winners, query, k_max)[0], evidence
+
+
+# Class 1 has as many rows as classes 2 and 3 together: an OvR+ count
+# tie, where roles follow the smallest-id rule rather than the counts.
+TIED_COUNTS = (
+    LabeledDataset(np.arange(16.0).reshape(8, 2) % 5, np.array([1, 2, 1, 3, 1, 2, 1, 3])),
+    np.array([[0.0, 1.0], [4.0, 0.0], [2.0, 3.0], [1.0, 4.0]]),
+)
 
 
 @SETTINGS
 @given(grid_problem(min_classes=3, max_classes=5), st.integers(1, 6))
+@example(TIED_COUNTS, 2)
+@example(TIED_COUNTS, 4)
 def test_reductions_equal_per_pair_resort(problem, k_max):
     train, queries = problem
     ranking = Ranking(train.points, queries)

@@ -35,7 +35,6 @@ PUBLIC = [
     "mix64",
     "ovr_evidence_batch",
     "prf",
-    "resolve_by_max_evidence",
     "run_csv_benchmark",
     "run_location_experiment",
     "run_scale_experiment",
