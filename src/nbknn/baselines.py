@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .metrics import confusion, prf
-from .neighbors import Ranking, restrict
+from .neighbors import Ranking, head
 from .rng import Stream
 
 WEIGHTINGS = ("uniform", "inverse-class-size")
@@ -77,8 +77,8 @@ def knn_classify_batch(
     """k-NN vote for many queries at once (from ``ranking.test`` if given)."""
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
-    orders = Ranking.of(train.points, queries, ranking).test
-    ordered_labels = train.labels[orders[:, : cfg.k]]
+    blocks = Ranking.of(train, queries, ranking, vote_k=cfg.k).test
+    ordered_labels = train.labels[np.concatenate([head(b, train.n, cfg.k) for b in blocks])]
     weights = _vote_weights(train.class_counts, cfg.weighting)
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
 
@@ -103,21 +103,22 @@ def select_k_cv(
     """Grid k with the best mean macro F1 over stratified folds.
 
     Deterministic given ``seed``; score ties resolve to the smaller k.
-    A fold reads labels only, in the training rows' ordering (``ranking.train``
-    if given) restricted to its own training rows, which drops the validation row.
+    A fold reads labels only: each validation row's order of the fold's
+    training rows, to the largest grid k, from the training distances
+    (``ranking.train`` if given) restricted to those rows.
     """
     assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
     min_fit = train.n - int(np.bincount(assignment).max())
     ks = tuple(k for k in cfg.k_grid if k <= min_fit)
     if not ks:
         raise ValueError(f"no k_grid value fits the fold training size {min_fit}")
-    orders = Ranking.of(train.points, ranking=ranking).train
+    ranking = Ranking.of(train, ranking=ranking)
     scores = {k: [] for k in ks}
     for f in range(cfg.cv_folds):
         fit = assignment != f
         val_idx = np.flatnonzero(~fit)
         fit_labels = train.labels[fit]
-        ordered_labels = fit_labels[restrict(orders[val_idx], fit)[:, : max(ks)]]
+        ordered_labels = fit_labels[ranking.fold(val_idx, fit, max(ks))]
         counts = np.bincount(fit_labels, minlength=train.n_classes + 1)[1:]
         weights = _vote_weights(counts, cfg.weighting)
         preds = _votes_for_grid(ordered_labels, ks, train.n_classes, weights)

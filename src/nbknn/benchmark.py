@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from .data_io import CsvDataset, SplitSpec, balanced_split, standardize
-from .methods import map_trials, predict_with_method, validate_methods
+from .methods import map_trials, predict_with_method, trial_ranking, validate_methods
 from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
-from .neighbors import Ranking
 from .rng import fold_seed
 
 BENCH_CV_PURPOSE = 5
@@ -15,7 +14,7 @@ def _benchmark_trial(args) -> dict[str, PrfReport]:
     data, spec, trial, methods, k_max = args
     train, test = balanced_split(data, spec, trial)
     train_std, (test_std,), _ = standardize(train, [test])
-    ranking = Ranking(train_std.points, test_std.points)
+    ranking = trial_ranking(train_std, test_std.points, methods, k_max)
     out: dict[str, PrfReport] = {}
     for j, name in enumerate(methods):
         preds = predict_with_method(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .negbin import adjusted_pvalue_many
-from .neighbors import Ranking
+from .neighbors import Ranking, stacked
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,22 @@ def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifi
 
 
 def _evidence_arrays(
-    is_minority: np.ndarray, n_min: int, p0: float, k_max_eff: int
+    is_minority: np.ndarray, p0: float, k_max_eff: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized evidence sweep over ``is_minority``, one row per query
-    marking the minority rows in that query's neighbor order.
+    marking the minority rows in a prefix of that query's neighbor order
+    (False past the prefix).
 
     Returns (e1, e2, e_matrix, n_obs_matrix) with one row per query and
-    one column per k in 1..k_max_eff.  Every row marks all ``n_min``
-    minority points, so the position extraction below is rectangular.
+    one column per k in 1..k_max_eff.  Raises if a row marks fewer than
+    ``k_max_eff`` minority rows: its prefix is too short to sweep.
     """
-    positions = np.nonzero(is_minority)[1].reshape(is_minority.shape[0], n_min)
-    n_obs = positions[:, :k_max_eff].astype(np.int64) + 1
+    rows, cols = np.nonzero(is_minority)
+    found = np.bincount(rows, minlength=is_minority.shape[0])
+    if np.any(found < k_max_eff):
+        raise ValueError(f"a neighbor prefix holds fewer than the {k_max_eff} minority rows swept")
+    first = (np.cumsum(found) - found)[:, None] + np.arange(k_max_eff)
+    n_obs = cols[first].astype(np.int64) + 1
     ks = np.arange(1, k_max_eff + 1, dtype=np.int64)
     e = adjusted_pvalue_many(ks[None, :], n_obs, p0)
     e1 = np.maximum(0.5, e.max(axis=1))
@@ -90,10 +95,9 @@ def binary_evidence_batch(
     One neighbor ordering, ``ranking.test`` when given, serves both the
     labels and the evidence; ties E1 == E2 go to the majority class.
     """
-    orders = Ranking.of(clf.train.points, queries, ranking).test
-    n_min = int(clf.train.class_counts[clf.minority_label - 1])
-    is_minority = clf.train.labels[orders] == clf.minority_label
-    e1, e2, _, _ = _evidence_arrays(is_minority, n_min, clf.p0, clf.k_max_eff)
+    blocks = Ranking.of(clf.train, queries, ranking, k_max=clf.k_max_eff).test
+    is_minority = np.append(clf.train.labels == clf.minority_label, False)
+    e1, e2 = stacked(_evidence_arrays(is_minority[b], clf.p0, clf.k_max_eff)[:2] for b in blocks)
     labels = np.where(e2 > e1, clf.minority_label, clf.majority_label).astype(np.int64)
     return labels, e1, e2
 

@@ -247,7 +247,7 @@ def _cmd_fit_predict(args) -> int:
         if args.emit_evidence:
             columns, evidence = per_class, first_round
     else:
-        ranking = Ranking(data.points, queries)
+        ranking = Ranking(data, queries, args.k_max)
         preds = classify_ovo_plus_batch(data, queries, args.k_max, ranking=ranking)
         if args.emit_evidence:
             columns = per_class

@@ -56,6 +56,14 @@ def validate_methods(methods, n_classes: int | None = None, valid=CSV_METHODS) -
     return out
 
 
+def trial_ranking(train: LabeledDataset, queries, methods, k_max: int) -> Ranking:
+    """One ranking of ``queries`` deep enough for every method of a trial:
+    the evidence sweeps at ``k_max`` and k-NN votes over the default grid."""
+    evidence = {PROPOSED, OVO_PLUS, OVR_PLUS} & set(methods)
+    vote = {KNN, WNN} & set(methods)
+    return Ranking(train, queries, k_max if evidence else 0, max(KnnConfig().k_grid) if vote else 0)
+
+
 def predict_with_method(
     name: str,
     train: LabeledDataset,

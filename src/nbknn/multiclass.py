@@ -17,13 +17,13 @@ import numpy as np
 
 from .binary import _evidence_arrays
 from .dataset import LabeledDataset
-from .neighbors import Ranking, restrict
+from .neighbors import Ranking, restrict, stacked
 
 
 def _test_orders(
     train: LabeledDataset, queries, k_max: int, ranking: Ranking | None
-) -> np.ndarray:
-    """Check ``train`` and ``k_max`` and return the ordering for each query row."""
+) -> list[np.ndarray]:
+    """Check ``train`` and ``k_max`` and return the query rows' ordering blocks."""
     if train.n_classes < 2:
         raise ValueError("multiclass reduction needs at least 2 classes")
     if train.class_counts.min() < 1:
@@ -31,7 +31,7 @@ def _test_orders(
         raise ValueError(f"class {empty} has no training points")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return Ranking.of(train.points, queries, ranking).test
+    return Ranking.of(train, queries, ranking, k_max).test
 
 
 def _pair_evidence(
@@ -44,9 +44,9 @@ def _pair_evidence(
     in_min = np.isin(labels, minority)
     in_pair = in_min | np.isin(labels, majority)
     n_min = int(np.count_nonzero(in_min))
-    is_minority = in_min[in_pair][restrict(orders, in_pair)]
+    is_minority = np.append(in_min[in_pair], False)[restrict(orders, in_pair)]
     p0 = n_min / int(np.count_nonzero(in_pair))
-    e1, e2, _, _ = _evidence_arrays(is_minority, n_min, p0, min(int(k_max), n_min))
+    e1, e2, _, _ = _evidence_arrays(is_minority, p0, min(int(k_max), n_min))
     return e1, e2
 
 
@@ -110,8 +110,8 @@ def _ovr_round(
 
 def _reduction(round_fn, train: LabeledDataset, queries, k_max: int, ranking: Ranking | None):
     """Labels and first-round scores of one reduction over all classes."""
-    orders = _test_orders(train, queries, k_max, ranking)
-    return _reduce(partial(round_fn, train, k_max), tuple(range(1, train.n_classes + 1)), orders)
+    play, active = partial(round_fn, train, k_max), tuple(range(1, train.n_classes + 1))
+    return stacked(_reduce(play, active, b) for b in _test_orders(train, queries, k_max, ranking))
 
 
 def classify_ovo_plus_batch(
@@ -141,5 +141,6 @@ def ovr_evidence_batch(
     """First one-vs-rest round evidence, one row per query: column j is class
     j+1's side of its pairing against all other classes, as the first round
     of :func:`classify_ovr_plus_batch` records it."""
-    orders = _test_orders(train, queries, k_max, ranking)
-    return _ovr_round(train, k_max, tuple(range(1, train.n_classes + 1)), orders)[2]
+    active = tuple(range(1, train.n_classes + 1))
+    blocks = _test_orders(train, queries, k_max, ranking)
+    return np.concatenate([_ovr_round(train, k_max, active, b)[2] for b in blocks])

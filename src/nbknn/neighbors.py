@@ -1,13 +1,15 @@
-"""Exact neighbor ordering, sorted once per trial and read as restricted views.
+"""Exact neighbor orderings, computed once per trial, only as deep as read.
 
-Each query's training rows are fully sorted by distance (the evidence
-sweep consumes a prefix of unknown length, so fixed-k tree queries do
-not apply), ties broken by ascending training index.  The tie-break
-makes the ordering a total order, which keeps repeated runs
-bit-identical, and makes it restrictable: a stable (distance, index)
-order restricted to a subset of the rows is that subset's own order.
-So a trial's :class:`Ranking` sorts at most twice, and every method,
-reduction pair and cross-validation fold reads a :func:`restrict` view.
+Each query's training rows are ordered by distance, ties broken by
+ascending training index: a total order, so repeated runs are
+bit-identical, and a restrictable one: the order restricted to a subset
+of the rows is that subset's own order.  No reader walks a whole row
+(the evidence sweep stops at its k-th minority neighbor, a vote at its
+k-th neighbor), so a row is ordered only up to a threshold tau.  Its
+prefix {d <= tau}, ties at tau included, is bit for bit the head of the
+full order, and a restricted prefix the head of the subset's order.
+Prefixes are padded with the sentinel n, one past the last row index; a
+reader that needs more than a row's prefix raises.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+
+from .dataset import LabeledDataset
+
+_CHUNK_ELEMS = 1 << 20  # distance cells computed at once
 
 
 def _as_queries(queries, dim: int) -> np.ndarray:
@@ -28,7 +34,7 @@ def _as_queries(queries, dim: int) -> np.ndarray:
     return q
 
 
-def distance_rows(points: np.ndarray, queries: np.ndarray, chunk_elems: int = 1 << 20) -> np.ndarray:
+def distance_rows(points: np.ndarray, queries: np.ndarray, chunk_elems: int = _CHUNK_ELEMS) -> np.ndarray:
     """Euclidean distance matrix (queries x points), chunked for memory.
 
     Chunking never changes values: rows are independent and each row is
@@ -46,44 +52,118 @@ def distance_rows(points: np.ndarray, queries: np.ndarray, chunk_elems: int = 1 
 
 
 def order_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per-query neighbor orderings; stable argsort breaks ties by index."""
+    """Full per-query neighbor orderings; stable argsort breaks ties by index."""
     return np.argsort(distance_rows(points, queries), axis=1, kind="stable")
 
 
+def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (distance, index) order up to its threshold, padded with
+    the sentinel n, and its length c_i = #{d <= tau_i}.
+
+    A partition to the widest prefix W keeps every d <= tau_i, ties
+    included; sorting the kept indices, then stable-sorting their
+    distances, gives the full order's head.  Past W = n/2 a whole-row
+    sort is faster, with the same bits.
+    """
+    n = dist.shape[1]
+    counts = np.count_nonzero(dist <= tau[:, None], axis=1)
+    width = int(counts.max(initial=0))
+    if 0 < 2 * width <= n:
+        kept = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
+        by_dist = np.argsort(np.take_along_axis(dist, kept, axis=1), axis=1, kind="stable")
+        orders = np.take_along_axis(kept, by_dist, axis=1)
+    else:
+        orders = np.argsort(dist, axis=1, kind="stable")[:, :width]
+    # A copy in the smallest unsigned type that holds the sentinel.
+    orders = orders.astype(np.min_scalar_type(n))
+    orders[np.arange(width) >= counts[:, None]] = n
+    return orders, counts
+
+
+def head(orders: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """The first ``depth`` entries of each prefix (sentinel ``n``); raises
+    if any prefix is shorter."""
+    out = np.full((orders.shape[0], depth), n, dtype=orders.dtype)
+    out[:, : orders.shape[1]] = orders[:, :depth]
+    if np.any(out == n):
+        raise ValueError(f"a neighbor prefix is shorter than the {depth} rows read from it")
+    return out
+
+
+def stacked(results) -> tuple[np.ndarray, ...]:
+    """Per-block tuples of arrays, each concatenated over the blocks."""
+    return tuple(np.concatenate(parts) for parts in zip(*results))
+
+
 def restrict(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``orders`` restricted to the rows where ``keep`` holds, renumbered
-    within them: bit for bit ``order_rows`` of that subset.  Each row
-    holds every index once, so the result is rectangular."""
-    kept = orders[keep[orders]].reshape(orders.shape[0], np.count_nonzero(keep))
-    return (np.cumsum(keep) - 1)[kept]
+    """Prefixes ``orders`` (sentinel ``keep.size``) restricted to the rows
+    where ``keep`` holds, renumbered within them and padded with the
+    sentinel ``count(keep)``: each row is the head of the subset's own
+    order (``order_rows`` of that subset, bit for bit)."""
+    n_keep = int(np.count_nonzero(keep))
+    renumber = np.append(np.where(keep, np.cumsum(keep) - 1, n_keep), n_keep)[orders]
+    inside = renumber < n_keep
+    width = int(np.count_nonzero(inside, axis=1).max(initial=0))
+    front = np.argsort(~inside, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(renumber, front, axis=1)
 
 
 class Ranking:
-    """A trial's orderings of the training ``points``, each sorted on first
-    use: ``test`` for each query row, ``train`` for each training row."""
+    """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
-    def __init__(self, points: np.ndarray, queries) -> None:
-        self.points, self.queries = points, _as_queries(queries, points.shape[1])
+    ``test`` holds the query prefixes, one padded block per chunk of
+    queries (at least one), so no queries x n matrix is held.  tau_i is
+    the farthest, over classes c, of the min(k_max, n_c)-th nearest point
+    of c, or the ``vote_k``-th nearest point if farther.  A group G of
+    classes has min(k_max, n_G) points or more within tau_i, so the prefix
+    covers every OvO+/OvR+ evidence sweep and the vote.  ``train`` holds
+    the train x train distances that :meth:`fold` reads.
+    """
+
+    def __init__(self, train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0) -> None:
+        self.points, self.labels = train.points, train.labels
+        self.queries = _as_queries(queries, self.points.shape[1])
+        self.k_max, self.vote_k = k_max, vote_k
+
+    def _threshold(self, dist: np.ndarray) -> np.ndarray:
+        classes, counts = np.unique(self.labels, return_counts=True)
+        depths = [(self.labels == c, min(self.k_max, n_c)) for c, n_c in zip(classes, counts)]
+        depths.append((slice(None), min(self.vote_k, self.labels.size)))
+        kths = [np.partition(dist[:, cols], k - 1, axis=1)[:, k - 1] for cols, k in depths if k]
+        return np.max([np.full(len(dist), -np.inf)] + kths, axis=0)
 
     @cached_property
-    def test(self) -> np.ndarray:
-        return order_rows(self.points, self.queries)
+    def test(self) -> list[np.ndarray]:
+        step = max(1, _CHUNK_ELEMS // self.points.shape[0])
+        blocks = []
+        for lo in range(0, max(1, len(self.queries)), step):
+            dist = distance_rows(self.points, self.queries[lo : lo + step])
+            blocks.append(prefix_rows(dist, self._threshold(dist))[0])
+        return blocks
 
     @cached_property
     def train(self) -> np.ndarray:
-        return order_rows(self.points, self.points)
+        return distance_rows(self.points, self.points)
+
+    def fold(self, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
+        """Each ``val`` row's ``depth`` nearest ``fit`` rows (a mask), in
+        order and renumbered within them."""
+        block = self.train[val][:, fit]
+        tau = np.partition(block, depth - 1, axis=1)[:, depth - 1]
+        return head(prefix_rows(block, tau)[0], block.shape[1], depth)
 
     @classmethod
-    def of(cls, points: np.ndarray, queries=None, ranking: "Ranking | None" = None) -> "Ranking":
-        """``ranking``, which must be built from ``points`` and, if ``queries``
+    def of(cls, train: LabeledDataset, queries=None, ranking: "Ranking | None" = None,
+           k_max: int = 0, vote_k: int = 0) -> "Ranking":
+        """``ranking``, which must be built from ``train`` and, if ``queries``
         is given, from equal queries, or a new ranking of ``queries`` (by
-        default the points themselves)."""
+        default the training points) to the given depths."""
         if ranking is None:
-            return cls(points, points if queries is None else queries)
-        if ranking.points is not points:
+            return cls(train, train.points if queries is None else queries, k_max, vote_k)
+        if ranking.points is not train.points:
             raise ValueError("the ranking was built for other training points")
         if queries is not None and queries is not ranking.queries:
-            q = _as_queries(queries, points.shape[1])
+            q = _as_queries(queries, ranking.points.shape[1])
             if q.shape != ranking.queries.shape or q.tobytes() != ranking.queries.tobytes():
                 raise ValueError("the ranking was built for other queries")
         return ranking

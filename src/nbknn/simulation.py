@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .methods import BAYES, SIMULATION_METHODS, map_trials, predict_with_method, validate_methods
+from .methods import BAYES, SIMULATION_METHODS, map_trials, predict_with_method, trial_ranking, validate_methods
 from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
-from .neighbors import Ranking
 from .rng import Stream, fold_seed, stream_id
 
 TRAIN_PURPOSE = 2
@@ -128,7 +127,7 @@ def _simulation_trial(args) -> dict[str, PrfReport]:
     (specs, alpha, seed, trial, methods, k_max, train_size, test_size) = args
     train = sample_mixture(specs, train_size, (1.0 - alpha, alpha), seed, stream_id(TRAIN_PURPOSE, trial))
     test = sample_mixture(specs, test_size, (0.5, 0.5), seed, stream_id(TEST_PURPOSE, trial))
-    ranking = Ranking(train.points, test.points)
+    ranking = trial_ranking(train, test.points, methods, k_max)
     out: dict[str, PrfReport] = {}
     for j, name in enumerate(methods):
         preds = predict_with_method(

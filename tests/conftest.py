@@ -38,8 +38,7 @@ def evidence_arrays(clf, queries):
     """The evidence sweep of ``clf`` over a fresh ordering of ``queries``."""
     q = np.asarray(queries, dtype=np.float64)
     is_minority = clf.train.labels[order_rows(clf.train.points, q)] == clf.minority_label
-    n_min = int(clf.train.class_counts[clf.minority_label - 1])
-    return _evidence_arrays(is_minority, n_min, clf.p0, clf.k_max_eff)
+    return _evidence_arrays(is_minority, clf.p0, clf.k_max_eff)
 
 
 def brute_force_evidence(train: LabeledDataset, query, k_max: int):

@@ -1,8 +1,12 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nbknn.multiclass
@@ -335,29 +339,69 @@ def test_fit_predict_golden_evidence(tmp_path, method, labeled):
     ("ovo_plus", True, 6),
 ])
 def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals):
-    # One neighbor ordering per call; --emit-evidence reuses the OvR+
-    # first round instead of evaluating its pairs again.
+    # Each (query, training row) distance is computed once per call, and
+    # no (training, training) distance at all; --emit-evidence reuses the
+    # OvR+ first round instead of evaluating its pairs again.
     write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
     train = tmp_path / "train.csv"
     write_train(train)
     queries = write_query_files(tmp_path, columns, label, seed, shift)[0]
-    counts = {"_pair_evidence": 0, "order_rows": 0}
+    counts = {"_pair_evidence": 0, "distance_rows": 0}
 
-    def counted(module, name):
+    def counted(module, name, work):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += work(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(nbknn.multiclass, "_pair_evidence")
-    counted(nbknn.neighbors, "order_rows")
+    counted(nbknn.multiclass, "_pair_evidence", lambda *args: 1)
+    counted(nbknn.neighbors, "distance_rows", lambda points, rows: len(points) * len(rows))
     argv = ["fit-predict", "--train", str(train), "--queries", str(queries),
             "--label-column", label, "--method", method, "--output", str(tmp_path / "p.csv")]
     assert main(argv + (["--emit-evidence"] if emit else [])) == 0
-    assert counts == {"_pair_evidence": pair_evals, "order_rows": 1}
+    n_train = len(train.read_text().splitlines()) - 1
+    assert counts == {"_pair_evidence": pair_evals, "distance_rows": 30 * n_train}
+
+
+PEAK_RSS_CHILD = """
+import resource, sys
+from nbknn.cli import main
+code = main(sys.argv[1:])
+scale = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale)
+"""
+
+
+def test_fit_predict_memory_grows_with_prefixes_not_matrices(tmp_path):
+    # 1800 more queries against 10,000 training rows: a queries x n float
+    # distance matrix plus its int64 argsort would add 1800 * 10000 * 16
+    # bytes, about 290 MB.  Each query's ranking keeps only its prefix.
+    rng = np.random.default_rng(2024)
+    minority = rng.random(10_000) < 0.1
+    points = rng.normal(size=(10_000, 3)) + minority[:, None]
+    rows = [",".join(map(repr, p)) + (",pos" if m else ",neg")
+            for p, m in zip(points.tolist(), minority)]
+    (tmp_path / "train.csv").write_text("\n".join(["x,y,z,label"] + rows) + "\n")
+    queries = rng.normal(size=(2000, 3)) + 0.5
+    env = dict(os.environ, PYTHONPATH=str(Path(nbknn.neighbors.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    peaks = {}
+    for m in (200, 2000):
+        query_file = tmp_path / f"queries_{m}.csv"
+        query_file.write_text("\n".join(["x,y,z"] + [",".join(map(repr, q)) for q in queries[:m].tolist()]))
+        argv = ["fit-predict", "--train", str(tmp_path / "train.csv"), "--queries",
+                str(query_file), "--label-column", "label", "--emit-evidence",
+                "--output", str(tmp_path / f"out_{m}.csv")]
+        child = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD] + argv, env=env,
+                               capture_output=True, text=True, check=True)
+        code, peaks[m] = map(int, child.stdout.split())
+        assert code == 0, child.stderr
+    assert len((tmp_path / "out_2000.csv").read_text().splitlines()) == 2001
+    print(peaks)
+    assert peaks[2000] - peaks[200] < 290e6 / 4
 
 
 class TestSplit:

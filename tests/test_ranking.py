@@ -1,12 +1,17 @@
-"""The shared neighbor ranking: restricted views equal fresh sorts.
+"""The shared neighbor ranking: prefixes and restricted views equal fresh sorts.
 
 A stable (distance, index) order restricted to a subset of the training
-rows is that subset's own order.  Points on a small integer grid make
-distance ties and duplicate rows common, which is where a restriction
-that lost the index tie-break would show.
+rows is that subset's own order, and its prefix up to a threshold,
+ties included, is the head of the full order.  Points on a small
+integer grid make distance ties (also at the threshold) and duplicate
+rows common, which is where a prefix or restriction that lost the index
+tie-break would show.
 """
 
+import contextlib
 import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from nbknn import (
     KnnConfig,
     LabeledDataset,
     SplitSpec,
+    balanced_split,
     binary_evidence_batch,
     classify_binary_batch,
     classify_ovo_plus_batch,
@@ -32,8 +38,11 @@ from nbknn import (
     select_k_cv,
 )
 from nbknn.baselines import _stratified_folds, _vote_weights, _votes_for_grid
+from nbknn.binary import _evidence_arrays
+from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
-from nbknn.neighbors import Ranking, distance_rows, order_rows, restrict
+from nbknn.multiclass import ovr_plus_evidence_batch
+from nbknn.neighbors import Ranking, distance_rows, head, order_rows, prefix_rows, restrict
 from nbknn.rng import Stream
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -83,11 +92,11 @@ def test_subset_distances_are_bit_identical(rng, p):
 
 
 def test_ranking_of_other_points_rejected(rng):
-    points = rng.normal(size=(20, 2))
-    ranking = Ranking(points, rng.normal(size=(3, 2)))
-    assert Ranking.of(points, ranking=ranking) is ranking
+    train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
+    ranking = Ranking(train, rng.normal(size=(3, 2)))
+    assert Ranking.of(train, ranking=ranking) is ranking
     with pytest.raises(ValueError, match="other training points"):
-        Ranking.of(points.copy(), ranking=ranking)
+        Ranking.of(LabeledDataset(train.points, train.labels), ranking=ranking)
 
 
 QUERY_ENTRY_POINTS = {
@@ -107,7 +116,7 @@ def test_ranking_of_other_queries_rejected(rng, entry):
     # rows, more rows, or one changed bit must not read its orderings.
     train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
     built = rng.normal(size=(5, 2))
-    ranking = Ranking(train.points, built)
+    ranking = Ranking(train, built, k_max=45, vote_k=3)
     same = entry(train, built.tolist(), ranking)
     np.testing.assert_array_equal(np.asarray(same), np.asarray(entry(train, built, None)))
     tweaked = built.copy()
@@ -147,7 +156,7 @@ def _select_k_fresh_sorts(train, cfg, seed):
 def test_cv_and_votes_from_shared_ranking(problem, seed, weighting):
     train, queries = problem
     cfg = KnnConfig(weighting=weighting, k_grid=(1, 2, 3, 5, 8))
-    ranking = Ranking(train.points, queries)
+    ranking = Ranking(train, queries, vote_k=train.n)
     k = select_k_cv(train, cfg, seed, ranking=ranking)
     assert k == _select_k_fresh_sorts(train, cfg, seed)
     for vote_k in (1, k, train.n):
@@ -213,7 +222,7 @@ TIED_COUNTS = (
 @example(TIED_COUNTS, 4)
 def test_reductions_equal_per_pair_resort(problem, k_max):
     train, queries = problem
-    ranking = Ranking(train.points, queries)
+    ranking = Ranking(train, queries, k_max)
     ovo = classify_ovo_plus_batch(train, queries, k_max, ranking=ranking)
     ovr = classify_ovr_plus_batch(train, queries, k_max, ranking=ranking)
     evidence = ovr_evidence_batch(train, queries, k_max, ranking=ranking)
@@ -226,45 +235,47 @@ def test_reductions_equal_per_pair_resort(problem, k_max):
         assert evidence[i].tolist() == [first_round[c] for c in active]
 
 
-def _count_orderings(monkeypatch):
-    calls = []
-    original = nbknn.neighbors.order_rows
+def _count_distance_cells(monkeypatch):
+    cells = []
+    original = nbknn.neighbors.distance_rows
 
-    def counted(points, queries):
-        calls.append(queries.shape[0])
-        return original(points, queries)
+    def counted(points, queries, *args):
+        cells.append(points.shape[0] * queries.shape[0])
+        return original(points, queries, *args)
 
-    monkeypatch.setattr(nbknn.neighbors, "order_rows", counted)
-    return calls
+    monkeypatch.setattr(nbknn.neighbors, "distance_rows", counted)
+    return cells
 
 
 def _trial_with_and_without_sharing(monkeypatch, module, trial, args):
     """A trial's reports (as bytes) with its shared ranking, and with
-    every method sorting for itself; also the orderings the first made."""
+    every method ranking for itself; also the distance cells the first
+    computed."""
 
     def as_bytes(reports):
         return {name: [np.asarray(v).tobytes() for v in dataclasses.astuple(r)]
                 for name, r in reports.items()}
 
-    calls = _count_orderings(monkeypatch)
+    cells = _count_distance_cells(monkeypatch)
     shared = as_bytes(trial(args))
-    shared_calls = len(calls)
+    shared_cells = sum(cells)
     with monkeypatch.context() as m:
-        m.setattr(module, "Ranking", lambda points, queries: None)
+        m.setattr(module, "trial_ranking", lambda *args: None)
         alone = as_bytes(trial(args))
-    return shared, alone, shared_calls
+    return shared, alone, shared_cells
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from([0.2, 0.35, 0.5]))
 def test_simulation_trial_same_with_shared_ranking(seed, trial, alpha):
+    # Each (test, train) and (train, train) distance is computed once.
     with pytest.MonkeyPatch.context() as monkeypatch:
         args = (location_specs(), alpha, seed, trial, SIMULATION_METHODS, 8, 60, 30)
-        shared, alone, orderings = _trial_with_and_without_sharing(
+        shared, alone, cells = _trial_with_and_without_sharing(
             monkeypatch, nbknn.simulation, nbknn.simulation._simulation_trial, args
         )
     assert shared == alone
-    assert orderings == 2
+    assert cells == 30 * 60 + 60 * 60
 
 
 @settings(max_examples=10, deadline=None)
@@ -274,9 +285,193 @@ def test_benchmark_trial_same_with_shared_ranking(problem, seed):
     data = LabeledDataset(train.points + np.arange(train.n)[:, None] % 3 * 0.25, train.labels)
     spec = SplitSpec(minority_test_fraction=0.25, seed=seed, trials=1)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        shared, alone, orderings = _trial_with_and_without_sharing(
+        shared, alone, cells = _trial_with_and_without_sharing(
             monkeypatch, nbknn.benchmark, nbknn.benchmark._benchmark_trial,
             (data, spec, 0, CSV_METHODS[1:], 6),
         )
     assert shared == alone
-    assert orderings == 2
+    n, m = (part.n for part in balanced_split(data, spec, 0))
+    assert cells == m * n + n * n
+
+
+def _prefix_lengths(orders, n):
+    return np.count_nonzero(orders < n, axis=1)
+
+
+def _one_block(ranking):
+    """The prefixes of a ranking small enough for one chunk of queries."""
+    (block,) = ranking.test
+    return block
+
+
+def _assert_heads(prefix, full, n):
+    """The first c_i entries of each row of ``prefix`` are those of the
+    full order, and the rest are the sentinel ``n``."""
+    counts = _prefix_lengths(prefix, n)
+    for row, full_row, c in zip(prefix, full, counts):
+        np.testing.assert_array_equal(row[:c], full_row[:c])
+        assert np.all(row[c:] == n)
+    return counts
+
+
+@SETTINGS
+@given(grid_problem(), st.data())
+def test_prefix_rows_equal_head_of_full_order(problem, data):
+    # tau is one of the row's own distances, so ties at tau are common.
+    train, queries = problem
+    dist = distance_rows(train.points, queries)
+    picks = data.draw(st.lists(st.integers(0, train.n - 1), min_size=queries.shape[0],
+                               max_size=queries.shape[0]))
+    tau = np.sort(dist, axis=1)[np.arange(queries.shape[0]), picks]
+    orders, counts = prefix_rows(dist, tau)
+    np.testing.assert_array_equal(counts, np.count_nonzero(dist <= tau[:, None], axis=1))
+    np.testing.assert_array_equal(
+        _assert_heads(orders, order_rows(train.points, queries), train.n), counts)
+    assert orders.shape[1] == counts.max()
+    assert np.iinfo(orders.dtype).max >= train.n
+
+
+def test_query_chunks_equal_head_of_full_order(rng):
+    # 5000 training rows make chunks of 209 queries: 500 queries span
+    # three blocks, each padded to its own width.  The grid makes ties.
+    train = LabeledDataset(rng.integers(-6, 7, size=(5000, 2)).astype(float),
+                           (rng.random(5000) < 0.1) + 1)
+    queries = rng.integers(-6, 7, size=(500, 2)).astype(float)
+    blocks = Ranking(train, queries, k_max=20, vote_k=31).test
+    assert [len(b) for b in blocks] == [209, 209, 82]
+    full = order_rows(train.points, queries)
+    counts = _assert_heads(np.vstack([np.pad(b, ((0, 0), (0, train.n - b.shape[1])),
+                                             constant_values=train.n) for b in blocks]),
+                           full, train.n)
+    assert np.all(counts >= 31)
+    assert [b.shape[1] for b in blocks] == [c.max() for c in np.split(counts, [209, 418])]
+    ranked = binary_evidence_batch(fit_binary(train, 20), queries, ranking=Ranking(train, queries, 20))
+    with full_sort_reference():
+        assert [a.tobytes() for a in ranked] == [
+            a.tobytes() for a in binary_evidence_batch(fit_binary(train, 20), queries)]
+
+
+def _depth_in_order(members, depth):
+    """Position in each row of ``members`` (a row-wise mask in full
+    order) of its ``depth``-th True entry."""
+    return np.argmax(np.cumsum(members, axis=1) >= depth, axis=1)
+
+
+@SETTINGS
+@given(grid_problem(max_classes=4, min_per_class=5), st.integers(1, 6), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
+    train, queries = problem
+    ranking = Ranking(train, queries, k_max, vote_k)
+    full = order_rows(train.points, queries)
+    counts = _assert_heads(_one_block(ranking), full, train.n)
+    classes = range(1, train.n_classes + 1)
+    # Every group of classes reaches its min(k_max, n_G)-th member: the
+    # depth of binary evidence and of each OvO+/OvR+ side.
+    for size in range(1, train.n_classes + 1):
+        for group in itertools.combinations(classes, size):
+            members = np.isin(train.labels, group)
+            depth = min(k_max, int(np.count_nonzero(members)))
+            assert np.all(_depth_in_order(members[full], depth) < counts)
+    assert np.all(min(vote_k, train.n) <= counts)
+    # Each CV fold's prefix reaches its own depth, with the fold's order.
+    assignment = _stratified_folds(train, 5, Stream(seed, 0))
+    for f in range(5):
+        fit, val = assignment != f, np.flatnonzero(assignment == f)
+        depth = min(8, int(np.count_nonzero(fit)))
+        np.testing.assert_array_equal(ranking.fold(val, fit, depth),
+                                      order_rows(train.points[fit], train.points[val])[:, :depth])
+
+
+@SETTINGS
+@given(grid_problem(max_classes=3), st.integers(1, 6), st.data())
+def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data):
+    train, queries = problem
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
+    prefix = _one_block(Ranking(train, queries, k_max))
+    restricted = restrict(prefix, keep)
+    counts = _assert_heads(restricted, order_rows(train.points[keep], queries),
+                           int(np.count_nonzero(keep)))
+    # Every kept row of the prefix, and no other, is in the restriction.
+    np.testing.assert_array_equal(
+        counts, np.count_nonzero(np.append(keep, False)[prefix], axis=1))
+
+
+@SETTINGS
+@given(grid_problem(), st.integers(1, 4))
+def test_reading_past_a_prefix_raises(problem, k_max):
+    train, queries = problem
+    ranking = Ranking(train, queries, k_max)
+    prefix = _one_block(ranking)
+    short = int(_prefix_lengths(prefix, train.n).min())
+    with pytest.raises(ValueError, match="prefix"):
+        head(prefix, train.n, short + 1)
+    np.testing.assert_array_equal(head(prefix, train.n, short),
+                                  order_rows(train.points, queries)[:, :short])
+    if short < train.n:
+        with pytest.raises(ValueError, match="prefix"):
+            knn_classify_batch(train, queries, KnnConfig(k=short + 1), ranking=ranking)
+    clf = fit_binary(train, k_max)
+    is_minority = np.append(train.labels == clf.minority_label, False)[prefix]
+    found = int(np.count_nonzero(is_minority, axis=1).min())
+    with pytest.raises(ValueError, match="prefix"):
+        _evidence_arrays(is_minority, clf.p0, found + 1)
+
+
+@contextlib.contextmanager
+def full_sort_reference():
+    """Every ranking read from whole-row ``order_rows`` sorts instead of prefixes."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Ranking, "test", property(lambda self: [order_rows(self.points, self.queries)]))
+        m.setattr(Ranking, "fold", lambda self, val, fit, depth:
+                  order_rows(self.points[fit], self.points[val])[:, :depth])
+        yield
+
+
+def _all_outputs(train, queries, k_max):
+    """Every query entry point's output (as bytes) on ``train``."""
+    out = {"knn": knn_classify_batch(train, queries, KnnConfig(k=min(3, train.n)))}
+    if min(train.class_counts) >= 5:
+        out["knn_cv"] = knn_with_cv(train, queries, KnnConfig(k_grid=(1, 3, 31)), 7)
+    if train.n_classes == 2:
+        out["binary"] = binary_evidence_batch(fit_binary(train, k_max), queries)
+    out["ovo"] = classify_ovo_plus_batch(train, queries, k_max)
+    out["ovr"] = ovr_plus_evidence_batch(train, queries, k_max)
+    return {name: [np.asarray(v).tobytes() + str(np.asarray(v).shape).encode()
+                   for v in (value if isinstance(value, tuple) else (value,))]
+            for name, value in out.items()}
+
+
+DEGENERATE = {
+    "identical-points": (LabeledDataset(np.ones((12, 2)), np.repeat([1, 2], [7, 5])), 4),
+    "identical-points-3-classes": (
+        LabeledDataset(np.zeros((15, 1)), np.repeat([1, 2, 3], [5, 6, 4])), 45),
+    "k-max-above-minority": (
+        LabeledDataset(np.arange(20.0).reshape(10, 2) % 3, np.repeat([1, 2], [7, 3])), 45),
+    "k-max-above-smallest-class": (
+        LabeledDataset(np.arange(24.0).reshape(12, 2) % 4, np.repeat([1, 2, 3], [5, 5, 2])), 45),
+}
+
+
+@pytest.mark.parametrize("rows", [0, 5], ids=["no-queries", "queries"])
+@pytest.mark.parametrize("case", DEGENERATE.values(), ids=DEGENERATE.keys())
+def test_degenerate_depths_equal_full_sort(case, rows):
+    train, k_max = case
+    queries = np.arange(2.0 * rows).reshape(rows, 2)[:, : train.dim] % 3
+    prefixed = _all_outputs(train, queries, k_max)
+    with full_sort_reference():
+        assert _all_outputs(train, queries, k_max) == prefixed
+
+
+def test_vote_deeper_than_evidence_equals_full_sort(tmp_path):
+    # At k_max 1 the evidence needs each class's nearest point only; the
+    # k-NN votes read up to 31 neighbors.
+    argv = ["simulate", "--design", "location", "--alpha", "0.3", "--trials", "2",
+            "--k-max", "1", "--methods", "proposed,knn,wnn", "--train-size", "120",
+            "--test-size", "40", "--seed", "5", "--output"]
+    assert main(argv + [str(tmp_path / "prefix.json")]) == 0
+    with full_sort_reference():
+        assert main(argv + [str(tmp_path / "full.json")]) == 0
+    prefix = json.loads((tmp_path / "prefix.json").read_text())
+    assert (tmp_path / "prefix.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+    assert [m["name"] for m in prefix["methods"]] == ["proposed", "knn", "wnn"]
