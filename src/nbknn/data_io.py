@@ -232,8 +232,9 @@ def split_indices(
             f"test allocation rounds to zero rows per class "
             f"(fraction {spec.minority_test_fraction} of {smallest})"
         )
-    if m > smallest:
-        raise ValueError(f"test allocation {m} exceeds the smallest class size {smallest}")
+    if m >= smallest:
+        raise ValueError(f"test allocation {m} (fraction {spec.minority_test_fraction} of "
+                         f"{smallest}) leaves the smallest class no training rows")
 
     stream = Stream(spec.seed, stream_id(SPLIT_PURPOSE, trial))
     test_parts = []

@@ -13,9 +13,10 @@ value P(N < n) + f_k(n)/2 in double precision, stably for k up to 1e4
 and n up to 1e7.  Two tail strategies are used, switched on the number
 of summands:
 
-* n - k <= 64: direct summation of pmf terms in log space; exact to
-  float rounding for the short sums that dominate near the support
-  start;
+* n - k <= 64: direct summation of pmf terms in log space, from one
+  table per distinct k of running log-sums (``logaddexp.accumulate``).
+  A running sum visits the terms in the same order as a sum that stops
+  at n - 1, so each cell gets the bits it would get alone;
 * n - k > 64: the lower tail equals the regularized incomplete beta
   I_{p0}(k, n-k), with no explicit summation.
 
@@ -51,7 +52,8 @@ def _log_pmf_grid(k: np.ndarray, n: np.ndarray, log_p0: float, log_q0: float) ->
 
 
 def _lower_tail_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
-    """P(N < n) elementwise for int64 arrays of identical shape."""
+    """P(N < n) elementwise for int64 arrays of identical shape; a short cell reads a
+    per-k table of running log-sums, whose left fold gives the bits of its own sum."""
     log_p0 = math.log(p0)
     log_q0 = math.log1p(-p0)
     span = n - k
@@ -59,13 +61,13 @@ def _lower_tail_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
 
     small = span <= _DIRECT_TERMS
     if np.any(small):
-        ks = k[small].astype(np.float64)
-        spans = span[small]
-        offsets = np.arange(_DIRECT_TERMS, dtype=np.float64)
-        terms = _log_pmf_grid(ks[:, None], ks[:, None] + offsets[None, :], log_p0, log_q0)
-        # Pad past-the-end summands with -inf; logaddexp ignores them.
-        terms = np.where(offsets[None, :] < spans[:, None], terms, -np.inf)
-        out[small] = np.exp(np.logaddexp.reduce(terms, axis=1))
+        # One row per distinct k: column s holds P(N < k + s), column 0 is 0.
+        uk, row = np.unique(k[small], return_inverse=True)
+        ks = uk.astype(np.float64)[:, None]
+        terms = _log_pmf_grid(ks, ks + np.arange(_DIRECT_TERMS, dtype=np.float64), log_p0, log_q0)
+        table = np.zeros((uk.size, _DIRECT_TERMS + 1))
+        table[:, 1:] = np.exp(np.logaddexp.accumulate(terms, axis=1))
+        out[small] = table[row, span[small]]
 
     big = ~small
     if np.any(big):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from nbknn import LabeledDataset
 from nbknn.binary import _evidence_arrays
+from nbknn.negbin import _log_pmf_grid, _log_pmf_many
 from nbknn.neighbors import order_rows
 
 
@@ -32,6 +35,35 @@ def nb_lower_tail_exact(k: int, p0: float, n: int) -> Fraction:
 def nb_midp_exact(k: int, p0: float, n: int) -> Fraction:
     """Exact rational mid-p value."""
     return nb_lower_tail_exact(k, p0, n) + Fraction(1, 2) * nb_pmf_exact(k, p0, n)
+
+
+def lower_tail_padded_reference(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
+    """P(N < n) by the per-cell kernel the short-span table replaced.
+
+    Each short cell (n - k <= 64) sums its own 64 log-pmf terms, padded
+    with -inf past n - k, in one ``logaddexp.reduce``; long cells take
+    the incomplete beta.  The table must reproduce these bits exactly.
+    """
+    log_p0, log_q0 = math.log(p0), math.log1p(-p0)
+    span = n - k
+    out = np.zeros(k.shape, dtype=np.float64)
+    small = span <= 64
+    if np.any(small):
+        ks = k[small].astype(np.float64)
+        offsets = np.arange(64, dtype=np.float64)
+        terms = _log_pmf_grid(ks[:, None], ks[:, None] + offsets[None, :], log_p0, log_q0)
+        terms = np.where(offsets[None, :] < span[small][:, None], terms, -np.inf)
+        out[small] = np.exp(np.logaddexp.reduce(terms, axis=1))
+    big = ~small
+    if np.any(big):
+        out[big] = betainc(k[big].astype(np.float64), span[big].astype(np.float64), p0)
+    return np.minimum(out, 1.0)
+
+
+def midp_padded_reference(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
+    """``adjusted_pvalue_many`` on int64 arrays, over the per-cell tail."""
+    e = lower_tail_padded_reference(k, n, p0) + 0.5 * np.exp(_log_pmf_many(k, n, p0))
+    return np.clip(e, 1e-300, 1.0)
 
 
 def evidence_arrays(clf, queries):

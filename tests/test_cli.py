@@ -420,6 +420,21 @@ class TestSplit:
             assert merged == list(range(80))
             assert len(entry["test"]) == 10  # 5 per class
 
+    @pytest.mark.parametrize("command", ["split", "benchmark"])
+    def test_allocation_taking_whole_class_exit_3(self, command, tmp_path, capsys):
+        # Classes of 8 and 4 rows: round(0.9 * 4) = 4 test rows would leave
+        # class "b" with no training rows.
+        path = tmp_path / "small.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{'a' if i < 8 else 'b'}\n" for i in range(12)))
+        out = tmp_path / "never.json"
+        code = main(
+            [command, "--input", str(path), "--label-column", "y", "--trials", "1",
+             "--fraction", "0.9", "--output", str(out)]
+        )
+        assert code == 3
+        assert "fraction 0.9 of 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_when_no_output(self, binary_csv, capsys):
         code = main(
             ["split", "--input", str(binary_csv), "--label-column", "outcome",

@@ -194,6 +194,16 @@ class TestBalancedSplit:
         with pytest.raises(ValueError, match="rounds to zero"):
             balanced_split(data, SplitSpec(0.1, seed=0), 0)
 
+    def test_allocation_taking_whole_class_rejected(self):
+        # round(0.9 * 4) = 4 would leave class 2 with no training rows.
+        data = imbalanced_dataset([8, 4])
+        with pytest.raises(ValueError, match=r"fraction 0\.9 of 4\).*no training rows"):
+            split_indices(data, SplitSpec(0.9, seed=0), 0)
+        # round(0.7 * 4) = 3 still leaves one training row.
+        train_idx, test_idx = split_indices(data, SplitSpec(0.7, seed=0), 0)
+        assert data.labels[train_idx].tolist().count(2) == 1
+        assert test_idx.size == 6
+
     def test_negative_trial_rejected(self):
         data = imbalanced_dataset([40, 8])
         with pytest.raises(ValueError, match="nonnegative"):

@@ -4,12 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbknn import adjusted_pvalue_many
 from nbknn.negbin import _log_pmf_many, _lower_tail_many
 from scipy.special import betainc
 
-from conftest import nb_lower_tail_exact, nb_midp_exact, nb_pmf_exact
+from conftest import (
+    lower_tail_padded_reference,
+    midp_padded_reference,
+    nb_lower_tail_exact,
+    nb_midp_exact,
+    nb_pmf_exact,
+)
 
 
 def grid(k: int, ns) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +147,24 @@ class TestAdjustedPvalue:
     def test_scalar_equals_array_kernel(self):
         # Row independence: each entry of a batch, on both tail branches,
         # equals the kernel evaluated on that (k, n) pair alone.
-        ks = np.array([1, 2, 5, 20, 20])
-        ns = np.array([1, 9, 80, 20, 500])
-        batch = adjusted_pvalue_many(ks, ns, 0.3)
-        for i in range(ks.size):
-            assert adjusted_pvalue_many(int(ks[i]), int(ns[i]), 0.3) == batch[i]
+        ks = np.array([1, 2, 5, 20, 20, 64, 9_999])
+        ns = np.array([1, 9, 80, 20, 500, 128, 10_063])
+        for p0 in (0.3, 0.97):
+            batch = adjusted_pvalue_many(ks, ns, p0)
+            for i in range(ks.size):
+                k, n = int(ks[i]), int(ns[i])
+                alone = adjusted_pvalue_many(k, n, p0)
+                assert alone == batch[i]
+                # Smaller and larger k move this cell's row of the short-span
+                # table; repeats of its own k fill that row from other spans.
+                for others in ([1, 3], [k + 1, 10_000], [1, k + 7, 700], [k, k, 4]):
+                    other_k = np.array(others, dtype=np.int64)
+                    other_n = other_k + np.array([0, 64, 17])[: other_k.size]
+                    for pos in (0, other_k.size):
+                        got = adjusted_pvalue_many(
+                            np.insert(other_k, pos, k), np.insert(other_n, pos, n), p0
+                        )
+                        assert got[pos] == alone, (p0, k, n, others, pos)
 
     def test_array_kernel_validates_inputs(self):
         with pytest.raises(ValueError, match="support"):
@@ -160,6 +181,51 @@ class TestAdjustedPvalue:
             got = adjusted_pvalue_many(*grid(k, ns), p0)
             for n, value in zip(ns, got):
                 assert value == pytest.approx(float(nb_midp_exact(k, p0, n)), abs=1e-10)
+
+
+# Batches of (k, n) cells for the table-against-reference check: k drawn
+# with repeats from a small pool that mixes small and sparse large values
+# (up to 1e4); spans on both sides of the 64-term switch, edges included.
+_SPANS = st.one_of(st.sampled_from([0, 1, 63, 64, 65]), st.integers(0, 130))
+_P0 = st.one_of(
+    st.floats(1e-12, 1e-3),
+    st.floats(1e-3, 1.0 - 1e-3),
+    st.floats(1.0 - 1e-3, 1.0 - 1e-12),
+)
+
+
+@st.composite
+def _cells(draw):
+    pool = draw(
+        st.lists(st.one_of(st.integers(1, 50), st.integers(51, 10_000)), min_size=1, max_size=6)
+    )
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), _SPANS), max_size=60))
+    k = np.array([kk for kk, _ in picks], dtype=np.int64)
+    return k, k + np.array([span for _, span in picks], dtype=np.int64)
+
+
+def _edge_cells(ks):
+    k = np.repeat(np.array(ks, dtype=np.int64), 5)
+    return k, k + np.tile(np.array([0, 1, 63, 64, 65], dtype=np.int64), len(ks))
+
+
+class TestShortSpanTable:
+    """The per-k table gives the same bits as summing each cell alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=_cells(), p0=_P0)
+    @example(cells=(np.zeros(0, np.int64), np.zeros(0, np.int64)), p0=0.5)
+    @example(cells=_edge_cells([1, 2, 45, 10_000]), p0=1e-12)
+    @example(cells=_edge_cells([1, 2, 45, 10_000]), p0=1.0 - 1e-12)
+    @example(cells=_edge_cells([3, 3, 700]), p0=0.25)
+    def test_bits_equal_padded_reduce(self, cells, p0):
+        k, n = cells
+        for got, ref in (
+            (_lower_tail_many(k, n, p0), lower_tail_padded_reference(k, n, p0)),
+            (adjusted_pvalue_many(k, n, p0), midp_padded_reference(k, n, p0)),
+        ):
+            assert got.shape == ref.shape == k.shape
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestNormalization:
