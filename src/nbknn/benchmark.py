@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .data_io import CsvDataset, SplitSpec, balanced_split, standardize
-from .methods import map_trials, predict_with_method, trial_ranking, validate_methods
-from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
+from .methods import run_trials, score_trial, validate_methods
+from .metrics import PrfReport, TrialReport
 from .rng import fold_seed
 
 BENCH_CV_PURPOSE = 5
@@ -14,19 +14,8 @@ def _benchmark_trial(args) -> dict[str, PrfReport]:
     data, spec, trial, methods, k_max = args
     train, test = balanced_split(data, spec, trial)
     train_std, (test_std,), _ = standardize(train, [test])
-    ranking = trial_ranking(train_std, test_std.points, methods, k_max)
-    out: dict[str, PrfReport] = {}
-    for j, name in enumerate(methods):
-        preds = predict_with_method(
-            name,
-            train_std,
-            test_std.points,
-            k_max,
-            cv_seed=fold_seed(spec.seed, BENCH_CV_PURPOSE, trial, j),
-            ranking=ranking,
-        )
-        out[name] = prf(confusion(test_std.labels, preds, data.n_classes))
-    return out
+    return score_trial(train_std, test_std, methods, k_max,
+                       lambda j: fold_seed(spec.seed, BENCH_CV_PURPOSE, trial, j))
 
 
 def run_csv_benchmark(
@@ -44,5 +33,4 @@ def run_csv_benchmark(
     data = csv_data.data
     methods = validate_methods(methods, n_classes=data.n_classes)
     args = [(data, spec, t, methods, int(k_max)) for t in range(spec.trials)]
-    per_trial = map_trials(_benchmark_trial, args, jobs)
-    return [aggregate_trials([res[name] for res in per_trial], name) for name in methods]
+    return run_trials(_benchmark_trial, args, methods, jobs)

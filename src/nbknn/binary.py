@@ -9,9 +9,9 @@ the majority class and E2 = 1 - min(0.5, min_k e_k) for the minority
 class; the query goes to the minority class exactly when E2 > E1, so
 exact ties fall to the majority.
 
-The sweep reads labels only: which rows of one given ordering per query
-(a trial's shared ranking, or a restricted view of it, as an OvO+/OvR+
-pair passes) are minority rows.  It never sorts.  Its length is
+OvO+ and OvR+ pairings call the same decision, :func:`_pair_evidence`.
+It reads which rows of the pair's restriction of one given ordering per
+query are minority rows, and never sorts.  Its sweep length is
 min(k_max, minority count): beyond it the statistic is undefined.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .negbin import adjusted_pvalue_many
-from .neighbors import Ranking, stacked
+from .neighbors import Ranking, restrict, stacked
 
 
 @dataclass(frozen=True)
@@ -34,31 +34,36 @@ class BinaryEvidenceClassifier:
     majority_label: int
     minority_label: int
     p0: float
-    k_max_config: int
     k_max_eff: int
 
 
-def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifier:
-    """Assign majority/minority roles by count and precompute p0.
+def _is_minority(n_a: int, n_b: int, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether the classes ``a`` (``n_a`` rows) are the minority against the
+    classes ``b``: fewer rows, or as many rows and a larger smallest id."""
+    return n_a < n_b or (n_a == n_b and min(a) > min(b))
 
-    With equal counts the class with the larger label is the minority.
-    """
-    if train.n_classes != 2:
-        raise ValueError(f"binary classifier needs exactly 2 classes, got {train.n_classes}")
-    counts = train.class_counts
-    if counts.min() < 1:
-        raise ValueError("both classes must be nonempty")
+
+def _check_train(train: LabeledDataset, k_max: int) -> None:
+    if train.class_counts.min() < 1:
+        empty = int(np.argmin(train.class_counts)) + 1
+        raise ValueError(f"class {empty} has no training points; every class must be nonempty")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    majority = 1 if counts[0] >= counts[1] else 2
-    minority = 3 - majority
+
+
+def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifier:
+    """Assign majority/minority roles by :func:`_is_minority` and precompute p0."""
+    if train.n_classes != 2:
+        raise ValueError(f"binary classifier needs exactly 2 classes, got {train.n_classes}")
+    _check_train(train, k_max)
+    counts = train.class_counts
+    minority = 1 if _is_minority(int(counts[0]), int(counts[1]), (1,), (2,)) else 2
     n_min = int(counts[minority - 1])
     return BinaryEvidenceClassifier(
         train=train,
-        majority_label=majority,
+        majority_label=3 - minority,
         minority_label=minority,
         p0=n_min / train.n,
-        k_max_config=int(k_max),
         k_max_eff=min(int(k_max), n_min),
     )
 
@@ -87,18 +92,37 @@ def _evidence_arrays(
     return e1, e2, e, n_obs
 
 
+def _pair_evidence(
+    labels: np.ndarray, orders: np.ndarray, a: tuple[int, ...], b: tuple[int, ...], k_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per query of ``orders`` (of all training rows), whether the classes
+    ``a`` beat the disjoint classes ``b``, and each side's evidence (E1 for
+    the majority, E2 for the minority); ties E1 == E2 go to the majority."""
+    in_a, in_b = np.isin(labels, a), np.isin(labels, b)
+    n_a, n_b = int(np.count_nonzero(in_a)), int(np.count_nonzero(in_b))
+    a_minor = _is_minority(n_a, n_b, a, b)
+    in_min, n_min = (in_a, n_a) if a_minor else (in_b, n_b)
+    in_pair = in_a | in_b
+    is_minority = np.append(in_min[in_pair], False)[restrict(orders, in_pair)]
+    e1, e2, _, _ = _evidence_arrays(is_minority, n_min / (n_a + n_b), min(int(k_max), n_min))
+    majority_wins = e1 >= e2
+    if a_minor:
+        return ~majority_wins, e2, e1
+    return majority_wins, e1, e2
+
+
 def binary_evidence_batch(
     clf: BinaryEvidenceClassifier, queries, *, ranking: Ranking | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Predicted labels, E1 and E2 for many queries, one row each.
 
     One neighbor ordering, ``ranking.test`` when given, serves both the
-    labels and the evidence; ties E1 == E2 go to the majority class.
+    labels and the evidence.
     """
     blocks = Ranking.of(clf.train, queries, ranking, k_max=clf.k_max_eff).test
-    is_minority = np.append(clf.train.labels == clf.minority_label, False)
-    e1, e2 = stacked(_evidence_arrays(is_minority[b], clf.p0, clf.k_max_eff)[:2] for b in blocks)
-    labels = np.where(e2 > e1, clf.minority_label, clf.majority_label).astype(np.int64)
+    pair = (clf.majority_label,), (clf.minority_label,), clf.k_max_eff
+    wins, e1, e2 = stacked(_pair_evidence(clf.train.labels, b, *pair) for b in blocks)
+    labels = np.where(wins, clf.majority_label, clf.minority_label).astype(np.int64)
     return labels, e1, e2
 
 

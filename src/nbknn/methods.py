@@ -1,4 +1,4 @@
-"""Method name dispatch shared by the simulation and benchmark drivers."""
+"""Method dispatch and trial scoring shared by the simulation and benchmark drivers."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 from .baselines import KnnConfig, knn_with_cv
 from .binary import classify_binary_batch, fit_binary
 from .dataset import LabeledDataset
+from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
 from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch
 from .neighbors import Ranking
 
@@ -37,10 +38,12 @@ def default_methods(n_classes: int) -> tuple[str, ...]:
 def validate_methods(methods, n_classes: int | None = None, valid=CSV_METHODS) -> tuple[str, ...]:
     """The method names as a tuple, each checked against ``valid``.
 
-    Raises MethodNameError for an empty list, an unknown name or a
-    repeated one, and ValueError when 'proposed' meets data without
+    Raises MethodNameError for a string, an empty list, an unknown name
+    or a repeated one, and ValueError when 'proposed' meets data without
     exactly 2 classes.
     """
+    if isinstance(methods, str):
+        raise MethodNameError(f"expected a sequence of method names, got the string {methods!r}")
     out = tuple(methods)
     for i, name in enumerate(out):
         if name not in valid:
@@ -91,6 +94,21 @@ def predict_with_method(
     raise ValueError(f"unknown method {name!r}")
 
 
+def score_trial(
+    train: LabeledDataset, test: LabeledDataset, methods, k_max: int, cv_seed, bayes_oracle=None
+) -> dict[str, PrfReport]:
+    """Each method's scores on ``test``, all methods reading one ranking;
+    method j cross-validates with seed ``cv_seed(j)``."""
+    ranking = trial_ranking(train, test.points, methods, k_max)
+    out: dict[str, PrfReport] = {}
+    for j, name in enumerate(methods):
+        preds = predict_with_method(
+            name, train, test.points, k_max, cv_seed(j), bayes_oracle, ranking=ranking
+        )
+        out[name] = prf(confusion(test.labels, preds, train.n_classes))
+    return out
+
+
 def map_trials(fn, args_list, jobs: int = 1) -> list:
     """Run ``fn`` over per-trial argument tuples, optionally in parallel.
 
@@ -105,3 +123,9 @@ def map_trials(fn, args_list, jobs: int = 1) -> list:
     chunk = max(1, len(args_list) // (4 * jobs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args_list, chunksize=chunk))
+
+
+def run_trials(trial, args_list, methods, jobs: int = 1) -> list[TrialReport]:
+    """Each method's scores from ``trial`` over ``args_list``, aggregated."""
+    per_trial = map_trials(trial, args_list, jobs)
+    return [aggregate_trials([res[name] for res in per_trial], name) for name in methods]

@@ -4,9 +4,9 @@ evidence classifier.
 Both play rounds of binary pairings among the active classes; one
 driver, :func:`_reduce`, settles each round for all of its queries and
 replays winner sets, which strictly shrink, so every query terminates.
-A pair reads labels only: its minority group's rows in the shared test
-ordering restricted to the pair's rows (``restrict``), with no sort and
-no classifier fit.
+A pairing is :func:`binary._pair_evidence` of two groups of classes,
+which owns their roles and ties; it reads the shared test ordering
+restricted to the pair's rows, with no sort and no classifier fit.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from .binary import _evidence_arrays
+from .binary import _check_train, _is_minority, _pair_evidence
 from .dataset import LabeledDataset
-from .neighbors import Ranking, restrict, stacked
+from .neighbors import Ranking, stacked
 
 
 def _test_orders(
@@ -26,28 +26,8 @@ def _test_orders(
     """Check ``train`` and ``k_max`` and return the query rows' ordering blocks."""
     if train.n_classes < 2:
         raise ValueError("multiclass reduction needs at least 2 classes")
-    if train.class_counts.min() < 1:
-        empty = int(np.argmin(train.class_counts)) + 1
-        raise ValueError(f"class {empty} has no training points")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_train(train, k_max)
     return Ranking.of(train, queries, ranking, k_max).test
-
-
-def _pair_evidence(
-    labels: np.ndarray, orders: np.ndarray, majority: tuple[int, ...],
-    minority: tuple[int, ...], k_max: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """E1, E2 of the binary classifier of the ``majority`` classes' rows
-    against the ``minority`` classes' rows (the roles ``fit_binary`` would
-    give the two groups), from ``orders`` of all training rows."""
-    in_min = np.isin(labels, minority)
-    in_pair = in_min | np.isin(labels, majority)
-    n_min = int(np.count_nonzero(in_min))
-    is_minority = np.append(in_min[in_pair], False)[restrict(orders, in_pair)]
-    p0 = n_min / int(np.count_nonzero(in_pair))
-    e1, e2, _, _ = _evidence_arrays(is_minority, p0, min(int(k_max), n_min))
-    return e1, e2
 
 
 def _reduce(play, active: tuple[int, ...], orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,39 +52,33 @@ def _reduce(play, active: tuple[int, ...], orders: np.ndarray) -> tuple[np.ndarr
 def _ovo_round(
     train: LabeledDataset, k_max: int, active: tuple[int, ...], orders: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Active classes by nonincreasing count (ties by ascending id); each
-    larger class plays the smallest, the minority of every pair.  The
-    smallest wins no pairing and is the fallback of an empty winner set."""
+    """Each larger active class plays the smallest, the minority of every
+    pairing, which wins none and is the fallback of an empty winner set."""
     counts = train.class_counts
-    classes = np.array(sorted(active, key=lambda c: (-int(counts[c - 1]), c)), dtype=np.int64)
-    smallest = (int(classes[-1]),)
+    smallest = active[0]
+    for cls in active[1:]:
+        if _is_minority(int(counts[cls - 1]), int(counts[smallest - 1]), (cls,), (smallest,)):
+            smallest = cls
+    classes = np.array(active, dtype=np.int64)
     wins = np.zeros((orders.shape[0], classes.size), dtype=bool)
-    for j, cls in enumerate(classes[:-1]):
-        e1, e2 = _pair_evidence(train.labels, orders, (int(cls),), smallest, k_max)
-        wins[:, j] = e1 >= e2
-    return classes, wins, np.broadcast_to(classes == smallest[0], wins.shape)
+    for j, cls in enumerate(active):
+        if cls != smallest:
+            wins[:, j] = _pair_evidence(train.labels, orders, (cls,), (smallest,), k_max)[0]
+    return classes, wins, np.broadcast_to(classes == smallest, wins.shape)
 
 
 def _ovr_round(
     train: LabeledDataset, k_max: int, active: tuple[int, ...], orders: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each active class (ascending ids) against the pooled rest of the
-    active set.  The smaller side is the minority; on a tie, the side whose
-    smallest id is larger (the binary larger-label rule for one class).
-    The score is the evidence on the class's side (E2 as minority, else
-    E1), so the fallback is the maximum evidence, ties to the smaller id."""
-    counts = train.class_counts
+    """Each active class against the pooled rest of the active set, roles
+    and ties as :func:`binary._pair_evidence` decides.  The score is the
+    class's side of the evidence, so the fallback is the maximum evidence,
+    ties to the smaller id."""
     wins = np.zeros((orders.shape[0], len(active)), dtype=bool)
     evidence = np.zeros(wins.shape, dtype=np.float64)
     for j, cls in enumerate(active):
         rest = tuple(c for c in active if c != cls)
-        n_cls, n_rest = int(counts[cls - 1]), int(sum(counts[c - 1] for c in rest))
-        if n_cls < n_rest or (n_cls == n_rest and cls > min(rest)):
-            e1, e2 = _pair_evidence(train.labels, orders, rest, (cls,), k_max)
-            wins[:, j], evidence[:, j] = e2 > e1, e2
-        else:
-            e1, e2 = _pair_evidence(train.labels, orders, (cls,), rest, k_max)
-            wins[:, j], evidence[:, j] = e1 >= e2, e1
+        wins[:, j], evidence[:, j], _ = _pair_evidence(train.labels, orders, (cls,), rest, k_max)
     return np.array(active, dtype=np.int64), wins, evidence
 
 

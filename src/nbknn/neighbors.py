@@ -100,6 +100,8 @@ def restrict(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
     where ``keep`` holds, renumbered within them and padded with the
     sentinel ``count(keep)``: each row is the head of the subset's own
     order (``order_rows`` of that subset, bit for bit)."""
+    if keep.all():
+        return orders
     n_keep = int(np.count_nonzero(keep))
     renumber = np.append(np.where(keep, np.cumsum(keep) - 1, n_keep), n_keep)[orders]
     inside = renumber < n_keep

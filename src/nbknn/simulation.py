@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .methods import BAYES, SIMULATION_METHODS, map_trials, predict_with_method, trial_ranking, validate_methods
-from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
+from .methods import SIMULATION_METHODS, run_trials, score_trial, validate_methods
+from .metrics import PrfReport, TrialReport
 from .rng import Stream, fold_seed, stream_id
 
 TRAIN_PURPOSE = 2
@@ -127,20 +127,8 @@ def _simulation_trial(args) -> dict[str, PrfReport]:
     (specs, alpha, seed, trial, methods, k_max, train_size, test_size) = args
     train = sample_mixture(specs, train_size, (1.0 - alpha, alpha), seed, stream_id(TRAIN_PURPOSE, trial))
     test = sample_mixture(specs, test_size, (0.5, 0.5), seed, stream_id(TEST_PURPOSE, trial))
-    ranking = trial_ranking(train, test.points, methods, k_max)
-    out: dict[str, PrfReport] = {}
-    for j, name in enumerate(methods):
-        preds = predict_with_method(
-            name,
-            train,
-            test.points,
-            k_max,
-            cv_seed=fold_seed(seed, CV_PURPOSE, trial, j),
-            bayes_oracle=(lambda q: bayes_classify_batch(specs, q)) if name == BAYES else None,
-            ranking=ranking,
-        )
-        out[name] = prf(confusion(test.labels, preds, 2))
-    return out
+    return score_trial(train, test, methods, k_max, lambda j: fold_seed(seed, CV_PURPOSE, trial, j),
+                       lambda q: bayes_classify_batch(specs, q))
 
 
 def _run_design(
@@ -155,10 +143,7 @@ def _run_design(
         (specs, float(alpha), int(seed), t, methods, int(k_max), int(train_size), int(test_size))
         for t in range(trials)
     ]
-    per_trial = map_trials(_simulation_trial, args, jobs)
-    return [
-        aggregate_trials([res[name] for res in per_trial], name) for name in methods
-    ]
+    return run_trials(_simulation_trial, args, methods, jobs)
 
 
 def run_location_experiment(

@@ -215,7 +215,6 @@ class TestClassifyBinary:
             majority_label=clf.majority_label,
             minority_label=clf.minority_label,
             p0=clf.p0,
-            k_max_config=clf.k_max_config,
             k_max_eff=clf.k_max_eff,
         )
         pruned = evidence_arrays(truncated, query)

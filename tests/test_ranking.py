@@ -15,10 +15,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nbknn.benchmark
+import nbknn.methods
 import nbknn.neighbors
 import nbknn.simulation
 from nbknn import (
@@ -38,7 +39,7 @@ from nbknn import (
     select_k_cv,
 )
 from nbknn.baselines import _stratified_folds, _vote_weights, _votes_for_grid
-from nbknn.binary import _evidence_arrays
+from nbknn.binary import _evidence_arrays, _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
@@ -72,11 +73,13 @@ def grid_problem(draw, min_classes=2, max_classes=2, min_per_class=1):
 @given(grid_problem(), st.data())
 def test_restriction_equals_fresh_sort(problem, data):
     train, queries = problem
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
-    if not keep.any():
-        keep[0] = True
-    restricted = restrict(order_rows(train.points, queries), keep)
-    np.testing.assert_array_equal(restricted, order_rows(train.points[keep], queries))
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
+    if not drawn.any():
+        drawn[0] = True
+    orders = order_rows(train.points, queries)
+    for keep in (drawn, np.ones(train.n, dtype=bool)):
+        restricted = restrict(orders, keep)
+        np.testing.assert_array_equal(restricted, order_rows(train.points[keep], queries))
 
 
 @pytest.mark.parametrize("p", [1, 2, 6, 12])
@@ -235,6 +238,46 @@ def test_reductions_equal_per_pair_resort(problem, k_max):
         assert evidence[i].tolist() == [first_round[c] for c in active]
 
 
+# Two classes of 3 rows each: a count tie, where roles follow the ids.
+TIED_PAIR = (
+    LabeledDataset(np.arange(12.0).reshape(6, 2) % 5, np.array([2, 1, 1, 2, 1, 2])),
+    np.array([[0.0, 1.0], [4.0, 0.0], [2.0, 3.0]]),
+)
+
+
+@SETTINGS
+@given(grid_problem(max_classes=5), st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       st.integers(1, 6))
+@example(TIED_COUNTS, [0, 1, 1, 2, 2], 3)
+@example(TIED_COUNTS, [1, 0, 0, 2, 2], 3)
+@example(TIED_PAIR, [0, 1, 2, 2, 2], 2)
+def test_pair_evidence_symmetric_in_its_groups(problem, groups, k_max):
+    # Class c joins group a, group b or neither as groups[c - 1] is 0, 1 or 2.
+    train, queries = problem
+    a, b = (tuple(c for c in range(1, train.n_classes + 1) if groups[c - 1] == g) for g in (0, 1))
+    assume(a and b)
+    orders = _one_block(Ranking(train, queries, k_max))
+    a_wins, a_evidence, b_evidence = _pair_evidence(train.labels, orders, a, b, k_max)
+    b_wins, b_swapped, a_swapped = _pair_evidence(train.labels, orders, b, a, k_max)
+    np.testing.assert_array_equal(a_wins, ~b_wins)
+    assert a_evidence.tobytes() == a_swapped.tobytes()
+    assert b_evidence.tobytes() == b_swapped.tobytes()
+
+
+@SETTINGS
+@given(grid_problem(), st.integers(1, 6))
+@example(TIED_PAIR, 2)
+def test_binary_evidence_equals_two_class_ovr_columns(problem, k_max):
+    # Binary E1 and E2 are the OvR+ first-round evidence of the majority
+    # and the minority class, bit for bit.
+    train, queries = problem
+    clf = fit_binary(train, k_max)
+    _, e1, e2 = binary_evidence_batch(clf, queries)
+    evidence = ovr_evidence_batch(train, queries, k_max)
+    assert e1.tobytes() == evidence[:, clf.majority_label - 1].tobytes()
+    assert e2.tobytes() == evidence[:, clf.minority_label - 1].tobytes()
+
+
 def _count_distance_cells(monkeypatch):
     cells = []
     original = nbknn.neighbors.distance_rows
@@ -247,7 +290,7 @@ def _count_distance_cells(monkeypatch):
     return cells
 
 
-def _trial_with_and_without_sharing(monkeypatch, module, trial, args):
+def _trial_with_and_without_sharing(monkeypatch, trial, args):
     """A trial's reports (as bytes) with its shared ranking, and with
     every method ranking for itself; also the distance cells the first
     computed."""
@@ -260,7 +303,7 @@ def _trial_with_and_without_sharing(monkeypatch, module, trial, args):
     shared = as_bytes(trial(args))
     shared_cells = sum(cells)
     with monkeypatch.context() as m:
-        m.setattr(module, "trial_ranking", lambda *args: None)
+        m.setattr(nbknn.methods, "trial_ranking", lambda *args: None)
         alone = as_bytes(trial(args))
     return shared, alone, shared_cells
 
@@ -272,7 +315,7 @@ def test_simulation_trial_same_with_shared_ranking(seed, trial, alpha):
     with pytest.MonkeyPatch.context() as monkeypatch:
         args = (location_specs(), alpha, seed, trial, SIMULATION_METHODS, 8, 60, 30)
         shared, alone, cells = _trial_with_and_without_sharing(
-            monkeypatch, nbknn.simulation, nbknn.simulation._simulation_trial, args
+            monkeypatch, nbknn.simulation._simulation_trial, args
         )
     assert shared == alone
     assert cells == 30 * 60 + 60 * 60
@@ -286,7 +329,7 @@ def test_benchmark_trial_same_with_shared_ranking(problem, seed):
     spec = SplitSpec(minority_test_fraction=0.25, seed=seed, trials=1)
     with pytest.MonkeyPatch.context() as monkeypatch:
         shared, alone, cells = _trial_with_and_without_sharing(
-            monkeypatch, nbknn.benchmark, nbknn.benchmark._benchmark_trial,
+            monkeypatch, nbknn.benchmark._benchmark_trial,
             (data, spec, 0, CSV_METHODS[1:], 6),
         )
     assert shared == alone
@@ -387,14 +430,17 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
 @given(grid_problem(max_classes=3), st.integers(1, 6), st.data())
 def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data):
     train, queries = problem
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
     prefix = _one_block(Ranking(train, queries, k_max))
-    restricted = restrict(prefix, keep)
-    counts = _assert_heads(restricted, order_rows(train.points[keep], queries),
-                           int(np.count_nonzero(keep)))
-    # Every kept row of the prefix, and no other, is in the restriction.
-    np.testing.assert_array_equal(
-        counts, np.count_nonzero(np.append(keep, False)[prefix], axis=1))
+    for keep in (drawn, np.ones(train.n, dtype=bool)):
+        restricted = restrict(prefix, keep)
+        counts = _assert_heads(restricted, order_rows(train.points[keep], queries),
+                               int(np.count_nonzero(keep)))
+        # Every kept row of the prefix, and no other, is in the restriction.
+        np.testing.assert_array_equal(
+            counts, np.count_nonzero(np.append(keep, False)[prefix], axis=1))
+    # Keeping every row is the prefix itself, not a copy.
+    assert restrict(prefix, np.ones(train.n, dtype=bool)) is prefix
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from nbknn import (
     run_scale_experiment,
     sample_mixture,
 )
+from nbknn.methods import MethodNameError, validate_methods
 from nbknn.simulation import location_specs, scale_specs
 
 
@@ -142,6 +143,14 @@ class TestDrivers:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'foo'"):
             run_location_experiment(0.3, trials=1, seed=0, methods=["foo"])
+
+    @pytest.mark.parametrize("methods", ["knn", "proposed"])
+    def test_bare_string_method_list_rejected(self, methods):
+        # A string is a sequence of characters, not of method names.
+        with pytest.raises(MethodNameError, match=f"sequence of method names.*'{methods}'"):
+            run_location_experiment(0.3, trials=1, seed=0, methods=methods)
+        with pytest.raises(MethodNameError, match=f"'{methods}'"):
+            validate_methods(methods)
 
     def test_alpha_bounds(self):
         with pytest.raises(ValueError, match="alpha"):
