@@ -33,7 +33,6 @@ class BinaryEvidenceClassifier:
     train: LabeledDataset
     majority_label: int
     minority_label: int
-    p0: float
     k_max_eff: int
 
 
@@ -52,19 +51,18 @@ def _check_train(train: LabeledDataset, k_max: int) -> None:
 
 
 def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifier:
-    """Assign majority/minority roles by :func:`_is_minority` and precompute p0."""
+    """Assign majority/minority roles by :func:`_is_minority` and cap k_max
+    at the minority count; the pair kernel derives p0 from the labels."""
     if train.n_classes != 2:
         raise ValueError(f"binary classifier needs exactly 2 classes, got {train.n_classes}")
     _check_train(train, k_max)
     counts = train.class_counts
     minority = 1 if _is_minority(int(counts[0]), int(counts[1]), (1,), (2,)) else 2
-    n_min = int(counts[minority - 1])
     return BinaryEvidenceClassifier(
         train=train,
         majority_label=3 - minority,
         minority_label=minority,
-        p0=n_min / train.n,
-        k_max_eff=min(int(k_max), n_min),
+        k_max_eff=min(int(k_max), int(counts[minority - 1])),
     )
 
 

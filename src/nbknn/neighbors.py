@@ -10,6 +10,14 @@ prefix {d <= tau}, ties at tau included, is bit for bit the head of the
 full order, and a restricted prefix the head of the subset's order.
 Prefixes are padded with the sentinel n, one past the last row index; a
 reader that needs more than a row's prefix raises.
+
+A distance adds its p squared differences in numpy's pairwise order,
+the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
+(Higham 1993, SIAM J. Sci. Comput. 14:783): a left fold below 8 terms,
+eight strided accumulators up to 128 terms, two halves beyond.  The
+kernel runs one dimension at a time over transposed copies, so a cell's
+bits depend neither on the memory layout of the inputs nor on the other
+rows of a batch.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ import numpy as np
 
 from .dataset import LabeledDataset
 
-_CHUNK_ELEMS = 1 << 20  # distance cells computed at once
+_CHUNK_ELEMS = 1 << 20  # distance cells ranked at once
+_BLOCK_CELLS = 1 << 15  # distance cells summed at once: the partial sums stay in cache
 
 
 def _as_queries(queries, dim: int) -> np.ndarray:
@@ -34,21 +43,73 @@ def _as_queries(queries, dim: int) -> np.ndarray:
     return q
 
 
-def distance_rows(points: np.ndarray, queries: np.ndarray, chunk_elems: int = _CHUNK_ELEMS) -> np.ndarray:
-    """Euclidean distance matrix (queries x points), chunked for memory.
+def _fold(terms, acc=None):
+    """Left fold of the arrays ``terms`` onto ``acc``, in place; numpy starts
+    from 0.0, and 0.0 + t is t for every t >= +0."""
+    if acc is None:
+        acc = next(terms, 0.0)
+    for t in terms:
+        acc += t
+    return acc
 
-    Chunking never changes values: rows are independent and each row is
-    computed with the same elementwise operations whatever the chunk.
-    """
-    m = queries.shape[0]
-    n, p = points.shape
+
+def _pairwise_sum(term, start: int, count: int):
+    """numpy's ``pairwise_sum`` of the fresh arrays ``term(start)``, ...,
+    ``term(start + count - 1)``."""
+    if count < 8:
+        return _fold(map(term, range(start, start + count)))
+    if count <= 128:
+        full = start + count - count % 8
+        acc = _lanes(term, [range(start + k, full, 8) for k in range(8)])
+        return _fold(map(term, range(full, start + count)), acc)
+    half = count // 2 - (count // 2) % 8
+    acc = _pairwise_sum(term, start, half)
+    acc += _pairwise_sum(term, start + half, count - half)
+    return acc
+
+
+def _lanes(term, lanes: list[range]):
+    """The accumulators r_k, left folds of ``lanes[k]``, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), one lane at a time."""
+    if len(lanes) == 1:
+        return _fold(map(term, lanes[0]))
+    mid = len(lanes) // 2
+    acc = _lanes(term, lanes[:mid])
+    acc += _lanes(term, lanes[mid:])
+    return acc
+
+
+def distance_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix (queries x points), summed in numpy's
+    pairwise order one dimension at a time, over blocks of query rows of
+    about ``_BLOCK_CELLS`` cells.  Neither the block nor the layout of the
+    inputs changes a bit."""
+    m, (n, p) = queries.shape[0], points.shape
+    xT, qT = np.ascontiguousarray(points.T), np.ascontiguousarray(queries.T)
     out = np.empty((m, n), dtype=np.float64)
-    step = max(1, chunk_elems // max(1, n * p))
+    step = max(1, _BLOCK_CELLS // max(1, n))
     for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        diff = queries[lo:hi, None, :] - points[None, :, :]
-        out[lo:hi] = np.sqrt(np.sum(diff * diff, axis=2))
+        rows = qT[:, lo : lo + step, None]
+
+        def term(j: int) -> np.ndarray:
+            d = rows[j] - xT[j]
+            d *= d
+            return d
+
+        np.sqrt(_pairwise_sum(term, 0, p), out=out[lo : lo + step])
     return out
+
+
+def _argsort_rows(dist: np.ndarray) -> np.ndarray:
+    """Each row's (distance, index) order: numpy's default argsort, then a
+    stable re-sort of the rows holding equal distances.  A row without
+    ties has only one sorted order."""
+    order = np.argsort(dist, axis=1)
+    ranked = np.take_along_axis(dist, order, axis=1)
+    tied = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
+    if tied.any():
+        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    return order
 
 
 def order_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -61,19 +122,19 @@ def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarr
     the sentinel n, and its length c_i = #{d <= tau_i}.
 
     A partition to the widest prefix W keeps every d <= tau_i, ties
-    included; sorting the kept indices, then stable-sorting their
-    distances, gives the full order's head.  Past W = n/2 a whole-row
-    sort is faster, with the same bits.
+    included; sorting the kept indices, then their distances with ties
+    in that index order, gives the full order's head.  Past W = n/2 a
+    whole-row sort is faster, with the same bits.
     """
     n = dist.shape[1]
     counts = np.count_nonzero(dist <= tau[:, None], axis=1)
     width = int(counts.max(initial=0))
     if 0 < 2 * width <= n:
         kept = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
-        by_dist = np.argsort(np.take_along_axis(dist, kept, axis=1), axis=1, kind="stable")
+        by_dist = _argsort_rows(np.take_along_axis(dist, kept, axis=1))
         orders = np.take_along_axis(kept, by_dist, axis=1)
     else:
-        orders = np.argsort(dist, axis=1, kind="stable")[:, :width]
+        orders = _argsort_rows(dist)[:, :width]
     # A copy in the smallest unsigned type that holds the sentinel.
     orders = orders.astype(np.min_scalar_type(n))
     orders[np.arange(width) >= counts[:, None]] = n

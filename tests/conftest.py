@@ -66,11 +66,33 @@ def midp_padded_reference(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray
     return np.clip(e, 1e-300, 1.0)
 
 
-def evidence_arrays(clf, queries):
-    """The evidence sweep of ``clf`` over a fresh ordering of ``queries``."""
+def distance_rows_reference(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Distances by the kernel the per-dimension loop replaced: one numpy
+    sum over C-contiguous differences, which adds each cell's squared
+    terms in numpy's pairwise order.  The loop must reproduce these bits."""
+    diff = np.ascontiguousarray(queries)[:, None, :] - np.ascontiguousarray(points)[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def argsort_reference(dist: np.ndarray) -> np.ndarray:
+    """Each row's (distance, index) order by a stable sort, the kernel the
+    tie-checked argsort replaced."""
+    return np.argsort(dist, axis=1, kind="stable")
+
+
+def minority_share(train: LabeledDataset, minority_label: int) -> float:
+    """p0: the share of the training rows in the minority class."""
+    return int(train.class_counts[minority_label - 1]) / train.n
+
+
+def evidence_arrays(clf, queries, p0: float | None = None):
+    """The evidence sweep of ``clf`` over a fresh ordering of ``queries``,
+    under ``p0`` (by default the minority share of ``clf.train``)."""
     q = np.asarray(queries, dtype=np.float64)
     is_minority = clf.train.labels[order_rows(clf.train.points, q)] == clf.minority_label
-    return _evidence_arrays(is_minority, clf.p0, clf.k_max_eff)
+    if p0 is None:
+        p0 = minority_share(clf.train, clf.minority_label)
+    return _evidence_arrays(is_minority, p0, clf.k_max_eff)
 
 
 def brute_force_evidence(train: LabeledDataset, query, k_max: int):

@@ -8,21 +8,28 @@ import pytest
 from nbknn import (
     BinaryEvidenceClassifier,
     LabeledDataset,
+    adjusted_pvalue_many,
     binary_evidence_batch,
     classify_binary_batch,
     fit_binary,
 )
 from nbknn.neighbors import order_rows
 
-from conftest import brute_force_evidence, evidence_arrays, make_dataset
+from conftest import brute_force_evidence, evidence_arrays, make_dataset, minority_share
 
 
 class TestFitBinary:
     def test_p0_and_cap(self):
+        # All points coincide, so the k-th minority neighbor is row 900 + k
+        # and the evidence is the mid-p value under p0 = 100 / 1000.
         labels = np.r_[np.ones(900, dtype=np.int64), np.full(100, 2, dtype=np.int64)]
         clf = fit_binary(LabeledDataset(np.zeros((1000, 1)), labels), 45)
-        assert clf.p0 == pytest.approx(0.1)
         assert clf.k_max_eff == 45
+        ks = np.arange(1, 46)
+        e = adjusted_pvalue_many(ks, 900 + ks, 0.1)
+        _, e1, e2 = binary_evidence_batch(clf, [[0.0]])
+        assert e1[0] == max(0.5, e.max())
+        assert e2[0] == 1.0 - min(0.5, e.min())
 
     def test_cap_at_minority_count(self):
         labels = np.r_[np.ones(980, dtype=np.int64), np.full(20, 2, dtype=np.int64)]
@@ -32,7 +39,6 @@ class TestFitBinary:
     def test_count_tie_minority_is_larger_label(self):
         labels = np.r_[np.ones(500, dtype=np.int64), np.full(500, 2, dtype=np.int64)]
         clf = fit_binary(LabeledDataset(np.zeros((1000, 1)), labels), 45)
-        assert clf.p0 == pytest.approx(0.5)
         assert clf.minority_label == 2
         assert clf.majority_label == 1
 
@@ -214,10 +220,9 @@ class TestClassifyBinary:
             train=LabeledDataset(ds.points[prefix_rows], ds.labels[prefix_rows], 2),
             majority_label=clf.majority_label,
             minority_label=clf.minority_label,
-            p0=clf.p0,
             k_max_eff=clf.k_max_eff,
         )
-        pruned = evidence_arrays(truncated, query)
+        pruned = evidence_arrays(truncated, query, minority_share(ds, clf.minority_label))
         for a, b in zip(pruned, full):
             assert a.tobytes() == b.tobytes()
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nbknn import LabeledDataset, fit_binary
-from nbknn.neighbors import _as_queries, distance_rows, order_rows
+from nbknn.neighbors import _BLOCK_CELLS, _argsort_rows, _as_queries, distance_rows, order_rows
 
-from conftest import evidence_arrays, make_dataset
+from conftest import argsort_reference, distance_rows_reference, evidence_arrays, make_dataset
 
 
 class TestLabeledDataset:
@@ -99,23 +99,73 @@ class TestNeighborOrder:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("p, n, m", [
-        pytest.param(1, 300, 40, id="1"),
-        pytest.param(2, 300, 40, id="2"),
-        pytest.param(12, 300, 40, id="12"),
+        pytest.param(1, 300, 250, id="1"),
+        pytest.param(2, 300, 250, id="2"),
+        pytest.param(12, 300, 250, id="12"),
         pytest.param(6, 4000, 200, id="6-several-chunks"),
     ])
     def test_chunking_never_changes_distances(self, rng, p, n, m):
         # The evidence a batch reports for a query must not depend on the
-        # other queries in it.  At p = 12 a row sum spans more than
-        # numpy's 8-element summation block; 4000 x 6 spans several
-        # chunks at the default chunk size.
+        # other queries in it.  Every shape spans several row blocks (25
+        # at 4000 x 6), and at p = 12 a cell adds more than numpy's
+        # 8-term unroll.
         points = rng.normal(size=(n, p))
         queries = rng.normal(size=(m, p))
-        default = distance_rows(points, queries)
-        one_cell = distance_rows(points, queries, chunk_elems=1)
+        assert m * n > 2 * _BLOCK_CELLS
+        batch = distance_rows(points, queries)
         alone = np.vstack([distance_rows(points, queries[i : i + 1]) for i in range(m)])
-        assert one_cell.tobytes() == default.tobytes()
-        assert alone.tobytes() == default.tobytes()
+        assert alone.tobytes() == batch.tobytes()
+        assert batch.tobytes() == distance_rows_reference(points, queries).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 8, 9, 12, 130])
+    def test_layout_never_changes_distances(self, rng, p):
+        # numpy sums F-ordered differences as a left fold and C-ordered
+        # ones pairwise; standardized CSV features arrive F-ordered.  A
+        # batch and its rows alone give the same bytes in every layout.
+        points = rng.normal(size=(60, p))
+        queries = rng.normal(size=(25, p))
+        expected = distance_rows_reference(points, queries).tobytes()
+        for x in (points, np.asfortranarray(points)):
+            for q in (queries, np.asfortranarray(queries)):
+                assert distance_rows(x, q).tobytes() == expected
+                alone = np.vstack([distance_rows(x, q[i : i + 1]) for i in range(len(q))])
+                assert alone.tobytes() == expected
+
+    def test_distances_bit_for_bit_with_numpy_sum(self, rng):
+        # Every p from 1 to 300 crosses each branch of the pairwise order
+        # (fold, 8 lanes, halves at 128, nested halves).  Magnitudes near
+        # 1e+-155 square to inf and to subnormals; zero and duplicate rows
+        # give exact zeros.
+        exponents = np.array([-162.0, -158.0, -155.0, 0.0, 3.0, 150.0, 155.0])
+        seen_inf = seen_tiny = False
+        with np.errstate(over="ignore"):
+            for p in range(1, 301):
+                points = rng.normal(size=(23, p)) * 10.0 ** rng.choice(exponents, size=(23, p))
+                queries = rng.normal(size=(7, p)) * 10.0 ** rng.choice(exponents, size=(7, p))
+                points[0] = 0.0
+                points[1] = points[2]
+                queries[0] = points[3]
+                queries[1] = 0.0
+                expected = distance_rows_reference(points, queries)
+                assert distance_rows(points, queries).tobytes() == expected.tobytes(), p
+                seen_inf |= bool(np.isinf(expected).any())
+                seen_tiny |= bool(np.any((expected > 0) & (expected < 1e-154)))
+                assert np.all(expected[:, 1] == expected[:, 2]) and expected[0, 3] == 0.0
+        assert seen_inf and seen_tiny
+
+    @pytest.mark.parametrize("case", ["every-row-tied", "no-row-tied", "mixed", "width-1"])
+    def test_argsort_rows_equals_stable_argsort(self, rng, case):
+        # Integer-valued distances make ties common; a tie-free row has
+        # one sorted order, and tied rows must keep index order.
+        tied = rng.integers(0, 6, size=(30, 40)).astype(np.float64)
+        distinct = rng.permuted(np.tile(np.arange(40.0), (30, 1)), axis=1)
+        dist = {
+            "every-row-tied": tied,
+            "no-row-tied": distinct,
+            "mixed": np.where(np.arange(30)[:, None] % 3 == 0, tied, distinct),
+            "width-1": tied[:, :1],
+        }[case]
+        np.testing.assert_array_equal(_argsort_rows(dist), argsort_reference(dist))
 
 
 class TestCountToKthMinority:

@@ -46,6 +46,8 @@ from nbknn.multiclass import ovr_plus_evidence_batch
 from nbknn.neighbors import Ranking, distance_rows, head, order_rows, prefix_rows, restrict
 from nbknn.rng import Stream
 
+from conftest import minority_share
+
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -461,7 +463,7 @@ def test_reading_past_a_prefix_raises(problem, k_max):
     is_minority = np.append(train.labels == clf.minority_label, False)[prefix]
     found = int(np.count_nonzero(is_minority, axis=1).min())
     with pytest.raises(ValueError, match="prefix"):
-        _evidence_arrays(is_minority, clf.p0, found + 1)
+        _evidence_arrays(is_minority, minority_share(train, clf.minority_label), found + 1)
 
 
 @contextlib.contextmanager
