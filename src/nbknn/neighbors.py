@@ -22,7 +22,8 @@ rows of a batch.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import iadd
 
 import numpy as np
 
@@ -44,39 +45,27 @@ def _as_queries(queries, dim: int) -> np.ndarray:
 
 
 def _fold(terms, acc=None):
-    """Left fold of the arrays ``terms`` onto ``acc``, in place; numpy starts
-    from 0.0, and 0.0 + t is t for every t >= +0."""
-    if acc is None:
-        acc = next(terms, 0.0)
-    for t in terms:
-        acc += t
-    return acc
+    """Left fold of fresh arrays onto ``acc``, in place; numpy starts from
+    0.0, and 0.0 + t is t for every t >= +0."""
+    return reduce(iadd, terms, next(terms, 0.0) if acc is None else acc)
 
 
-def _pairwise_sum(term, start: int, count: int):
-    """numpy's ``pairwise_sum`` of the fresh arrays ``term(start)``, ...,
-    ``term(start + count - 1)``."""
-    if count < 8:
-        return _fold(map(term, range(start, start + count)))
-    if count <= 128:
-        full = start + count - count % 8
-        acc = _lanes(term, [range(start + k, full, 8) for k in range(8)])
-        return _fold(map(term, range(full, start + count)), acc)
-    half = count // 2 - (count // 2) % 8
-    acc = _pairwise_sum(term, start, half)
-    acc += _pairwise_sum(term, start + half, count - half)
-    return acc
+def _pairwise_sum(term, js: range):
+    """numpy's ``pairwise_sum`` of the fresh arrays ``term(j)``, j in ``js``."""
+    n = len(js)
+    if n < 8:
+        return _fold(map(term, js))
+    if n <= 128:
+        full = n - n % 8
 
+        def r(k: int) -> np.ndarray:  # accumulator k sums terms k, k+8, ...
+            return _fold(map(term, js[k:full:8]))
 
-def _lanes(term, lanes: list[range]):
-    """The accumulators r_k, left folds of ``lanes[k]``, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), one lane at a time."""
-    if len(lanes) == 1:
-        return _fold(map(term, lanes[0]))
-    mid = len(lanes) // 2
-    acc = _lanes(term, lanes[:mid])
-    acc += _lanes(term, lanes[mid:])
-    return acc
+        # Arguments run left to right, so at most four partial sums are alive.
+        acc = iadd(iadd(iadd(r(0), r(1)), iadd(r(2), r(3))), iadd(iadd(r(4), r(5)), iadd(r(6), r(7))))
+        return _fold(map(term, js[full:]), acc)
+    half = n // 2 - n // 2 % 8
+    return iadd(_pairwise_sum(term, js[:half]), _pairwise_sum(term, js[half:]))
 
 
 def distance_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -96,7 +85,7 @@ def distance_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
             d *= d
             return d
 
-        np.sqrt(_pairwise_sum(term, 0, p), out=out[lo : lo + step])
+        np.sqrt(_pairwise_sum(term, range(p)), out=out[lo : lo + step])
     return out
 
 
