@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledDataset
-from .metrics import confusion, prf
+from .metrics import macro_f1_many
 from .neighbors import Ranking, head
 from .rng import Stream
 
@@ -122,10 +122,9 @@ def select_k_cv(
         counts = np.bincount(fit_labels, minlength=train.n_classes + 1)[1:]
         weights = _vote_weights(counts, cfg.weighting)
         preds = _votes_for_grid(ordered_labels, ks, train.n_classes, weights)
-        actual = train.labels[val_idx]
-        for k in ks:
-            cm = confusion(actual, preds[k], train.n_classes)
-            scores[k].append(prf(cm).macro_f1)
+        f1 = macro_f1_many(train.labels[val_idx], np.stack([preds[k] for k in ks]), train.n_classes)
+        for k, score in zip(ks, f1.tolist()):
+            scores[k].append(score)
     means = {k: float(np.mean(scores[k])) for k in ks}
     best = max(sorted(means), key=lambda k: (means[k], -k))
     return int(best)

@@ -104,8 +104,7 @@ def prf(cm: ConfusionMatrix) -> PrfReport:
     col = cm.col_totals.astype(np.float64)
     precision = np.divide(diag, col, out=np.zeros_like(diag), where=col > 0)
     recall = np.divide(diag, row, out=np.zeros_like(diag), where=row > 0)
-    denom = row + col
-    f1 = np.divide(2.0 * diag, denom, out=np.zeros_like(diag), where=denom > 0)
+    f1 = _f1(diag, row, col)
     return PrfReport(
         precision=precision,
         recall=recall,
@@ -114,6 +113,26 @@ def prf(cm: ConfusionMatrix) -> PrfReport:
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
     )
+
+
+def _f1(diag: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """F1(i) = 2 n_ii / (n_i0 + n_0i) from float margins, 0 on an empty margin."""
+    denom = row + col
+    return np.divide(2.0 * diag, denom, out=np.zeros_like(diag), where=denom > 0)
+
+
+def macro_f1_many(actual, predicted: np.ndarray, n_classes: int) -> np.ndarray:
+    """``prf(confusion(actual, row, n_classes)).macro_f1`` for each row of
+    ``predicted``, bit for bit, from one count over (row, actual,
+    predicted); labels lie in 1..n_classes."""
+    a = np.asarray(actual, dtype=np.int64) - 1
+    p = np.asarray(predicted, dtype=np.int64) - 1
+    g = p.shape[0]
+    cells = (np.arange(g)[:, None] * n_classes + a) * n_classes + p
+    counts = np.bincount(cells.ravel(), minlength=g * n_classes**2).reshape(g, n_classes, n_classes)
+    diag = np.diagonal(counts, axis1=1, axis2=2).astype(np.float64)
+    f1 = _f1(diag, counts.sum(axis=2).astype(np.float64), counts.sum(axis=1).astype(np.float64))
+    return f1.mean(axis=1)
 
 
 def efficiency_scores(values: Mapping[str, float]) -> dict[str, float]:

@@ -11,6 +11,14 @@ full order, and a restricted prefix the head of the subset's order.
 Prefixes are padded with the sentinel n, one past the last row index; a
 reader that needs more than a row's prefix raises.
 
+Ranking does only the work its readers use.  The threshold counts
+before it partitions: a group's k-th point is looked for only in the
+rows that hold fewer than k of the group's points at or below their
+running tau.  Rows are sorted in buckets of equal ceil(log2 c_i), each
+to its own widest prefix c_i, not to the widest row of the block.  A
+cross-validation fold takes one partition to its depth and sorts only
+the kept columns, unless a row ties at its depth-th distance.
+
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
 (Higham 1993, SIAM J. Sci. Comput. 14:783): a left fold below 8 terms,
@@ -31,6 +39,7 @@ from .dataset import LabeledDataset
 
 _CHUNK_ELEMS = 1 << 20  # distance cells ranked at once
 _BLOCK_CELLS = 1 << 15  # distance cells summed at once: the partial sums stay in cache
+_SORT_CELLS = 1 << 18  # distance cells copied and ordered at once
 
 
 def _as_queries(queries, dim: int) -> np.ndarray:
@@ -101,32 +110,48 @@ def _argsort_rows(dist: np.ndarray) -> np.ndarray:
     return order
 
 
-def order_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Full per-query neighbor orderings; stable argsort breaks ties by index."""
-    return np.argsort(distance_rows(points, queries), axis=1, kind="stable")
+def _order_kept(dist: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The (distance, index) order of the columns ``kept`` of each row:
+    sorting the kept indices, then their distances with ties in that
+    index order, gives the full order restricted to them."""
+    kept = np.sort(kept, axis=1)
+    return np.take_along_axis(kept, _argsort_rows(np.take_along_axis(dist, kept, axis=1)), axis=1)
+
+
+def _sorted_prefix(dist: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` entries of each row's (distance, index) order.
+
+    A partition to ``width`` keeps a row's ``width`` nearest columns, so
+    it serves every row whose prefix is no wider.  Past width n/2 a
+    whole-row sort is faster, with the same bits.
+    """
+    if 2 * width <= dist.shape[1]:
+        return _order_kept(dist, np.argpartition(dist, width - 1, axis=1)[:, :width])
+    return _argsort_rows(dist)[:, :width]
 
 
 def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's (distance, index) order up to its threshold, padded with
     the sentinel n, and its length c_i = #{d <= tau_i}.
 
-    A partition to the widest prefix W keeps every d <= tau_i, ties
-    included; sorting the kept indices, then their distances with ties
-    in that index order, gives the full order's head.  Past W = n/2 a
-    whole-row sort is faster, with the same bits.
+    Rows with equal ceil(log2 c_i) are ordered together, in copies of at
+    most ``_SORT_CELLS`` cells, to the widest prefix among them: no row is
+    sorted to more than twice its own width, and the entries past c_i
+    are then reset to the sentinel.
     """
     n = dist.shape[1]
     counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-    width = int(counts.max(initial=0))
-    if 0 < 2 * width <= n:
-        kept = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
-        by_dist = _argsort_rows(np.take_along_axis(dist, kept, axis=1))
-        orders = np.take_along_axis(kept, by_dist, axis=1)
-    else:
-        orders = _argsort_rows(dist)[:, :width]
-    # A copy in the smallest unsigned type that holds the sentinel.
-    orders = orders.astype(np.min_scalar_type(n))
-    orders[np.arange(width) >= counts[:, None]] = n
+    # The smallest unsigned type that holds the sentinel.
+    orders = np.full((len(dist), int(counts.max(initial=0))), n, dtype=np.min_scalar_type(n))
+    bucket = np.where(counts > 0, np.frexp(counts - 1)[1], -1)  # ceil(log2 c_i)
+    step = max(1, _SORT_CELLS // max(1, n))
+    for b in np.unique(bucket[bucket >= 0]):
+        rows = np.flatnonzero(bucket == b)
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo : lo + step]
+            width = int(counts[chunk].max())
+            orders[chunk, :width] = _sorted_prefix(dist[chunk], width)
+    orders[np.arange(orders.shape[1]) >= counts[:, None]] = n
     return orders, counts
 
 
@@ -149,7 +174,7 @@ def restrict(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Prefixes ``orders`` (sentinel ``keep.size``) restricted to the rows
     where ``keep`` holds, renumbered within them and padded with the
     sentinel ``count(keep)``: each row is the head of the subset's own
-    order (``order_rows`` of that subset, bit for bit)."""
+    order (a fresh full sort of that subset, bit for bit)."""
     if keep.all():
         return orders
     n_keep = int(np.count_nonzero(keep))
@@ -168,8 +193,11 @@ class Ranking:
     the farthest, over classes c, of the min(k_max, n_c)-th nearest point
     of c, or the ``vote_k``-th nearest point if farther.  A group G of
     classes has min(k_max, n_G) points or more within tau_i, so the prefix
-    covers every OvO+/OvR+ evidence sweep and the vote.  ``train`` holds
-    the train x train distances that :meth:`fold` reads.
+    covers every OvO+/OvR+ evidence sweep and the vote.  tau is found from
+    the smallest class up, each group partitioned only over the rows it
+    can still raise, and each row's prefix is sorted in its ceil(log2 c_i)
+    bucket (:func:`prefix_rows`).  ``train`` holds the train x train
+    distances that :meth:`fold` reads, one partition per fold.
     """
 
     def __init__(self, train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0) -> None:
@@ -177,12 +205,32 @@ class Ranking:
         self.queries = _as_queries(queries, self.points.shape[1])
         self.k_max, self.vote_k = k_max, vote_k
 
-    def _threshold(self, dist: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, int]]:
+        """(member mask, depth) of every group with a nonzero depth: the
+        classes from smallest to largest, then the vote group of all rows."""
         classes, counts = np.unique(self.labels, return_counts=True)
-        depths = [(self.labels == c, min(self.k_max, n_c)) for c, n_c in zip(classes, counts)]
-        depths.append((slice(None), min(self.vote_k, self.labels.size)))
-        kths = [np.partition(dist[:, cols], k - 1, axis=1)[:, k - 1] for cols, k in depths if k]
-        return np.max([np.full(len(dist), -np.inf)] + kths, axis=0)
+        groups = [(self.labels == c, min(self.k_max, int(n_c))) for n_c, c in sorted(zip(counts, classes))]
+        groups.append((np.ones(self.labels.size, dtype=bool), min(self.vote_k, self.labels.size)))
+        return [(member, k) for member, k in groups if k]
+
+    def _threshold(self, dist: np.ndarray) -> np.ndarray:
+        """tau_i, the largest over the groups of the row's k-th nearest
+        group point.  The first group is partitioned over every row; a
+        later group only over the rows with fewer than k of its points at
+        or below their running tau, since for any other row its k-th
+        point cannot raise the max."""
+        tau = np.full(len(dist), -np.inf)
+        rows = np.arange(len(dist))
+        for g, (member, k) in enumerate(self._groups):
+            if g:
+                below = dist <= tau[:, None]
+                below &= member
+                rows = np.flatnonzero(np.count_nonzero(below, axis=1) < k)
+            part = dist[np.ix_(rows, np.flatnonzero(member))]
+            part.partition(k - 1, axis=1)
+            tau[rows] = part[:, k - 1]
+        return tau
 
     @cached_property
     def test(self) -> list[np.ndarray]:
@@ -199,10 +247,20 @@ class Ranking:
 
     def fold(self, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
         """Each ``val`` row's ``depth`` nearest ``fit`` rows (a mask), in
-        order and renumbered within them."""
-        block = self.train[val][:, fit]
-        tau = np.partition(block, depth - 1, axis=1)[:, depth - 1]
-        return head(prefix_rows(block, tau)[0], block.shape[1], depth)
+        order and renumbered within them.
+
+        One partition to ``depth`` selects them: when no row holds more
+        than ``depth`` distances at or below its ``depth``-th, the kept
+        columns are the prefix and only they are sorted.  Ties there fall
+        back to :func:`prefix_rows`.
+        """
+        block = self.train.take(val, axis=0).take(np.flatnonzero(fit), axis=1)
+        n = block.shape[1]
+        part = np.argpartition(block, depth - 1, axis=1)
+        tau = np.take_along_axis(block, part[:, depth - 1 : depth], axis=1)
+        if np.any(np.count_nonzero(block <= tau, axis=1) > depth):
+            return head(prefix_rows(block, tau[:, 0])[0], n, depth)
+        return _order_kept(block, part[:, :depth]).astype(np.min_scalar_type(n))
 
     @classmethod
     def of(cls, train: LabeledDataset, queries=None, ranking: "Ranking | None" = None,

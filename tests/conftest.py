@@ -12,7 +12,7 @@ from scipy.special import betainc
 from nbknn import LabeledDataset
 from nbknn.binary import _evidence_arrays
 from nbknn.negbin import _log_pmf_grid, _log_pmf_many
-from nbknn.neighbors import order_rows
+from nbknn.neighbors import _argsort_rows, distance_rows, head
 
 
 def nb_pmf_exact(k: int, p0: float, n: int) -> Fraction:
@@ -78,6 +78,46 @@ def argsort_reference(dist: np.ndarray) -> np.ndarray:
     """Each row's (distance, index) order by a stable sort, the kernel the
     tie-checked argsort replaced."""
     return np.argsort(dist, axis=1, kind="stable")
+
+
+def order_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Full per-query neighbor orderings; stable argsort breaks ties by index."""
+    return np.argsort(distance_rows(points, queries), axis=1, kind="stable")
+
+
+def threshold_reference(labels: np.ndarray, k_max: int, vote_k: int, dist: np.ndarray) -> np.ndarray:
+    """tau_i by the kernel ``Ranking._threshold`` replaced: a partition of
+    every class and of the vote group over every row."""
+    classes, counts = np.unique(labels, return_counts=True)
+    depths = [(labels == c, min(k_max, n_c)) for c, n_c in zip(classes, counts)]
+    depths.append((slice(None), min(vote_k, labels.size)))
+    kths = [np.partition(dist[:, cols], k - 1, axis=1)[:, k - 1] for cols, k in depths if k]
+    return np.max([np.full(len(dist), -np.inf)] + kths, axis=0)
+
+
+def prefix_rows_reference(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prefix_rows`` by the kernel the per-bucket widths replaced: every
+    row of the block ordered to the block's widest prefix."""
+    n = dist.shape[1]
+    counts = np.count_nonzero(dist <= tau[:, None], axis=1)
+    width = int(counts.max(initial=0))
+    if 0 < 2 * width <= n:
+        kept = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
+        by_dist = _argsort_rows(np.take_along_axis(dist, kept, axis=1))
+        orders = np.take_along_axis(kept, by_dist, axis=1)
+    else:
+        orders = _argsort_rows(dist)[:, :width]
+    orders = orders.astype(np.min_scalar_type(n))
+    orders[np.arange(width) >= counts[:, None]] = n
+    return orders, counts
+
+
+def fold_reference(train_dist: np.ndarray, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
+    """``Ranking.fold`` by the kernel the one-selection fold replaced: a
+    partition for tau, then ``prefix_rows_reference`` of the fold block."""
+    block = train_dist[val][:, fit]
+    tau = np.partition(block, depth - 1, axis=1)[:, depth - 1]
+    return head(prefix_rows_reference(block, tau)[0], block.shape[1], depth)
 
 
 def minority_share(train: LabeledDataset, minority_label: int) -> float:

@@ -132,29 +132,56 @@ def test_criterion_06_balanced_sanity(location_a50):
     check(6, "balanced data: proposed matches k-NN", diff <= 1.5, detail)
 
 
+def _exact_tails(p0: float, k: int, n_max: int) -> list[tuple[float, float]]:
+    """(P(N < n), mid-p) for n = k..n_max, each the exact value rounded once.
+
+    p0 = a / 2^m exactly, so scaled by 2^(m n) the pmf P(n) and the tail
+    T(n) are integers: P(k) = a^k, P(n+1) = P(n) (2^m - a) n / (n - k + 1)
+    and T(n+1) = (T(n) + P(n)) 2^m.  int / int true division rounds
+    correctly, as float(Fraction) does, with no gcd per step.
+    """
+    a, two_m = p0.as_integer_ratio()
+    m = two_m.bit_length() - 1
+    pmf, tail = a**k, 0
+    out = []
+    for n in range(k, n_max + 1):
+        scale = 1 << (m * n)
+        out.append((tail / scale, (2 * tail + pmf) / (2 * scale)))
+        tail = (tail + pmf) << m
+        pmf = pmf * (two_m - a) * n // (n - k + 1)
+    return out
+
+
+def _fraction_tails(p0: float, k: int, n_max: int) -> list[tuple[float, float]]:
+    """The same values by a running exact ``Fraction`` pmf and tail."""
+    p_exact = Fraction(p0)
+    q_exact = 1 - p_exact
+    pmf, tail = p_exact**k, Fraction(0)
+    out = []
+    for n in range(k, n_max + 1):
+        out.append((float(tail), float(tail + pmf / 2)))
+        tail += pmf
+        pmf = pmf * q_exact * n / (n - k + 1)
+    return out
+
+
 def test_criterion_07_oracle_equivalence_grid():
     worst = 0.0
     for p0 in P0_GRID:
-        p_exact = Fraction(p0)
-        q_exact = 1 - p_exact
         for k in K_GRID:
             ns = np.arange(k, 501, dtype=np.int64)
             ks = np.full(ns.shape, k, dtype=np.int64)
             got_tail = _lower_tail_many(ks, ns, p0)
             got_mid = adjusted_pvalue_many(ks, ns, p0)
-            # Running exact pmf and lower tail over the whole n range.
-            pmf = p_exact**k
-            tail = Fraction(0)
-            for i, n in enumerate(range(k, 501)):
-                expected_tail = float(tail)
-                expected_mid = float(tail + pmf / 2)
+            exact = _exact_tails(p0, k, 500)
+            if k <= 3:
+                assert exact == _fraction_tails(p0, k, 500)
+            for i, (expected_tail, expected_mid) in enumerate(exact):
                 worst = max(
                     worst,
                     abs(got_tail[i] - expected_tail),
                     abs(got_mid[i] - expected_mid),
                 )
-                tail += pmf
-                pmf = pmf * q_exact * n / (n - k + 1)
     detail = f"max |err| = {worst:.2e} over k<=20, n<=500, p0 in {P0_GRID} (tol 1e-10)"
     check(7, "tail matches exact rational summation", worst <= 1e-10, detail)
 

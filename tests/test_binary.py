@@ -13,9 +13,8 @@ from nbknn import (
     classify_binary_batch,
     fit_binary,
 )
-from nbknn.neighbors import order_rows
 
-from conftest import brute_force_evidence, evidence_arrays, make_dataset, minority_share
+from conftest import brute_force_evidence, evidence_arrays, make_dataset, minority_share, order_rows
 
 
 class TestFitBinary:

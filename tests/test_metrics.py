@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbknn import (
     ConfusionMatrix,
@@ -10,6 +12,7 @@ from nbknn import (
     efficiency_scores,
     prf,
 )
+from nbknn.metrics import macro_f1_many
 
 
 class TestConfusion:
@@ -148,3 +151,17 @@ class TestAggregateTrials:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             aggregate_trials([], "m")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 6), st.data())
+def test_macro_f1_many_equals_prf_per_row(n_classes, m, rows, data):
+    # Small label sets leave classes never predicted or never actual.
+    labels = st.lists(st.integers(1, n_classes), min_size=m, max_size=m)
+    actual = np.array(data.draw(labels))
+    predicted = np.array([data.draw(labels) for _ in range(rows)])
+    got = macro_f1_many(actual, predicted, n_classes)
+    assert got.dtype == np.float64 and got.shape == (rows,)
+    for score, row in zip(got.tolist(), predicted):
+        want = prf(confusion(actual, row, n_classes)).macro_f1
+        assert np.float64(score).tobytes() == np.float64(want).tobytes()

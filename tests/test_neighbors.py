@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from nbknn import LabeledDataset, fit_binary
-from nbknn.neighbors import _BLOCK_CELLS, _argsort_rows, _as_queries, distance_rows, order_rows
+from nbknn.neighbors import _BLOCK_CELLS, _argsort_rows, _as_queries, distance_rows
 
-from conftest import argsort_reference, distance_rows_reference, evidence_arrays, make_dataset
+from conftest import (
+    argsort_reference,
+    distance_rows_reference,
+    evidence_arrays,
+    make_dataset,
+    order_rows,
+)
 
 
 class TestLabeledDataset:

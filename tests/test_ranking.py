@@ -43,10 +43,16 @@ from nbknn.binary import _evidence_arrays, _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
-from nbknn.neighbors import Ranking, distance_rows, head, order_rows, prefix_rows, restrict
+from nbknn.neighbors import Ranking, distance_rows, head, prefix_rows, restrict
 from nbknn.rng import Stream
 
-from conftest import minority_share
+from conftest import (
+    fold_reference,
+    minority_share,
+    order_rows,
+    prefix_rows_reference,
+    threshold_reference,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -523,3 +529,106 @@ def test_vote_deeper_than_evidence_equals_full_sort(tmp_path):
     prefix = json.loads((tmp_path / "prefix.json").read_text())
     assert (tmp_path / "prefix.json").read_bytes() == (tmp_path / "full.json").read_bytes()
     assert [m["name"] for m in prefix["methods"]] == ["proposed", "knn", "wnn"]
+
+
+# The kernels below must reproduce the references in conftest.py bit for
+# bit, dtype and shape included: the threshold that partitioned every
+# group over every row, the prefix sorted to the block's widest row, and
+# the fold that partitioned twice.
+
+def _same_array(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(grid_problem(max_classes=4), st.integers(0, 8), st.integers(0, 40))
+@example(TIED_COUNTS, 0, 0)
+def test_threshold_equals_reference(problem, k_max, vote_k):
+    # k_max = vote_k = 0 leaves every row at -inf: zero-width prefixes.
+    train, queries = problem
+    dist = distance_rows(train.points, queries)
+    _same_array(Ranking(train, queries, k_max, vote_k)._threshold(dist),
+                threshold_reference(train.labels, k_max, vote_k, dist))
+
+
+@SETTINGS
+@given(grid_problem(), st.data())
+def test_prefix_rows_equals_reference(problem, data):
+    # tau is one of the row's own distances, so ties at tau are common,
+    # or -inf, a zero-width row; the widths spread over many buckets.
+    train, queries = problem
+    dist = distance_rows(train.points, queries)
+    picks = np.array(data.draw(st.lists(st.integers(-1, train.n - 1), min_size=len(queries),
+                                        max_size=len(queries))))
+    tau = np.where(picks < 0, -np.inf, np.sort(dist, axis=1)[np.arange(len(queries)), picks])
+    for got, want in zip(prefix_rows(dist, tau), prefix_rows_reference(dist, tau)):
+        _same_array(got, want)
+
+
+@pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width"])
+def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
+    # 3000 columns: buckets of more than 87 rows are ordered in several
+    # copies, and rows wider than 1500 take the whole-row sort.
+    dist = distance_rows(rng.normal(size=(3000, 3)), rng.normal(size=(300, 3)))
+    dist[:, :40] = dist[:, 40:80]  # ties, also at tau
+    picks = {"one-bucket": rng.integers(1025, 2048, size=300),
+             "many-buckets": np.concatenate([rng.integers(1, 3000, size=150),
+                                             rng.integers(1025, 2048, size=150)]),
+             "zero-width": np.zeros(300, dtype=np.int64)}[widths]
+    tau = np.sort(dist, axis=1)[np.arange(300), picks - 1]
+    if widths == "zero-width":
+        tau[:] = -np.inf
+    counts = prefix_rows_reference(dist, tau)[1]
+    buckets = np.unique(np.ceil(np.log2(counts[counts > 0])))
+    assert {"one-bucket": len(buckets) == 1, "many-buckets": len(buckets) >= 8,
+            "zero-width": len(buckets) == 0}[widths]
+    for got, want in zip(prefix_rows(dist, tau), prefix_rows_reference(dist, tau)):
+        _same_array(got, want)
+
+
+@SETTINGS
+@given(grid_problem(max_classes=3, min_per_class=5), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_fold_equals_reference(problem, depth, seed, spread):
+    # Grid points tie at the depth-th distance often (the fallback); a
+    # spread of distinct offsets removes every tie (one selection).
+    train, queries = problem
+    if spread:
+        train = LabeledDataset(train.points + np.arange(train.n)[:, None] * 1e-3, train.labels)
+    ranking = Ranking(train, queries)
+    assignment = _stratified_folds(train, 5, Stream(seed, 0))
+    for f in range(5):
+        fit, val = assignment != f, np.flatnonzero(assignment == f)
+        d = min(depth, int(np.count_nonzero(fit)))
+        _same_array(ranking.fold(val, fit, d), fold_reference(ranking.train, val, fit, d))
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["one-selection", "fallback"])
+def test_fold_paths_equal_reference(rng, monkeypatch, tied):
+    points = rng.integers(-3, 4, size=(400, 2)).astype(float) if tied else rng.normal(size=(400, 2))
+    ranking = Ranking(LabeledDataset(points, np.repeat([1, 2], 200)), points)
+    fallbacks = []
+    original = nbknn.neighbors.prefix_rows
+    monkeypatch.setattr(nbknn.neighbors, "prefix_rows",
+                        lambda *args: fallbacks.append(1) or original(*args))
+    fit = np.arange(400) % 5 != 0
+    val = np.flatnonzero(~fit)
+    _same_array(ranking.fold(val, fit, 31), fold_reference(ranking.train, val, fit, 31))
+    assert len(fallbacks) == tied
+
+
+@SETTINGS
+@given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10))
+def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
+    # A row's prefix does not depend on the rows sharing its block, its
+    # bucket or its copy: alone it has the same entries, and the batch
+    # pads it with the sentinel to the block's widest row.
+    train, queries = problem
+    (batch,) = Ranking(train, queries, k_max, vote_k).test
+    for i in range(len(queries)):
+        (alone,) = Ranking(train, queries[i : i + 1], k_max, vote_k).test
+        assert alone.dtype == batch.dtype
+        width = alone.shape[1]
+        assert batch[i, :width].tobytes() == alone[0].tobytes()
+        assert np.all(batch[i, width:] == train.n)
