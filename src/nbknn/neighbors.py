@@ -193,11 +193,8 @@ class Ranking:
     the farthest, over classes c, of the min(k_max, n_c)-th nearest point
     of c, or the ``vote_k``-th nearest point if farther.  A group G of
     classes has min(k_max, n_G) points or more within tau_i, so the prefix
-    covers every OvO+/OvR+ evidence sweep and the vote.  tau is found from
-    the smallest class up, each group partitioned only over the rows it
-    can still raise, and each row's prefix is sorted in its ceil(log2 c_i)
-    bucket (:func:`prefix_rows`).  ``train`` holds the train x train
-    distances that :meth:`fold` reads, one partition per fold.
+    covers every OvO+/OvR+ evidence sweep and the vote.  ``train`` holds
+    the train x train distances that :meth:`fold` reads.
     """
 
     def __init__(self, train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0) -> None:

@@ -580,9 +580,8 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
     if widths == "zero-width":
         tau[:] = -np.inf
     counts = prefix_rows_reference(dist, tau)[1]
-    buckets = np.unique(np.ceil(np.log2(counts[counts > 0])))
-    assert {"one-bucket": len(buckets) == 1, "many-buckets": len(buckets) >= 8,
-            "zero-width": len(buckets) == 0}[widths]
+    lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0)}[widths]
+    assert lo <= len(np.unique(np.ceil(np.log2(counts[counts > 0])))) <= hi
     for got, want in zip(prefix_rows(dist, tau), prefix_rows_reference(dist, tau)):
         _same_array(got, want)
 
