@@ -10,9 +10,11 @@ class; the query goes to the minority class exactly when E2 > E1, so
 exact ties fall to the majority.
 
 OvO+ and OvR+ pairings call the same decision, :func:`_pair_evidence`.
-It reads which rows of the pair's restriction of one given ordering per
-query are minority rows, and never sorts.  Its sweep length is
-min(k_max, minority count): beyond it the statistic is undefined.
+It reads one given ordering per query, codes each entry as outside the
+pair, pair majority or pair minority, and places a minority row in the
+pair's own order by counting the pair rows up to it; it never sorts.
+Its sweep length is min(k_max, minority count): beyond it the statistic
+is undefined.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .negbin import adjusted_pvalue_many
-from .neighbors import Ranking, restrict, stacked
+from .neighbors import Ranking, stacked
 
 
 @dataclass(frozen=True)
@@ -67,22 +69,31 @@ def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifi
 
 
 def _evidence_arrays(
-    is_minority: np.ndarray, p0: float, k_max_eff: int
+    is_minority: np.ndarray, p0: float, k_max_eff: int, in_pair: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized evidence sweep over ``is_minority``, one row per query
     marking the minority rows in a prefix of that query's neighbor order
     (False past the prefix).
 
+    The pair is every entry, or the entries ``in_pair`` marks.  A minority
+    row's place n_obs in the pair's own order is the count of pair entries
+    up to and including it; by the restriction lemma this is its place in
+    a fresh sort of the pair's rows.
+
     Returns (e1, e2, e_matrix, n_obs_matrix) with one row per query and
     one column per k in 1..k_max_eff.  Raises if a row marks fewer than
     ``k_max_eff`` minority rows: its prefix is too short to sweep.
     """
-    rows, cols = np.nonzero(is_minority)
-    found = np.bincount(rows, minlength=is_minority.shape[0])
-    if np.any(found < k_max_eff):
+    m, width = is_minority.shape
+    marks, bounds = is_minority.reshape(-1), np.arange(m + 1) * width
+    if in_pair is not None:  # read the pair's entries only, in order
+        pair = np.flatnonzero(in_pair)
+        marks, bounds = marks.take(pair), np.searchsorted(pair, bounds)
+    at = np.flatnonzero(marks)
+    first = np.searchsorted(at, bounds)
+    if np.any(np.diff(first) < k_max_eff):
         raise ValueError(f"a neighbor prefix holds fewer than the {k_max_eff} minority rows swept")
-    first = (np.cumsum(found) - found)[:, None] + np.arange(k_max_eff)
-    n_obs = cols[first].astype(np.int64) + 1
+    n_obs = at[first[:-1, None] + np.arange(k_max_eff)] - bounds[:-1, None] + 1
     ks = np.arange(1, k_max_eff + 1, dtype=np.int64)
     e = adjusted_pvalue_many(ks[None, :], n_obs, p0)
     e1 = np.maximum(0.5, e.max(axis=1))
@@ -95,14 +106,27 @@ def _pair_evidence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per query of ``orders`` (of all training rows), whether the classes
     ``a`` beat the disjoint classes ``b``, and each side's evidence (E1 for
-    the majority, E2 for the minority); ties E1 == E2 go to the majority."""
-    in_a, in_b = np.isin(labels, a), np.isin(labels, b)
-    n_a, n_b = int(np.count_nonzero(in_a)), int(np.count_nonzero(in_b))
+    the majority, E2 for the minority); ties E1 == E2 go to the majority.
+
+    One gather reads a code per prefix entry: 0 outside the pair (and for
+    the sentinel), 1 in its majority, 2 in its minority.  A pair of every
+    row gathers only the minority marks.
+    """
+    counts = np.bincount(labels)
+    n_a, n_b = int(counts[list(a)].sum()), int(counts[list(b)].sum())
     a_minor = _is_minority(n_a, n_b, a, b)
-    in_min, n_min = (in_a, n_a) if a_minor else (in_b, n_b)
-    in_pair = in_a | in_b
-    is_minority = np.append(in_min[in_pair], False)[restrict(orders, in_pair)]
-    e1, e2, _, _ = _evidence_arrays(is_minority, n_min / (n_a + n_b), min(int(k_max), n_min))
+    n_min = n_a if a_minor else n_b
+    code = np.zeros(counts.size, dtype=np.uint8)
+    code[list(a + b)] = 1
+    code[list(a if a_minor else b)] = 2
+    row_code = np.append(code[labels], 0)
+    if n_a + n_b == labels.size:
+        is_minority, in_pair = (row_code == 2).take(orders), None
+    else:
+        codes = row_code.take(orders)
+        is_minority, in_pair = codes == 2, codes != 0
+    k_eff = min(int(k_max), n_min)
+    e1, e2, _, _ = _evidence_arrays(is_minority, n_min / (n_a + n_b), k_eff, in_pair)
     majority_wins = e1 >= e2
     if a_minor:
         return ~majority_wins, e2, e1

@@ -5,8 +5,9 @@ Both play rounds of binary pairings among the active classes; one
 driver, :func:`_reduce`, settles each round for all of its queries and
 replays winner sets, which strictly shrink, so every query terminates.
 A pairing is :func:`binary._pair_evidence` of two groups of classes,
-which owns their roles and ties; it reads the shared test ordering
-restricted to the pair's rows, with no sort and no classifier fit.
+which owns their roles and ties; it counts the pair's rows along the
+shared test ordering, with no sort and no classifier fit.  A two-class
+OvR+ round plays one pairing and reads the other column as its mirror.
 """
 
 from __future__ import annotations
@@ -73,12 +74,15 @@ def _ovr_round(
     """Each active class against the pooled rest of the active set, roles
     and ties as :func:`binary._pair_evidence` decides.  The score is the
     class's side of the evidence, so the fallback is the maximum evidence,
-    ties to the smaller id."""
+    ties to the smaller id.  Over two classes one pairing is played: the
+    other column is its mirror, wins negated and sides swapped."""
     wins = np.zeros((orders.shape[0], len(active)), dtype=bool)
     evidence = np.zeros(wins.shape, dtype=np.float64)
-    for j, cls in enumerate(active):
+    for j, cls in enumerate(active[:1] if len(active) == 2 else active):
         rest = tuple(c for c in active if c != cls)
-        wins[:, j], evidence[:, j], _ = _pair_evidence(train.labels, orders, (cls,), rest, k_max)
+        wins[:, j], evidence[:, j], mirror = _pair_evidence(train.labels, orders, (cls,), rest, k_max)
+    if len(active) == 2:
+        wins[:, 1], evidence[:, 1] = ~wins[:, 0], mirror
     return np.array(active, dtype=np.int64), wins, evidence
 
 

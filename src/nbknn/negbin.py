@@ -16,9 +16,12 @@ of summands:
 * n - k <= 64: direct summation of pmf terms in log space, from one
   table per distinct k of running log-sums (``logaddexp.accumulate``).
   A running sum visits the terms in the same order as a sum that stops
-  at n - 1, so each cell gets the bits it would get alone;
+  at n - 1, so each cell gets the bits it would get alone.  The terms
+  take their log-gamma values from one vector over 1..max(k)+64, and
+  the same row gives the cell's own pmf term;
 * n - k > 64: the lower tail equals the regularized incomplete beta
-  I_{p0}(k, n-k), with no explicit summation.
+  I_{p0}(k, n-k), with no explicit summation, and the pmf term takes
+  its own log-gamma values.
 
 Everything here is a pure function of its arguments and works
 elementwise on arrays, so a value never depends on the other entries of
@@ -51,31 +54,53 @@ def _log_pmf_grid(k: np.ndarray, n: np.ndarray, log_p0: float, log_q0: float) ->
     )
 
 
-def _lower_tail_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
-    """P(N < n) elementwise for int64 arrays of identical shape; a short cell reads a
-    per-k table of running log-sums, whose left fold gives the bits of its own sum."""
+def _tail_terms(k: np.ndarray, n: np.ndarray, p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """P(N < n) and log f_k(n) elementwise for int64 arrays of identical shape.
+
+    A short cell reads both from one table row per distinct k.  The row's
+    p0-free head gammaln(k+s) - gammaln(k) - gammaln(s+1), s = 0..64, is
+    looked up in one ``gammaln`` vector over 1..max(k)+64, sized by k and
+    never by n; its running log-sums, a left fold, give the bits of the
+    cell's own sum.  A long cell takes the incomplete beta and its own
+    ``gammaln`` terms.
+    """
     log_p0 = math.log(p0)
     log_q0 = math.log1p(-p0)
     span = n - k
-    out = np.zeros(k.shape, dtype=np.float64)
+    tail = np.zeros(k.shape, dtype=np.float64)
+    log_pmf = np.empty(k.shape, dtype=np.float64)
 
     small = span <= _DIRECT_TERMS
     if np.any(small):
-        # One row per distinct k: column s holds P(N < k + s), column 0 is 0.
-        uk, row = np.unique(k[small], return_inverse=True)
-        ks = uk.astype(np.float64)[:, None]
-        terms = _log_pmf_grid(ks, ks + np.arange(_DIRECT_TERMS, dtype=np.float64), log_p0, log_q0)
-        table = np.zeros((uk.size, _DIRECT_TERMS + 1))
-        table[:, 1:] = np.exp(np.logaddexp.accumulate(terms, axis=1))
-        out[small] = table[row, span[small]]
+        # One row per distinct k: column s holds log f_k(k + s) in terms and
+        # log P(N < k + s) in sums, whose column 0 is log 0.
+        ksmall, ssmall = k[small], span[small]
+        present = np.zeros(int(ksmall.max()) + 1, dtype=bool)
+        present[ksmall] = True
+        uk, row = np.flatnonzero(present), (np.cumsum(present) - 1)[ksmall]
+        ks, s = uk[:, None], np.arange(_DIRECT_TERMS + 1)
+        lgam = gammaln(np.arange(1.0, uk[-1] + _DIRECT_TERMS + 1))  # lgam[x - 1] = gammaln(x)
+        head = lgam[ks + s - 1] - lgam[ks - 1] - lgam[s]
+        terms = head + ks.astype(np.float64) * log_p0 + s.astype(np.float64) * log_q0
+        sums = np.full(terms.shape, -np.inf)
+        np.logaddexp.accumulate(terms[:, :-1], axis=1, out=sums[:, 1:])
+        tail[small] = np.exp(sums[row, ssmall])
+        log_pmf[small] = terms[row, ssmall]
 
     big = ~small
     if np.any(big):
-        out[big] = betainc(k[big].astype(np.float64), span[big].astype(np.float64), p0)
-    return np.minimum(out, 1.0)
+        tail[big] = betainc(k[big].astype(np.float64), span[big].astype(np.float64), p0)
+        log_pmf[big] = _log_pmf_many(k[big], n[big], p0)
+    return np.minimum(tail, 1.0), log_pmf
+
+
+def _lower_tail_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
+    """P(N < n) elementwise for int64 arrays of identical shape."""
+    return _tail_terms(k, n, p0)[0]
 
 
 def _log_pmf_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
+    """log f_k(n) elementwise for int64 arrays, each cell from its own ``gammaln`` terms."""
     return _log_pmf_grid(
         k.astype(np.float64), n.astype(np.float64), math.log(p0), math.log1p(-p0)
     )
@@ -102,5 +127,6 @@ def adjusted_pvalue_many(k, n_obs, p0: float) -> np.ndarray:
         raise ValueError("n values below the support start n = k")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
-    e = _lower_tail_many(kb, nb, p0) + 0.5 * np.exp(_log_pmf_many(kb, nb, p0))
+    tail, log_pmf = _tail_terms(kb, nb, p0)
+    e = tail + 0.5 * np.exp(log_pmf)
     return np.clip(e, _TINY, 1.0).reshape(shape)

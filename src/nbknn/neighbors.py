@@ -7,7 +7,8 @@ of the rows is that subset's own order.  No reader walks a whole row
 (the evidence sweep stops at its k-th minority neighbor, a vote at its
 k-th neighbor), so a row is ordered only up to a threshold tau.  Its
 prefix {d <= tau}, ties at tau included, is bit for bit the head of the
-full order, and a restricted prefix the head of the subset's order.
+full order, and a subset's rows in it, in order, are the head of the
+subset's order: a reader counts them along the prefix, with no copy.
 Prefixes are padded with the sentinel n, one past the last row index; a
 reader that needs more than a row's prefix raises.
 
@@ -168,21 +169,6 @@ def head(orders: np.ndarray, n: int, depth: int) -> np.ndarray:
 def stacked(results) -> tuple[np.ndarray, ...]:
     """Per-block tuples of arrays, each concatenated over the blocks."""
     return tuple(np.concatenate(parts) for parts in zip(*results))
-
-
-def restrict(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Prefixes ``orders`` (sentinel ``keep.size``) restricted to the rows
-    where ``keep`` holds, renumbered within them and padded with the
-    sentinel ``count(keep)``: each row is the head of the subset's own
-    order (a fresh full sort of that subset, bit for bit)."""
-    if keep.all():
-        return orders
-    n_keep = int(np.count_nonzero(keep))
-    renumber = np.append(np.where(keep, np.cumsum(keep) - 1, n_keep), n_keep)[orders]
-    inside = renumber < n_keep
-    width = int(np.count_nonzero(inside, axis=1).max(initial=0))
-    front = np.argsort(~inside, axis=1, kind="stable")[:, :width]
-    return np.take_along_axis(renumber, front, axis=1)
 
 
 class Ranking:

@@ -139,6 +139,14 @@ def _run_design(
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    for sample, n, proportions, flag in (
+        (f"training sample at alpha {alpha}", train_size, (1.0 - alpha, alpha), "--train-size"),
+        ("test sample", test_size, (0.5, 0.5), "--test-size"),
+    ):
+        try:
+            _class_counts(int(n), proportions)
+        except ValueError as exc:
+            raise ValueError(f"the {sample} (size {n}): {exc}; raise {flag}") from None
     args = [
         (specs, float(alpha), int(seed), t, methods, int(k_max), int(train_size), int(test_size))
         for t in range(trials)

@@ -10,8 +10,8 @@ import pytest
 from scipy.special import betainc
 
 from nbknn import LabeledDataset
-from nbknn.binary import _evidence_arrays
-from nbknn.negbin import _log_pmf_grid, _log_pmf_many
+from nbknn.binary import _evidence_arrays, _is_minority
+from nbknn.negbin import _log_pmf_grid, _log_pmf_many, adjusted_pvalue_many
 from nbknn.neighbors import _argsort_rows, distance_rows, head
 
 
@@ -118,6 +118,47 @@ def fold_reference(train_dist: np.ndarray, val: np.ndarray, fit: np.ndarray, dep
     block = train_dist[val][:, fit]
     tau = np.partition(block, depth - 1, axis=1)[:, depth - 1]
     return head(prefix_rows_reference(block, tau)[0], block.shape[1], depth)
+
+
+def restrict(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Prefixes ``orders`` (sentinel ``keep.size``) restricted to the rows
+    where ``keep`` holds, renumbered within them and padded with the
+    sentinel ``count(keep)``: each row is the head of the subset's own
+    order (a fresh full sort of that subset, bit for bit)."""
+    if keep.all():
+        return orders
+    n_keep = int(np.count_nonzero(keep))
+    renumber = np.append(np.where(keep, np.cumsum(keep) - 1, n_keep), n_keep)[orders]
+    inside = renumber < n_keep
+    width = int(np.count_nonzero(inside, axis=1).max(initial=0))
+    front = np.argsort(~inside, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(renumber, front, axis=1)
+
+
+def pair_evidence_reference(labels, orders, a, b, k_max):
+    """``binary._pair_evidence`` by the kernel the counting one replaced:
+    the pair's minority marks read through :func:`restrict`, a stable
+    re-sort of every prefix, and placed by their column in it."""
+    in_a, in_b = np.isin(labels, a), np.isin(labels, b)
+    n_a, n_b = int(np.count_nonzero(in_a)), int(np.count_nonzero(in_b))
+    a_minor = _is_minority(n_a, n_b, a, b)
+    in_min, n_min = (in_a, n_a) if a_minor else (in_b, n_b)
+    in_pair = in_a | in_b
+    is_minority = np.append(in_min[in_pair], False)[restrict(orders, in_pair)]
+    k_eff = min(int(k_max), n_min)
+    rows, cols = np.nonzero(is_minority)
+    found = np.bincount(rows, minlength=is_minority.shape[0])
+    if np.any(found < k_eff):
+        raise ValueError(f"a neighbor prefix holds fewer than the {k_eff} minority rows swept")
+    n_obs = cols[(np.cumsum(found) - found)[:, None] + np.arange(k_eff)].astype(np.int64) + 1
+    e = adjusted_pvalue_many(np.arange(1, k_eff + 1, dtype=np.int64)[None, :], n_obs,
+                             n_min / (n_a + n_b))
+    e1 = np.maximum(0.5, e.max(axis=1))
+    e2 = 1.0 - np.minimum(0.5, e.min(axis=1))
+    majority_wins = e1 >= e2
+    if a_minor:
+        return ~majority_wins, e2, e1
+    return majority_wins, e1, e2
 
 
 def minority_share(train: LabeledDataset, minority_label: int) -> float:

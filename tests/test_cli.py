@@ -127,6 +127,21 @@ class TestSimulate:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("alpha, train, test, message", [
+        ("0.05", "10", "10",
+         "the training sample at alpha 0.05 (size 10): class counts [10, 0] include an empty "
+         "class; raise --train-size"),
+        ("0.5", "40", "1",
+         "the test sample (size 1): class counts [1, 0] include an empty class; raise --test-size"),
+    ])
+    def test_empty_class_names_sample_and_flag(self, tmp_path, capsys, alpha, train, test, message):
+        code = main(["simulate", "--design", "location", "--alpha", alpha, "--trials", "1",
+                     "--train-size", train, "--test-size", test,
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"nbknn: error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_zero_trials_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--design", "location", "--alpha", "0.3", "--trials", "0"])
@@ -333,15 +348,16 @@ def test_fit_predict_golden_evidence(tmp_path, method, labeled):
 
 @pytest.mark.parametrize("method, emit, pair_evals", [
     ("proposed", True, 0),
-    ("ovr_plus", False, 7),
-    ("ovr_plus", True, 7),
+    ("ovr_plus", False, 5),
+    ("ovr_plus", True, 5),
     ("ovo_plus", False, 3),
     ("ovo_plus", True, 6),
 ])
 def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals):
     # Each (query, training row) distance is computed once per call, and
     # no (training, training) distance at all; --emit-evidence reuses the
-    # OvR+ first round instead of evaluating its pairs again.
+    # OvR+ first round instead of evaluating its pairs again.  OvR+ plays
+    # 3 pairings in its first round and 1 in each of two two-class replays.
     write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
     train = tmp_path / "train.csv"
     write_train(train)

@@ -13,7 +13,9 @@ from nbknn import (
     ovr_evidence_batch,
 )
 
-from nbknn.multiclass import _reduce
+import nbknn.multiclass
+from nbknn.multiclass import _ovr_round, _reduce
+from nbknn.neighbors import Ranking
 
 from conftest import make_dataset
 
@@ -212,3 +214,24 @@ class TestConsistencyTrend:
         for name, values in agreement.items():
             assert values[1] >= values[0] - 2, (name, values)
             assert values[2] >= values[1] - 2, (name, values)
+
+
+@pytest.mark.parametrize("n_classes, active", [
+    (2, (1, 2)), (3, (1, 3)), (3, (1, 2, 3)), (4, (1, 2, 3, 4)), (5, (2, 3, 5)),
+])
+def test_ovr_round_pairings(rng, monkeypatch, n_classes, active):
+    # A J-class OvR+ round plays J pairings; a two-class round plays one,
+    # and its other column is the mirror of that pairing, bit for bit.
+    ds = make_dataset(rng, n=60, n_classes=n_classes)
+    (orders,) = Ranking(ds, rng.normal(size=(7, 2)), 6).test
+    played = []
+    pair = nbknn.multiclass._pair_evidence
+    monkeypatch.setattr(nbknn.multiclass, "_pair_evidence",
+                        lambda *args: played.append(args[2]) or pair(*args))
+    _, wins, evidence = _ovr_round(ds, 6, active, orders)
+    assert played == [(c,) for c in (active[:1] if len(active) == 2 else active)]
+    for j, cls in enumerate(active):
+        rest = tuple(c for c in active if c != cls)
+        cls_wins, cls_side, _ = pair(ds.labels, orders, (cls,), rest, 6)
+        assert wins[:, j].tobytes() == cls_wins.tobytes()
+        assert evidence[:, j].tobytes() == cls_side.tobytes()

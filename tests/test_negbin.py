@@ -1,6 +1,7 @@
 """Tail, pmf, and mid-p value kernels against exact rational oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ class TestShortSpanTable:
         ):
             assert got.shape == ref.shape == k.shape
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("k, n", [(3, 10**7), ([3, 2], [10**7, 60])], ids=["long", "mixed"])
+    def test_no_table_sized_by_n(self, k, n):
+        # The log-gamma vector spans 1..max(k)+64 of the short cells only,
+        # so a cell ten million rows deep allocates next to nothing.
+        tracemalloc.start()
+        try:
+            adjusted_pvalue_many(np.array(k), np.array(n), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestNormalization:

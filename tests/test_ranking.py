@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,14 +44,16 @@ from nbknn.binary import _evidence_arrays, _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
-from nbknn.neighbors import Ranking, distance_rows, head, prefix_rows, restrict
+from nbknn.neighbors import Ranking, distance_rows, head, prefix_rows
 from nbknn.rng import Stream
 
 from conftest import (
     fold_reference,
     minority_share,
     order_rows,
+    pair_evidence_reference,
     prefix_rows_reference,
+    restrict,
     threshold_reference,
 )
 
@@ -270,6 +273,31 @@ def test_pair_evidence_symmetric_in_its_groups(problem, groups, k_max):
     np.testing.assert_array_equal(a_wins, ~b_wins)
     assert a_evidence.tobytes() == a_swapped.tobytes()
     assert b_evidence.tobytes() == b_swapped.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_problem(max_classes=5), st.lists(st.integers(0, 2), min_size=5, max_size=5),
+       st.integers(1, 6), st.integers(0, 6), st.sampled_from([None, None, 1, 0]))
+@example(TIED_COUNTS, [0, 1, 1, 2, 2], 3, 3, None)
+@example(TIED_COUNTS, [1, 2, 0, 2, 2], 4, 1, 1)
+@example(TIED_PAIR, [0, 1, 2, 2, 2], 2, 2, 0)
+@example(TIED_PAIR, [1, 0, 2, 2, 2], 3, 0, None)
+def test_pair_evidence_equals_restricted_reference(problem, groups, k_max, depth, batch):
+    # Class c joins group a, group b or neither as groups[c - 1] is 0, 1 or
+    # 2.  The prefixes are padded with the sentinel, ranked to a depth that
+    # may be below the pair's sweep: then both kernels raise the same error.
+    train, queries = problem
+    a, b = (tuple(c for c in range(1, train.n_classes + 1) if groups[c - 1] == g) for g in (0, 1))
+    assume(a and b)
+    orders = _one_block(Ranking(train, queries[:batch], depth))
+    try:
+        want = pair_evidence_reference(train.labels, orders, a, b, k_max)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            _pair_evidence(train.labels, orders, a, b, k_max)
+        return
+    for got, ref in zip(_pair_evidence(train.labels, orders, a, b, k_max), want):
+        _same_array(got, ref)
 
 
 @SETTINGS
