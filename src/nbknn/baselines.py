@@ -77,8 +77,8 @@ def knn_classify_batch(
     """k-NN vote for many queries at once (from ``ranking.test`` if given)."""
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
-    blocks = Ranking.of(train, queries, ranking, vote_k=cfg.k).test
-    ordered_labels = train.labels[np.concatenate([head(b, train.n, cfg.k) for b in blocks])]
+    prefix = Ranking.of(train, queries, ranking, vote_k=cfg.k).test
+    ordered_labels = train.labels[head(prefix, cfg.k)]
     weights = _vote_weights(train.class_counts, cfg.weighting)
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
 

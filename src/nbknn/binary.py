@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .negbin import adjusted_pvalue_many
-from .neighbors import Ranking, stacked
+from .neighbors import Ranking
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,12 @@ def fit_binary(train: LabeledDataset, k_max: int = 45) -> BinaryEvidenceClassifi
 
 
 def _evidence_arrays(
-    is_minority: np.ndarray, p0: float, k_max_eff: int, in_pair: np.ndarray | None = None
+    marks: np.ndarray, bounds: np.ndarray, p0: float, k_max_eff: int,
+    in_pair: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized evidence sweep over ``is_minority``, one row per query
-    marking the minority rows in a prefix of that query's neighbor order
-    (False past the prefix).
+    """Vectorized evidence sweep over ``marks``, which flags the minority
+    rows of the queries' neighbor prefixes laid end to end: query i's
+    prefix is ``marks[bounds[i]:bounds[i + 1]]``.
 
     The pair is every entry, or the entries ``in_pair`` marks.  A minority
     row's place n_obs in the pair's own order is the count of pair entries
@@ -84,8 +85,6 @@ def _evidence_arrays(
     one column per k in 1..k_max_eff.  Raises if a row marks fewer than
     ``k_max_eff`` minority rows: its prefix is too short to sweep.
     """
-    m, width = is_minority.shape
-    marks, bounds = is_minority.reshape(-1), np.arange(m + 1) * width
     if in_pair is not None:  # read the pair's entries only, in order
         pair = np.flatnonzero(in_pair)
         marks, bounds = marks.take(pair), np.searchsorted(pair, bounds)
@@ -102,15 +101,16 @@ def _evidence_arrays(
 
 
 def _pair_evidence(
-    labels: np.ndarray, orders: np.ndarray, a: tuple[int, ...], b: tuple[int, ...], k_max: int
+    labels: np.ndarray, prefix: tuple[np.ndarray, np.ndarray], a: tuple[int, ...],
+    b: tuple[int, ...], k_max: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per query of ``orders`` (of all training rows), whether the classes
+    """Per query of ``prefix`` (of all training rows), whether the classes
     ``a`` beat the disjoint classes ``b``, and each side's evidence (E1 for
     the majority, E2 for the minority); ties E1 == E2 go to the majority.
 
-    One gather reads a code per prefix entry: 0 outside the pair (and for
-    the sentinel), 1 in its majority, 2 in its minority.  A pair of every
-    row gathers only the minority marks.
+    One gather reads a code per prefix entry: 0 outside the pair, 1 in
+    its majority, 2 in its minority.  A pair of every row is swept with
+    no pair selection.
     """
     counts = np.bincount(labels)
     n_a, n_b = int(counts[list(a)].sum()), int(counts[list(b)].sum())
@@ -119,14 +119,11 @@ def _pair_evidence(
     code = np.zeros(counts.size, dtype=np.uint8)
     code[list(a + b)] = 1
     code[list(a if a_minor else b)] = 2
-    row_code = np.append(code[labels], 0)
-    if n_a + n_b == labels.size:
-        is_minority, in_pair = (row_code == 2).take(orders), None
-    else:
-        codes = row_code.take(orders)
-        is_minority, in_pair = codes == 2, codes != 0
+    codes = code[labels].take(prefix[0])
+    in_pair = None if n_a + n_b == labels.size else codes != 0
+    bounds = np.concatenate(([0], np.cumsum(prefix[1])))
     k_eff = min(int(k_max), n_min)
-    e1, e2, _, _ = _evidence_arrays(is_minority, n_min / (n_a + n_b), k_eff, in_pair)
+    e1, e2, _, _ = _evidence_arrays(codes == 2, bounds, n_min / (n_a + n_b), k_eff, in_pair)
     majority_wins = e1 >= e2
     if a_minor:
         return ~majority_wins, e2, e1
@@ -141,9 +138,9 @@ def binary_evidence_batch(
     One neighbor ordering, ``ranking.test`` when given, serves both the
     labels and the evidence.
     """
-    blocks = Ranking.of(clf.train, queries, ranking, k_max=clf.k_max_eff).test
-    pair = (clf.majority_label,), (clf.minority_label,), clf.k_max_eff
-    wins, e1, e2 = stacked(_pair_evidence(clf.train.labels, b, *pair) for b in blocks)
+    prefix = Ranking.of(clf.train, queries, ranking, k_max=clf.k_max_eff).test
+    wins, e1, e2 = _pair_evidence(clf.train.labels, prefix, (clf.majority_label,),
+                                  (clf.minority_label,), clf.k_max_eff)
     labels = np.where(wins, clf.majority_label, clf.minority_label).astype(np.int64)
     return labels, e1, e2
 

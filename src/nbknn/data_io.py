@@ -73,7 +73,7 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
     nonblank row must have one field per name, and every feature cell
     must parse as a finite float; errors cite the row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

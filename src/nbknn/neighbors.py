@@ -9,8 +9,8 @@ k-th neighbor), so a row is ordered only up to a threshold tau.  Its
 prefix {d <= tau}, ties at tau included, is bit for bit the head of the
 full order, and a subset's rows in it, in order, are the head of the
 subset's order: a reader counts them along the prefix, with no copy.
-Prefixes are padded with the sentinel n, one past the last row index; a
-reader that needs more than a row's prefix raises.
+A ranking holds its queries' prefixes laid end to end in one flat array,
+and their lengths; a reader that needs more than a row's prefix raises.
 
 Ranking does only the work its readers use.  The threshold counts
 before it partitions: a group's k-th point is looked for only in the
@@ -132,18 +132,16 @@ def _sorted_prefix(dist: np.ndarray, width: int) -> np.ndarray:
 
 
 def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (distance, index) order up to its threshold, padded with
-    the sentinel n, and its length c_i = #{d <= tau_i}.
+    """Each row's (distance, index) order up to its threshold, the rows'
+    prefixes laid end to end, and their lengths c_i = #{d <= tau_i}.
 
     Rows with equal ceil(log2 c_i) are ordered together, in copies of at
     most ``_SORT_CELLS`` cells, to the widest prefix among them: no row is
-    sorted to more than twice its own width, and the entries past c_i
-    are then reset to the sentinel.
+    sorted to more than twice its own width.
     """
     n = dist.shape[1]
     counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-    # The smallest unsigned type that holds the sentinel.
-    orders = np.full((len(dist), int(counts.max(initial=0))), n, dtype=np.min_scalar_type(n))
+    orders = np.empty((len(dist), int(counts.max(initial=0))), dtype=np.min_scalar_type(n))
     bucket = np.where(counts > 0, np.frexp(counts - 1)[1], -1)  # ceil(log2 c_i)
     step = max(1, _SORT_CELLS // max(1, n))
     for b in np.unique(bucket[bucket >= 0]):
@@ -152,30 +150,33 @@ def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarr
             chunk = rows[lo : lo + step]
             width = int(counts[chunk].max())
             orders[chunk, :width] = _sorted_prefix(dist[chunk], width)
-    orders[np.arange(orders.shape[1]) >= counts[:, None]] = n
-    return orders, counts
+    return orders[np.arange(orders.shape[1]) < counts[:, None]], counts
 
 
-def head(orders: np.ndarray, n: int, depth: int) -> np.ndarray:
-    """The first ``depth`` entries of each prefix (sentinel ``n``); raises
-    if any prefix is shorter."""
-    out = np.full((orders.shape[0], depth), n, dtype=orders.dtype)
-    out[:, : orders.shape[1]] = orders[:, :depth]
-    if np.any(out == n):
+def head(prefix: tuple[np.ndarray, np.ndarray], depth: int) -> np.ndarray:
+    """The first ``depth`` entries of each prefix, one row each; raises if
+    any prefix is shorter."""
+    flat, counts = prefix
+    if np.any(counts < depth):
         raise ValueError(f"a neighbor prefix is shorter than the {depth} rows read from it")
-    return out
+    return flat[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
 
 
-def stacked(results) -> tuple[np.ndarray, ...]:
-    """Per-block tuples of arrays, each concatenated over the blocks."""
-    return tuple(np.concatenate(parts) for parts in zip(*results))
+def take_rows(prefix: tuple[np.ndarray, np.ndarray], rows) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes of the queries ``rows`` (a mask or indices), in that order.
+
+    A kept entry moves back by the lengths of the prefixes dropped before it."""
+    flat, counts = prefix
+    kept = counts[rows]
+    shift = np.cumsum(counts)[rows] - np.cumsum(kept)
+    return flat[np.repeat(shift, kept) + np.arange(kept.sum())], kept
 
 
 class Ranking:
     """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
-    ``test`` holds the query prefixes, one padded block per chunk of
-    queries (at least one), so no queries x n matrix is held.  tau_i is
+    ``test`` holds the query prefixes and their lengths, ranked a chunk
+    of queries at a time, so no queries x n matrix is held.  tau_i is
     the farthest, over classes c, of the min(k_max, n_c)-th nearest point
     of c, or the ``vote_k``-th nearest point if farther.  A group G of
     classes has min(k_max, n_G) points or more within tau_i, so the prefix
@@ -216,13 +217,13 @@ class Ranking:
         return tau
 
     @cached_property
-    def test(self) -> list[np.ndarray]:
+    def test(self) -> tuple[np.ndarray, np.ndarray]:
         step = max(1, _CHUNK_ELEMS // self.points.shape[0])
         blocks = []
         for lo in range(0, max(1, len(self.queries)), step):
             dist = distance_rows(self.points, self.queries[lo : lo + step])
-            blocks.append(prefix_rows(dist, self._threshold(dist))[0])
-        return blocks
+            blocks.append(prefix_rows(dist, self._threshold(dist)))
+        return tuple(map(np.concatenate, zip(*blocks)))
 
     @cached_property
     def train(self) -> np.ndarray:
@@ -242,7 +243,7 @@ class Ranking:
         part = np.argpartition(block, depth - 1, axis=1)
         tau = np.take_along_axis(block, part[:, depth - 1 : depth], axis=1)
         if np.any(np.count_nonzero(block <= tau, axis=1) > depth):
-            return head(prefix_rows(block, tau[:, 0])[0], n, depth)
+            return head(prefix_rows(block, tau[:, 0]), depth)
         return _order_kept(block, part[:, :depth]).astype(np.min_scalar_type(n))
 
     @classmethod

@@ -12,7 +12,7 @@ from scipy.special import betainc
 from nbknn import LabeledDataset
 from nbknn.binary import _evidence_arrays, _is_minority
 from nbknn.negbin import _log_pmf_grid, _log_pmf_many, adjusted_pvalue_many
-from nbknn.neighbors import _argsort_rows, distance_rows, head
+from nbknn.neighbors import _argsort_rows, distance_rows
 
 
 def nb_pmf_exact(k: int, p0: float, n: int) -> Fraction:
@@ -95,6 +95,26 @@ def threshold_reference(labels: np.ndarray, k_max: int, vote_k: int, dist: np.nd
     return np.max([np.full(len(dist), -np.inf)] + kths, axis=0)
 
 
+def padded(prefix, n: int) -> np.ndarray:
+    """A ranking's flat prefixes ``(flat, counts)`` as one row per query,
+    padded with the sentinel ``n`` to the widest: the layout the
+    references below read and return."""
+    flat, counts = prefix
+    out = np.full((counts.size, int(counts.max(initial=0))), n, dtype=flat.dtype)
+    out[np.arange(out.shape[1]) < counts[:, None]] = flat
+    return out
+
+
+def head(orders: np.ndarray, n: int, depth: int) -> np.ndarray:
+    """``neighbors.head`` on padded prefixes (sentinel ``n``), as the fold
+    reference reads them; raises if any prefix is shorter."""
+    out = np.full((orders.shape[0], depth), n, dtype=orders.dtype)
+    out[:, : orders.shape[1]] = orders[:, :depth]
+    if np.any(out == n):
+        raise ValueError(f"a neighbor prefix is shorter than the {depth} rows read from it")
+    return out
+
+
 def prefix_rows_reference(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``prefix_rows`` by the kernel the per-bucket widths replaced: every
     row of the block ordered to the block's widest prefix."""
@@ -173,7 +193,8 @@ def evidence_arrays(clf, queries, p0: float | None = None):
     is_minority = clf.train.labels[order_rows(clf.train.points, q)] == clf.minority_label
     if p0 is None:
         p0 = minority_share(clf.train, clf.minority_label)
-    return _evidence_arrays(is_minority, p0, clf.k_max_eff)
+    m, n = is_minority.shape
+    return _evidence_arrays(is_minority.reshape(-1), np.arange(m + 1) * n, p0, clf.k_max_eff)
 
 
 def brute_force_evidence(train: LabeledDataset, query, k_max: int):

@@ -12,6 +12,7 @@ from nbknn import (
     split_indices,
     standardize,
 )
+from nbknn.data_io import load_queries
 
 
 @pytest.fixture()
@@ -85,6 +86,21 @@ class TestLoadCsv:
         path = csv_file("x,cls\n")
         with pytest.raises(CsvFormatError, match="no data rows"):
             load_csv(path, "cls")
+
+    def test_byte_order_mark_ignored(self, csv_file):
+        # Spreadsheets export UTF-8 with a BOM (U+FEFF) before the first header name.
+        train_text, query_text = "label,x,y\na,0,1\nb,2,3\na,4,5\n", "y,x\n1,0\n6,7\n"
+        loaded = []
+        for i, bom in enumerate(("", "\ufeff")):
+            train = load_csv(csv_file(bom + train_text, f"train{i}.csv"), "label")
+            queries = load_queries(csv_file(bom + query_text, f"queries{i}.csv"), train)
+            loaded.append((train, queries))
+        (plain, plain_q), (marked, marked_q) = loaded
+        assert marked.feature_names == plain.feature_names == ("x", "y")
+        assert marked.class_names == plain.class_names
+        assert marked.data.points.tobytes() == plain.data.points.tobytes()
+        assert marked.data.labels.tobytes() == plain.data.labels.tobytes()
+        assert marked_q.tobytes() == plain_q.tobytes()
 
     def test_ragged_row(self, csv_file):
         path = csv_file("x,y,cls\n0,1,a\n2,b\n")

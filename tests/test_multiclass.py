@@ -122,10 +122,11 @@ class TestRoundDriver:
 
     @staticmethod
     def _settle(wins, score):
-        def play(active, orders):
+        def play(active, prefix):
             return np.array([1, 2, 3]), np.array(wins, dtype=bool), np.array(score)
 
-        return _reduce(play, (1, 2, 3), np.zeros((len(wins), 1), dtype=np.int64))[0].tolist()
+        prefix = np.zeros(len(wins), dtype=np.int64), np.ones(len(wins), dtype=np.int64)
+        return _reduce(play, (1, 2, 3), prefix)[0].tolist()
 
     def test_fallback_takes_max_score(self):
         # No winner, or every class winning, falls back to the maximum score.
@@ -223,15 +224,15 @@ def test_ovr_round_pairings(rng, monkeypatch, n_classes, active):
     # A J-class OvR+ round plays J pairings; a two-class round plays one,
     # and its other column is the mirror of that pairing, bit for bit.
     ds = make_dataset(rng, n=60, n_classes=n_classes)
-    (orders,) = Ranking(ds, rng.normal(size=(7, 2)), 6).test
+    prefix = Ranking(ds, rng.normal(size=(7, 2)), 6).test
     played = []
     pair = nbknn.multiclass._pair_evidence
     monkeypatch.setattr(nbknn.multiclass, "_pair_evidence",
                         lambda *args: played.append(args[2]) or pair(*args))
-    _, wins, evidence = _ovr_round(ds, 6, active, orders)
+    _, wins, evidence = _ovr_round(ds, 6, active, prefix)
     assert played == [(c,) for c in (active[:1] if len(active) == 2 else active)]
     for j, cls in enumerate(active):
         rest = tuple(c for c in active if c != cls)
-        cls_wins, cls_side, _ = pair(ds.labels, orders, (cls,), rest, 6)
+        cls_wins, cls_side, _ = pair(ds.labels, prefix, (cls,), rest, 6)
         assert wins[:, j].tobytes() == cls_wins.tobytes()
         assert evidence[:, j].tobytes() == cls_side.tobytes()

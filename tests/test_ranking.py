@@ -44,13 +44,14 @@ from nbknn.binary import _evidence_arrays, _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
-from nbknn.neighbors import Ranking, distance_rows, head, prefix_rows
+from nbknn.neighbors import Ranking, distance_rows, head, prefix_rows, take_rows
 from nbknn.rng import Stream
 
 from conftest import (
     fold_reference,
     minority_share,
     order_rows,
+    padded,
     pair_evidence_reference,
     prefix_rows_reference,
     restrict,
@@ -138,6 +139,16 @@ def test_ranking_of_other_queries_rejected(rng, entry):
     for queries in (built[:3], rng.normal(size=(5, 2)), tweaked):
         with pytest.raises(ValueError, match="other queries"):
             entry(train, queries, ranking)
+
+
+@pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS.values(), ids=QUERY_ENTRY_POINTS.keys())
+def test_empty_query_batch_gives_empty_outputs(rng, entry):
+    train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
+    queries = np.empty((0, 2))
+    for ranking in (None, Ranking(train, queries, k_max=45, vote_k=3)):
+        out = entry(train, queries, ranking)
+        for part in out if isinstance(out, tuple) else (out,):
+            assert np.asarray(part).shape[0] == 0
 
 
 def _select_k_fresh_sorts(train, cfg, seed):
@@ -267,9 +278,9 @@ def test_pair_evidence_symmetric_in_its_groups(problem, groups, k_max):
     train, queries = problem
     a, b = (tuple(c for c in range(1, train.n_classes + 1) if groups[c - 1] == g) for g in (0, 1))
     assume(a and b)
-    orders = _one_block(Ranking(train, queries, k_max))
-    a_wins, a_evidence, b_evidence = _pair_evidence(train.labels, orders, a, b, k_max)
-    b_wins, b_swapped, a_swapped = _pair_evidence(train.labels, orders, b, a, k_max)
+    prefix = Ranking(train, queries, k_max).test
+    a_wins, a_evidence, b_evidence = _pair_evidence(train.labels, prefix, a, b, k_max)
+    b_wins, b_swapped, a_swapped = _pair_evidence(train.labels, prefix, b, a, k_max)
     np.testing.assert_array_equal(a_wins, ~b_wins)
     assert a_evidence.tobytes() == a_swapped.tobytes()
     assert b_evidence.tobytes() == b_swapped.tobytes()
@@ -284,19 +295,19 @@ def test_pair_evidence_symmetric_in_its_groups(problem, groups, k_max):
 @example(TIED_PAIR, [1, 0, 2, 2, 2], 3, 0, None)
 def test_pair_evidence_equals_restricted_reference(problem, groups, k_max, depth, batch):
     # Class c joins group a, group b or neither as groups[c - 1] is 0, 1 or
-    # 2.  The prefixes are padded with the sentinel, ranked to a depth that
-    # may be below the pair's sweep: then both kernels raise the same error.
+    # 2.  The prefixes are ranked to a depth that may be below the pair's
+    # sweep: then both kernels raise the same error.
     train, queries = problem
     a, b = (tuple(c for c in range(1, train.n_classes + 1) if groups[c - 1] == g) for g in (0, 1))
     assume(a and b)
-    orders = _one_block(Ranking(train, queries[:batch], depth))
+    prefix = Ranking(train, queries[:batch], depth).test
     try:
-        want = pair_evidence_reference(train.labels, orders, a, b, k_max)
+        want = pair_evidence_reference(train.labels, padded(prefix, train.n), a, b, k_max)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
-            _pair_evidence(train.labels, orders, a, b, k_max)
+            _pair_evidence(train.labels, prefix, a, b, k_max)
         return
-    for got, ref in zip(_pair_evidence(train.labels, orders, a, b, k_max), want):
+    for got, ref in zip(_pair_evidence(train.labels, prefix, a, b, k_max), want):
         _same_array(got, ref)
 
 
@@ -377,12 +388,6 @@ def _prefix_lengths(orders, n):
     return np.count_nonzero(orders < n, axis=1)
 
 
-def _one_block(ranking):
-    """The prefixes of a ranking small enough for one chunk of queries."""
-    (block,) = ranking.test
-    return block
-
-
 def _assert_heads(prefix, full, n):
     """The first c_i entries of each row of ``prefix`` are those of the
     full order, and the rest are the sentinel ``n``."""
@@ -402,7 +407,8 @@ def test_prefix_rows_equal_head_of_full_order(problem, data):
     picks = data.draw(st.lists(st.integers(0, train.n - 1), min_size=queries.shape[0],
                                max_size=queries.shape[0]))
     tau = np.sort(dist, axis=1)[np.arange(queries.shape[0]), picks]
-    orders, counts = prefix_rows(dist, tau)
+    prefix = prefix_rows(dist, tau)
+    orders, counts = padded(prefix, train.n), prefix[1]
     np.testing.assert_array_equal(counts, np.count_nonzero(dist <= tau[:, None], axis=1))
     np.testing.assert_array_equal(
         _assert_heads(orders, order_rows(train.points, queries), train.n), counts)
@@ -411,17 +417,28 @@ def test_prefix_rows_equal_head_of_full_order(problem, data):
 
 
 def test_query_chunks_equal_head_of_full_order(rng):
-    # 5000 training rows make chunks of 209 queries: 500 queries span
-    # three blocks, each padded to its own width.  The grid makes ties.
+    # 5000 training rows make chunks of 209 queries: 500 queries are
+    # ranked in three blocks, laid end to end.  The grid makes ties.
     train = LabeledDataset(rng.integers(-6, 7, size=(5000, 2)).astype(float),
                            (rng.random(5000) < 0.1) + 1)
     queries = rng.integers(-6, 7, size=(500, 2)).astype(float)
-    blocks = Ranking(train, queries, k_max=20, vote_k=31).test
+    blocks = []
+    original = nbknn.neighbors.prefix_rows
+
+    def ranked_block(*args):
+        block = original(*args)
+        blocks.append(padded(block, train.n))
+        return block
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nbknn.neighbors, "prefix_rows", ranked_block)
+        prefix = Ranking(train, queries, k_max=20, vote_k=31).test
     assert [len(b) for b in blocks] == [209, 209, 82]
     full = order_rows(train.points, queries)
     counts = _assert_heads(np.vstack([np.pad(b, ((0, 0), (0, train.n - b.shape[1])),
                                              constant_values=train.n) for b in blocks]),
                            full, train.n)
+    np.testing.assert_array_equal(_assert_heads(padded(prefix, train.n), full, train.n), counts)
     assert np.all(counts >= 31)
     assert [b.shape[1] for b in blocks] == [c.max() for c in np.split(counts, [209, 418])]
     ranked = binary_evidence_batch(fit_binary(train, 20), queries, ranking=Ranking(train, queries, 20))
@@ -443,7 +460,7 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
     train, queries = problem
     ranking = Ranking(train, queries, k_max, vote_k)
     full = order_rows(train.points, queries)
-    counts = _assert_heads(_one_block(ranking), full, train.n)
+    counts = _assert_heads(padded(ranking.test, train.n), full, train.n)
     classes = range(1, train.n_classes + 1)
     # Every group of classes reaches its min(k_max, n_G)-th member: the
     # depth of binary evidence and of each OvO+/OvR+ side.
@@ -467,7 +484,7 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
 def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data):
     train, queries = problem
     drawn = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
-    prefix = _one_block(Ranking(train, queries, k_max))
+    prefix = padded(Ranking(train, queries, k_max).test, train.n)
     for keep in (drawn, np.ones(train.n, dtype=bool)):
         restricted = restrict(prefix, keep)
         counts = _assert_heads(restricted, order_rows(train.points[keep], queries),
@@ -484,27 +501,47 @@ def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data)
 def test_reading_past_a_prefix_raises(problem, k_max):
     train, queries = problem
     ranking = Ranking(train, queries, k_max)
-    prefix = _one_block(ranking)
-    short = int(_prefix_lengths(prefix, train.n).min())
+    prefix = ranking.test
+    short = int(_prefix_lengths(padded(prefix, train.n), train.n).min())
     with pytest.raises(ValueError, match="prefix"):
-        head(prefix, train.n, short + 1)
-    np.testing.assert_array_equal(head(prefix, train.n, short),
+        head(prefix, short + 1)
+    np.testing.assert_array_equal(head(prefix, short),
                                   order_rows(train.points, queries)[:, :short])
     if short < train.n:
         with pytest.raises(ValueError, match="prefix"):
             knn_classify_batch(train, queries, KnnConfig(k=short + 1), ranking=ranking)
     clf = fit_binary(train, k_max)
-    is_minority = np.append(train.labels == clf.minority_label, False)[prefix]
+    is_minority = np.append(train.labels == clf.minority_label, False)[padded(prefix, train.n)]
     found = int(np.count_nonzero(is_minority, axis=1).min())
+    marks, bounds = train.labels[prefix[0]] == clf.minority_label, np.cumsum(np.r_[0, prefix[1]])
     with pytest.raises(ValueError, match="prefix"):
-        _evidence_arrays(is_minority, minority_share(train, clf.minority_label), found + 1)
+        _evidence_arrays(marks, bounds, minority_share(train, clf.minority_label), found + 1)
+
+
+@SETTINGS
+@given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10), st.data())
+def test_take_rows_equals_queries_ranked_alone(problem, k_max, vote_k, data):
+    # k_max = vote_k = 0 gives zero-length prefixes; a mask or indices,
+    # in any order and with repeats, may pick no row or every row.
+    train, queries = problem
+    m = len(queries)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    picks = np.array(data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m)), dtype=np.int64)
+    for depths in ((k_max, vote_k), (0, 0)):
+        prefix = Ranking(train, queries, *depths).test
+        for rows in (mask, picks, np.zeros(m, dtype=bool), np.ones(m, dtype=bool), np.arange(m)):
+            want = Ranking(train, queries[rows], *depths).test
+            for got_part, want_part in zip(take_rows(prefix, rows), want):
+                _same_array(got_part, want_part)
 
 
 @contextlib.contextmanager
 def full_sort_reference():
     """Every ranking read from whole-row ``order_rows`` sorts instead of prefixes."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(Ranking, "test", property(lambda self: [order_rows(self.points, self.queries)]))
+        m.setattr(Ranking, "test", property(lambda self: (
+            order_rows(self.points, self.queries).reshape(-1),
+            np.full(len(self.queries), len(self.points)))))
         m.setattr(Ranking, "fold", lambda self, val, fit, depth:
                   order_rows(self.points[fit], self.points[val])[:, :depth])
         yield
@@ -569,6 +606,12 @@ def _same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _same_prefix(got, want, n):
+    """Flat prefixes ``got`` equal the padded ``want``, lengths included."""
+    for got_part, want_part in zip((padded(got, n), got[1]), want):
+        _same_array(got_part, want_part)
+
+
 @SETTINGS
 @given(grid_problem(max_classes=4), st.integers(0, 8), st.integers(0, 40))
 @example(TIED_COUNTS, 0, 0)
@@ -590,8 +633,7 @@ def test_prefix_rows_equals_reference(problem, data):
     picks = np.array(data.draw(st.lists(st.integers(-1, train.n - 1), min_size=len(queries),
                                         max_size=len(queries))))
     tau = np.where(picks < 0, -np.inf, np.sort(dist, axis=1)[np.arange(len(queries)), picks])
-    for got, want in zip(prefix_rows(dist, tau), prefix_rows_reference(dist, tau)):
-        _same_array(got, want)
+    _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), train.n)
 
 
 @pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width"])
@@ -610,8 +652,7 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
     counts = prefix_rows_reference(dist, tau)[1]
     lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0)}[widths]
     assert lo <= len(np.unique(np.ceil(np.log2(counts[counts > 0])))) <= hi
-    for got, want in zip(prefix_rows(dist, tau), prefix_rows_reference(dist, tau)):
-        _same_array(got, want)
+    _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), 3000)
 
 
 @SETTINGS
@@ -649,12 +690,11 @@ def test_fold_paths_equal_reference(rng, monkeypatch, tied):
 @given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10))
 def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
     # A row's prefix does not depend on the rows sharing its block, its
-    # bucket or its copy: alone it has the same entries, and the batch
-    # pads it with the sentinel to the block's widest row.
+    # bucket or its copy: alone it has the same entries.
     train, queries = problem
-    (batch,) = Ranking(train, queries, k_max, vote_k).test
+    batch = padded(Ranking(train, queries, k_max, vote_k).test, train.n)
     for i in range(len(queries)):
-        (alone,) = Ranking(train, queries[i : i + 1], k_max, vote_k).test
+        alone = padded(Ranking(train, queries[i : i + 1], k_max, vote_k).test, train.n)
         assert alone.dtype == batch.dtype
         width = alone.shape[1]
         assert batch[i, :width].tobytes() == alone[0].tobytes()
