@@ -18,6 +18,7 @@ from .neighbors import Ranking, head
 from .rng import Stream
 
 WEIGHTINGS = ("uniform", "inverse-class-size")
+_VOTE_CELLS = 1 << 16  # (row, neighbor, class) vote weights summed at once
 
 
 @dataclass(frozen=True)
@@ -54,21 +55,17 @@ def _votes_for_grid(
 ) -> dict[int, np.ndarray]:
     """Predictions for every k in ``ks`` from one set of orderings.
 
-    Vote mass accumulates column by column, so all grid values reuse a
-    single sort.  Argmax tie-break is the smallest class id.
+    A running sum along a block of rows' neighbors gives each class's vote
+    mass at every depth, with the adds of a column-by-column sum in its
+    order, plus exact zeros.  Argmax tie-break is the smallest class id.
     """
-    m = ordered_labels.shape[0]
-    rows = np.arange(m)
-    mass = np.zeros((m, n_classes), dtype=np.float64)
-    preds: dict[int, np.ndarray] = {}
-    done = 0
-    for k in sorted(ks):
-        for col in range(done, k):
-            lab = ordered_labels[:, col] - 1
-            mass[rows, lab] += class_weight[lab]
-        done = k
-        preds[k] = np.argmax(mass, axis=1).astype(np.int64) + 1
-    return preds
+    labels = ordered_labels[:, : max(ks)]
+    preds = np.empty((len(ks), len(labels)), dtype=np.int64)
+    step = max(1, _VOTE_CELLS // (labels.shape[1] * n_classes))
+    for lo in range(0, len(labels), step):
+        weight = (labels[lo : lo + step, :, None] == np.arange(1, n_classes + 1)) * class_weight
+        preds[:, lo : lo + step] = np.argmax(np.cumsum(weight, axis=1)[:, np.subtract(ks, 1)], axis=2).T + 1
+    return dict(zip(ks, preds))
 
 
 def knn_classify_batch(
@@ -104,8 +101,8 @@ def select_k_cv(
 
     Deterministic given ``seed``; score ties resolve to the smaller k.
     A fold reads labels only: each validation row's order of the fold's
-    training rows, to the largest grid k, from the training distances
-    (``ranking.train`` if given) restricted to those rows.
+    training rows, to the largest grid k, from :meth:`Ranking.fold` of
+    ``ranking`` if given (its training heads are shared by every call).
     """
     assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
     min_fit = train.n - int(np.bincount(assignment).max())

@@ -17,8 +17,8 @@ before it partitions: a group's k-th point is looked for only in the
 rows that hold fewer than k of the group's points at or below their
 running tau.  Rows are sorted in buckets of equal ceil(log2 c_i), each
 to its own widest prefix c_i, not to the widest row of the block.  A
-cross-validation fold takes one partition to its depth and sorts only
-the kept columns, unless a row ties at its depth-th distance.
+cross-validation fold reads its fit rows along each training row's head
+of its order, ranked once; a row whose head holds too few ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -41,6 +41,7 @@ from .dataset import LabeledDataset
 _CHUNK_ELEMS = 1 << 20  # distance cells ranked at once
 _BLOCK_CELLS = 1 << 15  # distance cells summed at once: the partial sums stay in cache
 _SORT_CELLS = 1 << 18  # distance cells copied and ordered at once
+_HEAD_CELLS = 1 << 17  # training distances ranked at once, few enough to reuse freed heap pages
 
 
 def _as_queries(queries, dim: int) -> np.ndarray:
@@ -172,6 +173,17 @@ def take_rows(prefix: tuple[np.ndarray, np.ndarray], rows) -> tuple[np.ndarray, 
     return flat[np.repeat(shift, kept) + np.arange(kept.sum())], kept
 
 
+def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
+    """The first ``depth`` entries of each row's (distance, index) order: one
+    partition, then a sort of the kept columns, or :func:`prefix_rows` if a
+    row holds more than ``depth`` distances at or below its ``depth``-th."""
+    part = np.argpartition(dist, depth - 1, axis=1)
+    tau = np.take_along_axis(dist, part[:, depth - 1 : depth], axis=1)
+    if np.any(np.count_nonzero(dist <= tau, axis=1) > depth):
+        return head(prefix_rows(dist, tau[:, 0]), depth)
+    return _order_kept(dist, part[:, :depth]).astype(np.min_scalar_type(dist.shape[1]))
+
+
 class Ranking:
     """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
@@ -180,14 +192,15 @@ class Ranking:
     the farthest, over classes c, of the min(k_max, n_c)-th nearest point
     of c, or the ``vote_k``-th nearest point if farther.  A group G of
     classes has min(k_max, n_G) points or more within tau_i, so the prefix
-    covers every OvO+/OvR+ evidence sweep and the vote.  ``train`` holds
-    the train x train distances that :meth:`fold` reads.
+    covers every OvO+/OvR+ evidence sweep and the vote.  :meth:`fold`
+    reads the training rows' heads of their own order, made once per depth.
     """
 
     def __init__(self, train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0) -> None:
         self.points, self.labels = train.points, train.labels
         self.queries = _as_queries(queries, self.points.shape[1])
         self.k_max, self.vote_k = k_max, vote_k
+        self._heads: dict[int, np.ndarray] = {}
 
     @cached_property
     def _groups(self) -> list[tuple[np.ndarray, int]]:
@@ -225,26 +238,35 @@ class Ranking:
             blocks.append(prefix_rows(dist, self._threshold(dist)))
         return tuple(map(np.concatenate, zip(*blocks)))
 
-    @cached_property
-    def train(self) -> np.ndarray:
-        return distance_rows(self.points, self.points)
+    def _train_head(self, depth: int) -> np.ndarray:
+        """Each training row's first min(n, 2 depth + 2) entries of its order
+        over all training rows, once per depth, in blocks of rows: with a
+        fifth of the rows held out, nearly every head holds ``depth`` fit rows."""
+        if depth not in self._heads:
+            n = len(self.points)
+            step = max(1, _HEAD_CELLS // n)
+            self._heads[depth] = np.concatenate([
+                _nearest(distance_rows(self.points, self.points[lo : lo + step]), min(n, 2 * depth + 2))
+                for lo in range(0, n, step)])
+        return self._heads[depth]
 
     def fold(self, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
         """Each ``val`` row's ``depth`` nearest ``fit`` rows (a mask), in
         order and renumbered within them.
 
-        One partition to ``depth`` selects them: when no row holds more
-        than ``depth`` distances at or below its ``depth``-th, the kept
-        columns are the prefix and only they are sorted.  Ties there fall
-        back to :func:`prefix_rows`.
+        A row's ``fit`` entries in its training head are the head of the
+        ``fit`` rows' own order; a row whose head holds too few ranks afresh.
         """
-        block = self.train.take(val, axis=0).take(np.flatnonzero(fit), axis=1)
-        n = block.shape[1]
-        part = np.argpartition(block, depth - 1, axis=1)
-        tau = np.take_along_axis(block, part[:, depth - 1 : depth], axis=1)
-        if np.any(np.count_nonzero(block <= tau, axis=1) > depth):
-            return head(prefix_rows(block, tau[:, 0]), depth)
-        return _order_kept(block, part[:, :depth]).astype(np.min_scalar_type(n))
+        near = self._train_head(depth)[val]
+        inside = fit[near]
+        seen = np.cumsum(inside, axis=1)
+        short = seen[:, -1] < depth
+        inside &= (seen <= depth) & ~short[:, None]
+        out = np.empty((len(val), depth), dtype=np.min_scalar_type(np.count_nonzero(fit)))
+        out[~short] = (np.cumsum(fit) - 1)[near[inside]].reshape(-1, depth)
+        if short.any():
+            out[short] = _nearest(distance_rows(self.points[fit], self.points[val[short]]), depth)
+        return out
 
     @classmethod
     def of(cls, train: LabeledDataset, queries=None, ranking: "Ranking | None" = None,

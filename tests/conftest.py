@@ -140,6 +140,23 @@ def fold_reference(train_dist: np.ndarray, val: np.ndarray, fit: np.ndarray, dep
     return head(prefix_rows_reference(block, tau)[0], block.shape[1], depth)
 
 
+def votes_for_grid_reference(ordered_labels, ks, n_classes, class_weight):
+    """``baselines._votes_for_grid`` by the loop the running sum replaced:
+    vote mass added column by column, the argmax taken at each grid k."""
+    m = ordered_labels.shape[0]
+    rows = np.arange(m)
+    mass = np.zeros((m, n_classes), dtype=np.float64)
+    preds = {}
+    done = 0
+    for k in sorted(ks):
+        for col in range(done, k):
+            lab = ordered_labels[:, col] - 1
+            mass[rows, lab] += class_weight[lab]
+        done = k
+        preds[k] = np.argmax(mass, axis=1).astype(np.int64) + 1
+    return preds
+
+
 def restrict(orders: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Prefixes ``orders`` (sentinel ``keep.size``) restricted to the rows
     where ``keep`` holds, renumbered within them and padded with the

@@ -1,11 +1,16 @@
 """k-NN and weighted-NN voting plus cross-validated k selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbknn import KnnConfig, LabeledDataset, knn_classify_batch, select_k_cv
+from nbknn.baselines import WEIGHTINGS, _vote_weights, _votes_for_grid
 
-from conftest import make_dataset
+from conftest import make_dataset, votes_for_grid_reference
 
 
 def line_dataset(labels):
@@ -128,3 +133,39 @@ class TestSelectKCv:
         ds = LabeledDataset(points, labels)
         with pytest.raises(ValueError, match="fewer than cv_folds"):
             select_k_cv(ds, KnnConfig(cv_folds=5), seed=0)
+
+    def test_memory_stays_below_the_train_matrix(self, rng):
+        # The n x n float64 training distances would take n^2 * 8 bytes
+        # (72 MB at n = 3000); cross-validation holds a block of them.
+        n = 3000
+        ds = make_dataset(rng, n=n)
+        tracemalloc.start()
+        try:
+            select_k_cv(ds, KnnConfig(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda c: st.tuples(
+           st.just(c),
+           st.lists(st.integers(1, 30), min_size=c, max_size=c),
+           st.integers(0, 12),
+           st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True))),
+       st.sampled_from(WEIGHTINGS), st.integers(0, 2**32 - 1))
+@example((2, [5, 5], 0, [3, 1]), "inverse-class-size", 0)
+@example((3, [7, 7, 7], 9, [1, 4, 9]), "inverse-class-size", 1)
+def test_votes_for_grid_equals_column_loop(shape, weighting, seed):
+    # Grids in any order and with gaps, 0 rows, and equal class counts,
+    # whose weights tie the vote masses.
+    n_classes, counts, m, ks = shape
+    labels = np.random.default_rng(seed).integers(1, n_classes + 1, size=(m, max(ks) + 2))
+    weights = _vote_weights(np.array(counts), weighting)
+    got = _votes_for_grid(labels, tuple(ks), n_classes, weights)
+    want = votes_for_grid_reference(labels, ks, n_classes, weights)
+    assert got.keys() == want.keys()
+    for k in ks:
+        assert (got[k].dtype, got[k].shape) == (want[k].dtype, (m,))
+        assert got[k].tobytes() == want[k].tobytes()

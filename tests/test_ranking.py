@@ -39,7 +39,7 @@ from nbknn import (
     ovr_evidence_batch,
     select_k_cv,
 )
-from nbknn.baselines import _stratified_folds, _vote_weights, _votes_for_grid
+from nbknn.baselines import _stratified_folds, _vote_weights
 from nbknn.binary import _evidence_arrays, _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
@@ -56,6 +56,7 @@ from conftest import (
     prefix_rows_reference,
     restrict,
     threshold_reference,
+    votes_for_grid_reference,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -161,8 +162,8 @@ def _select_k_fresh_sorts(train, cfg, seed):
         fold = train.subset(np.flatnonzero(assignment != f))
         val = np.flatnonzero(assignment == f)
         orders = order_rows(fold.points, train.points[val])
-        preds = _votes_for_grid(fold.labels[orders[:, : max(ks)]], ks, train.n_classes,
-                                _vote_weights(fold.class_counts, cfg.weighting))
+        preds = votes_for_grid_reference(fold.labels[orders[:, : max(ks)]], ks, train.n_classes,
+                                         _vote_weights(fold.class_counts, cfg.weighting))
         for k in ks:
             actual, pred = train.labels[val], preds[k]
             f1s = []
@@ -656,34 +657,49 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
 
 
 @SETTINGS
-@given(grid_problem(max_classes=3, min_per_class=5), st.integers(1, 8), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_fold_equals_reference(problem, depth, seed, spread):
-    # Grid points tie at the depth-th distance often (the fallback); a
-    # spread of distinct offsets removes every tie (one selection).
+@given(grid_problem(max_classes=3, min_per_class=5), st.sampled_from([2, 3, 5]), st.floats(0, 1),
+       st.integers(0, 2**32 - 1), st.sampled_from(["grid", "duplicated", "spread"]))
+def test_fold_equals_reference(problem, folds, depth_share, seed, points):
+    # Grid points tie often, also at the last distance of a training
+    # head; duplicated rows tie at distance 0; distinct offsets remove
+    # every tie.  Depths run from 1 to the fold's training size; with two
+    # or three folds some heads hold too few fit rows, which rank afresh.
     train, queries = problem
-    if spread:
+    if points == "duplicated":
+        train = LabeledDataset(train.points[np.arange(train.n) // 2], train.labels)
+    if points == "spread":
         train = LabeledDataset(train.points + np.arange(train.n)[:, None] * 1e-3, train.labels)
     ranking = Ranking(train, queries)
-    assignment = _stratified_folds(train, 5, Stream(seed, 0))
-    for f in range(5):
+    full = distance_rows(train.points, train.points)
+    assignment = _stratified_folds(train, folds, Stream(seed, 0))
+    for f in range(folds):
         fit, val = assignment != f, np.flatnonzero(assignment == f)
-        d = min(depth, int(np.count_nonzero(fit)))
-        _same_array(ranking.fold(val, fit, d), fold_reference(ranking.train, val, fit, d))
+        d = max(1, round(depth_share * np.count_nonzero(fit)))
+        _same_array(ranking.fold(val, fit, d), fold_reference(full, val, fit, d))
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["one-selection", "fallback"])
-def test_fold_paths_equal_reference(rng, monkeypatch, tied):
-    points = rng.integers(-3, 4, size=(400, 2)).astype(float) if tied else rng.normal(size=(400, 2))
+@pytest.mark.parametrize("path", ["one-selection", "ties", "fallback"])
+def test_fold_paths_equal_reference(rng, monkeypatch, path):
+    # Distinct distances: one selection per block makes the training
+    # heads, and every fold reads them, so the n^2 training distances are
+    # the only ones computed.  Grid points tie at a head's last distance,
+    # which the heads' prefix sort resolves.  With two folds about half the
+    # rows find fewer than 31 fit rows in their head of 64: the fallback
+    # ranks them afresh against the fit rows.
+    points = rng.integers(-3, 4, size=(400, 2)).astype(float) if path == "ties" else rng.normal(size=(400, 2))
+    folds = 2 if path == "fallback" else 5
     ranking = Ranking(LabeledDataset(points, np.repeat([1, 2], 200)), points)
-    fallbacks = []
-    original = nbknn.neighbors.prefix_rows
-    monkeypatch.setattr(nbknn.neighbors, "prefix_rows",
-                        lambda *args: fallbacks.append(1) or original(*args))
-    fit = np.arange(400) % 5 != 0
-    val = np.flatnonzero(~fit)
-    _same_array(ranking.fold(val, fit, 31), fold_reference(ranking.train, val, fit, 31))
-    assert len(fallbacks) == tied
+    full = distance_rows(points, points)
+    cells, sorts = [], []
+    monkeypatch.setattr(nbknn.neighbors, "distance_rows",
+                        lambda p, q: cells.append(len(p) * len(q)) or distance_rows(p, q))
+    monkeypatch.setattr(nbknn.neighbors, "prefix_rows", lambda *args: sorts.append(1) or prefix_rows(*args))
+    for f in range(folds):
+        fit = np.arange(400) % folds != f
+        val = np.flatnonzero(~fit)
+        _same_array(ranking.fold(val, fit, 31), fold_reference(full, val, fit, 31))
+    assert (sum(cells) == 400 * 400) == (path != "fallback")
+    assert bool(sorts) == (path == "ties")
 
 
 @SETTINGS
