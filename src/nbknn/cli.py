@@ -12,6 +12,8 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .methods import (
 )
 from .metrics import TrialReport, efficiency_scores
 from .multiclass import classify_ovo_plus_batch, ovr_evidence_batch, ovr_plus_evidence_batch
-from .neighbors import Ranking
+from .neighbors import Ranking, chunk_rows
 from .simulation import MINORITY_ROLES, run_location_experiment, run_scale_experiment
 
 SCHEMA_VERSION = 1
@@ -113,16 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+@contextmanager
+def _output(path: str | None):
+    """The open output: stdout, which takes what is written as it comes, if
+    ``path`` is None; else a temp file in the target directory, renamed onto
+    ``path`` only if the block succeeds."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nbknn-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,8 +135,9 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _report_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+def _write_report(path: str | None, document: dict) -> None:
+    with _output(path) as out:
+        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _method_entry(report: TrialReport) -> dict:
@@ -188,7 +194,7 @@ def _cmd_simulate(args) -> int:
         "test_size": args.test_size,
         "methods": [_method_entry(r) for r in reports],
     }
-    _write_text(args.output, _report_json(document))
+    _write_report(args.output, document)
     _print_table(reports)
     return 0
 
@@ -221,42 +227,48 @@ def _cmd_benchmark(args) -> int:
         "methods": [_method_entry(r) for r in reports],
         "efficiency": efficiency,
     }
-    _write_text(args.output, _report_json(document))
+    _write_report(args.output, document)
     _print_table(reports)
     return 0
 
 
 def _cmd_fit_predict(args) -> int:
+    """Predict the queries a block of ``chunk_rows(n)`` rows at a time, each
+    block ranked, decided and written on its own: memory does not grow with
+    the queries past the matrix read from their file.  A query's bits do
+    not depend on its batch, so the blocks change no output byte."""
     train_csv = load_csv(args.train, args.label_column)
     queries = load_queries(args.queries, train_csv)
-    data = train_csv.data
+    data, k_max, emit = train_csv.data, args.k_max, args.emit_evidence
     method = args.method
     if method == "auto":
         method = PROPOSED if data.n_classes == 2 else OVR_PLUS
     validate_methods((method,), n_classes=data.n_classes)
 
-    columns: list[str] = []
-    evidence = np.empty((queries.shape[0], 0))
-    per_class = [f"evidence_{name}" for name in train_csv.class_names]
+    columns = [f"evidence_{name}" for name in train_csv.class_names]
     if method == PROPOSED:
-        preds, e1, e2 = binary_evidence_batch(fit_binary(data, args.k_max), queries)
-        if args.emit_evidence:
-            columns, evidence = ["E1", "E2"], np.column_stack([e1, e2])
-    elif method == OVR_PLUS:
-        preds, first_round = ovr_plus_evidence_batch(data, queries, args.k_max)
-        if args.emit_evidence:
-            columns, evidence = per_class, first_round
-    else:
-        ranking = Ranking(data, queries, args.k_max)
-        preds = classify_ovo_plus_batch(data, queries, args.k_max, ranking=ranking)
-        if args.emit_evidence:
-            columns = per_class
-            evidence = ovr_evidence_batch(data, queries, args.k_max, ranking=ranking)
+        clf, columns = fit_binary(data, k_max), ["E1", "E2"]
 
-    lines = [",".join([f"predicted_{args.label_column}"] + columns)]
-    for label, row in zip(preds.tolist(), evidence.tolist()):
-        lines.append(",".join([train_csv.class_name(label)] + [repr(v) for v in row]))
-    _write_text(args.output, "\n".join(lines) + "\n")
+        def predict(block):
+            preds, e1, e2 = binary_evidence_batch(clf, block)
+            return preds, np.column_stack([e1, e2])
+    elif method == OVR_PLUS:
+        predict = partial(ovr_plus_evidence_batch, data, k_max=k_max)
+    else:
+        def predict(block):
+            ranking = Ranking(data, block, k_max)
+            preds = classify_ovo_plus_batch(data, block, k_max, ranking=ranking)
+            return preds, ovr_evidence_batch(data, block, k_max, ranking=ranking) if emit else None
+
+    header = [f"predicted_{args.label_column}"] + (columns if emit else [])
+    step = chunk_rows(data.n)
+    with _output(args.output) as out:
+        out.write(",".join(header) + "\n")
+        for lo in range(0, len(queries), step):
+            preds, evidence = predict(queries[lo : lo + step])
+            rows = evidence.tolist() if emit else [[]] * len(preds)
+            out.writelines(",".join([train_csv.class_name(label)] + [repr(v) for v in row]) + "\n"
+                           for label, row in zip(preds.tolist(), rows))
     return 0
 
 
@@ -279,7 +291,7 @@ def _cmd_split(args) -> int:
         "fraction": args.fraction,
         "splits": splits,
     }
-    _write_text(args.output, _report_json(document))
+    _write_report(args.output, document)
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,10 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
     ``select(header)`` checks the stripped header and returns the
     positions of the feature columns, in output order, and the position
     of the label column or None.  Header names must be unique, every
-    nonblank row must have one field per name, and every feature cell
-    must parse as a finite float; errors cite the row and column.
+    nonblank row must have one field per name, every feature cell must
+    parse as a finite float and every label cell must be nonblank; errors
+    cite the row and column.  The values go straight into one flat
+    buffer of 8 bytes a cell, which the matrix views.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
@@ -84,9 +87,10 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
                 raise CsvFormatError(f"{path}: duplicate column name {name!r} in the header")
         positions, label_pos = select(header)
 
-        values: list[list[float]] = []
+        values = array("d")
         raw_labels: list[str] = []
         bad_cells: list[str] = []
+        n_rows = 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -94,7 +98,6 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
                 raise CsvFormatError(
                     f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
                 )
-            parsed = []
             for i in positions:
                 cell = row[i]
                 try:
@@ -109,18 +112,20 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
                         f"row {line_no}, column {header[i]!r}: non-finite value {cell.strip()!r}"
                     )
                     continue
-                parsed.append(v)
-            values.append(parsed)
+                values.append(v)
+            n_rows += 1
             if label_pos is not None:
                 raw_labels.append(row[label_pos].strip())
+                if not raw_labels[-1]:
+                    bad_cells.append(f"row {line_no}, column {header[label_pos]!r}: empty label")
 
     if bad_cells:
         shown = "; ".join(bad_cells[:5])
         more = f" (and {len(bad_cells) - 5} more)" if len(bad_cells) > 5 else ""
         raise CsvFormatError(f"{path}: {shown}{more}")
-    if not values:
+    if not n_rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return header, np.array(values, dtype=np.float64), raw_labels
+    return header, np.frombuffer(values, dtype=np.float64).reshape(n_rows, len(positions)), raw_labels
 
 
 def load_csv(path, label_column: str) -> CsvDataset:
@@ -128,7 +133,7 @@ def load_csv(path, label_column: str) -> CsvDataset:
 
     Class labels are re-encoded to 1..J by descending class count (ties
     by first appearance); every non-label column must parse as a finite
-    float.
+    float, and every label must be nonblank.
     """
 
     def select(header: list[str]) -> tuple[list[int], int]:

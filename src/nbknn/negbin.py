@@ -94,11 +94,6 @@ def _tail_terms(k: np.ndarray, n: np.ndarray, p0: float) -> tuple[np.ndarray, np
     return np.minimum(tail, 1.0), log_pmf
 
 
-def _lower_tail_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
-    """P(N < n) elementwise for int64 arrays of identical shape."""
-    return _tail_terms(k, n, p0)[0]
-
-
 def _log_pmf_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
     """log f_k(n) elementwise for int64 arrays, each cell from its own ``gammaln`` terms."""
     return _log_pmf_grid(

@@ -44,6 +44,11 @@ _SORT_CELLS = 1 << 18  # distance cells copied and ordered at once
 _HEAD_CELLS = 1 << 17  # training distances ranked at once, few enough to reuse freed heap pages
 
 
+def chunk_rows(n: int) -> int:
+    """Queries ranked at once against ``n`` training rows."""
+    return max(1, _CHUNK_ELEMS // n)
+
+
 def _as_queries(queries, dim: int) -> np.ndarray:
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
@@ -231,7 +236,7 @@ class Ranking:
 
     @cached_property
     def test(self) -> tuple[np.ndarray, np.ndarray]:
-        step = max(1, _CHUNK_ELEMS // self.points.shape[0])
+        step = chunk_rows(self.points.shape[0])
         blocks = []
         for lo in range(0, max(1, len(self.queries)), step):
             dist = distance_rows(self.points, self.queries[lo : lo + step])

@@ -11,7 +11,7 @@ from scipy.special import betainc
 
 from nbknn import LabeledDataset
 from nbknn.binary import _evidence_arrays, _is_minority
-from nbknn.negbin import _log_pmf_grid, _log_pmf_many, adjusted_pvalue_many
+from nbknn.negbin import _log_pmf_grid, _log_pmf_many, _tail_terms, adjusted_pvalue_many
 from nbknn.neighbors import _argsort_rows, distance_rows
 
 
@@ -58,6 +58,11 @@ def lower_tail_padded_reference(k: np.ndarray, n: np.ndarray, p0: float) -> np.n
     if np.any(big):
         out[big] = betainc(k[big].astype(np.float64), span[big].astype(np.float64), p0)
     return np.minimum(out, 1.0)
+
+
+def _lower_tail_many(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:
+    """P(N < n) elementwise for int64 arrays of identical shape."""
+    return _tail_terms(k, n, p0)[0]
 
 
 def midp_padded_reference(k: np.ndarray, n: np.ndarray, p0: float) -> np.ndarray:

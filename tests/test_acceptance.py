@@ -29,10 +29,10 @@ from nbknn import (
     sample_mixture,
 )
 from nbknn.cli import main
-from nbknn.negbin import _log_pmf_many, _lower_tail_many
+from nbknn.negbin import _log_pmf_many
 from nbknn.simulation import location_specs, scale_specs
 
-from conftest import brute_force_evidence, make_dataset
+from conftest import _lower_tail_many, brute_force_evidence, make_dataset
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbknn.cli
 import nbknn.multiclass
 import nbknn.neighbors
 from nbknn import Stream
@@ -382,6 +383,73 @@ def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals)
     assert counts == {"_pair_evidence": pair_evals, "distance_rows": 30 * n_train}
 
 
+def fit_predict_golden_case(tmp_path: Path, method: str) -> tuple[list[str], int]:
+    """fit-predict arguments (no --emit-evidence) for a golden case, and its training rows."""
+    write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
+    train = tmp_path / "train.csv"
+    write_train(train)
+    queries = write_query_files(tmp_path, columns, label, seed, shift)[0]
+    argv = ["fit-predict", "--train", str(train), "--queries", str(queries),
+            "--label-column", label, "--method", method, "--output", str(tmp_path / "preds.csv")]
+    return argv, len(train.read_text().splitlines()) - 1
+
+
+@pytest.mark.parametrize("emit", [True, False], ids=["evidence", "labels"])
+@pytest.mark.parametrize("block", [1, 3, 31])
+@pytest.mark.parametrize("method", sorted(GOLDEN_FIT_PREDICT))
+def test_fit_predict_blocks_change_no_byte(tmp_path, monkeypatch, method, block, emit):
+    # The 30 queries are ranked and written a block of chunk_rows(n) at a
+    # time: one row, three rows or all of them in one block give the golden
+    # bytes, and without --emit-evidence its first column.
+    argv, n_train = fit_predict_golden_case(tmp_path, method)
+    monkeypatch.setattr(nbknn.neighbors, "_CHUNK_ELEMS", block * n_train)
+    assert nbknn.neighbors.chunk_rows(n_train) == block
+    assert main(argv + (["--emit-evidence"] if emit else [])) == 0
+    golden = (DATA_DIR / f"golden_fit_predict_{method}.csv").read_text()
+    if not emit:
+        golden = "".join(line.split(",")[0] + "\n" for line in golden.splitlines())
+    assert (tmp_path / "preds.csv").read_bytes() == golden.encode()
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 3), (RuntimeError, None)])
+def test_fit_predict_failure_in_second_block_leaves_no_output(tmp_path, monkeypatch, error, code):
+    # The first block is already written to the temp file when the second fails.
+    argv, n_train = fit_predict_golden_case(tmp_path, "proposed")
+    monkeypatch.setattr(nbknn.neighbors, "_CHUNK_ELEMS", 3 * n_train)
+    original, blocks = nbknn.cli.binary_evidence_batch, []
+
+    def failing(clf, block):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise error("second block")
+        return original(clf, block)
+
+    monkeypatch.setattr(nbknn.cli, "binary_evidence_batch", failing)
+    if code is None:
+        with pytest.raises(error, match="second block"):
+            main(argv + ["--emit-evidence"])
+    else:
+        assert main(argv + ["--emit-evidence"]) == code
+    assert blocks == [3, 3]
+    assert not (tmp_path / "preds.csv").exists()
+    assert not list(tmp_path.glob(".nbknn-*"))
+
+
+def test_fit_predict_blank_label_exit_3(binary_csv, tmp_path, capsys):
+    # A blank label cell would otherwise train a class named "".
+    lines = binary_csv.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ","
+    train = tmp_path / "blank.csv"
+    train.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "preds.csv"
+    code = main(["fit-predict", "--train", str(train), "--queries", str(binary_csv),
+                 "--label-column", "outcome", "--method", "ovr_plus", "--emit-evidence",
+                 "--output", str(out)])
+    assert code == 3
+    assert "row 6, column 'outcome': empty label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 PEAK_RSS_CHILD = """
 import resource, sys
 from nbknn.cli import main
@@ -418,6 +486,35 @@ def test_fit_predict_memory_grows_with_prefixes_not_matrices(tmp_path):
     assert len((tmp_path / "out_2000.csv").read_text().splitlines()) == 2001
     print(peaks)
     assert peaks[2000] - peaks[200] < 290e6 / 4
+
+
+def test_fit_predict_peak_memory_does_not_grow_with_queries(tmp_path):
+    # Queries are ranked, decided and written a block at a time, so ten
+    # times the queries add only their 8-byte cells (18,000 x 3, 0.4 MB):
+    # no prefix, evidence or output line outlives its block.
+    rng = np.random.default_rng(2025)
+    minority = rng.random(2000) < 0.1
+    points = rng.normal(size=(2000, 3)) + minority[:, None]
+    rows = [",".join(map(repr, p)) + (",pos" if m else ",neg")
+            for p, m in zip(points.tolist(), minority)]
+    (tmp_path / "train.csv").write_text("\n".join(["x,y,z,label"] + rows) + "\n")
+    queries = rng.normal(size=(20_000, 3)) + 0.5
+    env = dict(os.environ, PYTHONPATH=str(Path(nbknn.neighbors.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    peaks = {}
+    for m in (2000, 20_000):
+        query_file = tmp_path / f"queries_{m}.csv"
+        query_file.write_text("\n".join(["x,y,z"] + [",".join(map(repr, q)) for q in queries[:m].tolist()]))
+        argv = ["fit-predict", "--train", str(tmp_path / "train.csv"), "--queries",
+                str(query_file), "--label-column", "label", "--emit-evidence",
+                "--output", str(tmp_path / f"out_{m}.csv")]
+        child = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD] + argv, env=env,
+                               capture_output=True, text=True, check=True)
+        code, peaks[m] = map(int, child.stdout.split())
+        assert code == 0, child.stderr
+    assert len((tmp_path / "out_20000.csv").read_text().splitlines()) == 20_001
+    print(peaks)
+    assert peaks[20_000] - peaks[2000] < 8e6
 
 
 class TestSplit:

@@ -102,6 +102,29 @@ class TestLoadCsv:
         assert marked.data.labels.tobytes() == plain.data.labels.tobytes()
         assert marked_q.tobytes() == plain_q.tobytes()
 
+    def test_empty_label_cites_row(self, csv_file):
+        # A blank label cell would otherwise become a class named "".
+        path = csv_file("x,cls\n0,a\n1,\n2,  \n3,b\n")
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path, "cls")
+        assert str(err.value) == (
+            f"{path}: row 3, column 'cls': empty label; row 4, column 'cls': empty label"
+        )
+
+    def test_empty_labels_share_the_bad_cell_message(self, csv_file):
+        rows = "".join(f"{i},\n" for i in range(6))
+        path = csv_file("x,cls\noops,a\n" + rows)
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(path, "cls")
+        assert str(err.value) == f"{path}: row 2, column 'x': non-numeric value 'oops'; " + "; ".join(
+            f"row {r}, column 'cls': empty label" for r in range(3, 7)
+        ) + " (and 2 more)"
+
+    def test_query_label_cells_may_be_blank(self, csv_file):
+        train = load_csv(csv_file("x,cls\n0,a\n1,b\n", "train.csv"), "cls")
+        queries = load_queries(csv_file("cls,x\n,5\n  ,6\n", "queries.csv"), train)
+        assert queries.tolist() == [[5.0], [6.0]]
+
     def test_ragged_row(self, csv_file):
         path = csv_file("x,y,cls\n0,1,a\n2,b\n")
         with pytest.raises(CsvFormatError, match="row 3 has 2 fields"):

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbknn import adjusted_pvalue_many
-from nbknn.negbin import _log_pmf_many, _lower_tail_many
+from nbknn.negbin import _log_pmf_many
 from scipy.special import betainc
 
 from conftest import (
+    _lower_tail_many,
     lower_tail_padded_reference,
     midp_padded_reference,
     nb_lower_tail_exact,
