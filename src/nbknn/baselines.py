@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .metrics import macro_f1_many
-from .neighbors import Ranking, head
+from .neighbors import Ranking
 from .rng import Stream
 
 WEIGHTINGS = ("uniform", "inverse-class-size")
@@ -71,11 +71,10 @@ def _votes_for_grid(
 def knn_classify_batch(
     train: LabeledDataset, queries, cfg: KnnConfig, *, ranking: Ranking | None = None
 ) -> np.ndarray:
-    """k-NN vote for many queries at once (from ``ranking.test`` if given)."""
+    """k-NN vote for many queries at once (from ``ranking`` if given)."""
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
-    prefix = Ranking.of(train, queries, ranking, vote_k=cfg.k).test
-    ordered_labels = train.labels[head(prefix, cfg.k)]
+    ordered_labels = train.labels[Ranking.of(train, queries, ranking, vote_k=cfg.k).head(cfg.k)]
     weights = _vote_weights(train.class_counts, cfg.weighting)
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
 

@@ -1,13 +1,17 @@
 """Command-line interface: simulate | benchmark | fit-predict | split.
 
-Reports are JSON (schema version 1) written atomically to --output or
-printed to stdout; a human-readable percent table goes to stderr.
+simulate, benchmark and split write JSON (schema version 1), fit-predict
+a CSV, to --output or stdout; simulate and benchmark print a percent
+table to stderr.  An --output file is written atomically, so a failed
+run leaves nothing; to stdout, fit-predict prints each block of queries
+as it is decided, so a failure after the first block leaves those lines.
 Exit codes: 0 success, 2 usage error, 3 data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -153,14 +157,8 @@ def _print_table(reports: list[TrialReport]) -> None:
     """Percent table, mean to 2 decimals and SE to 3, like the JSON but human."""
     rows = [("method", "precision", "recall", "f1")]
     for r in reports:
-        rows.append(
-            (
-                r.method,
-                f"{100 * r.precision.mean:.2f} ({100 * r.precision.se:.3f})",
-                f"{100 * r.recall.mean:.2f} ({100 * r.recall.se:.3f})",
-                f"{100 * r.f1.mean:.2f} ({100 * r.f1.se:.3f})",
-            )
-        )
+        cells = (f"{100 * s.mean:.2f} ({100 * s.se:.3f})" for s in (r.precision, r.recall, r.f1))
+        rows.append((r.method, *cells))
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip(), file=sys.stderr)
@@ -263,12 +261,13 @@ def _cmd_fit_predict(args) -> int:
     header = [f"predicted_{args.label_column}"] + (columns if emit else [])
     step = chunk_rows(data.n)
     with _output(args.output) as out:
-        out.write(",".join(header) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
         for lo in range(0, len(queries), step):
             preds, evidence = predict(queries[lo : lo + step])
             rows = evidence.tolist() if emit else [[]] * len(preds)
-            out.writelines(",".join([train_csv.class_name(label)] + [repr(v) for v in row]) + "\n"
-                           for label, row in zip(preds.tolist(), rows))
+            writer.writerows([train_csv.class_name(label)] + [repr(v) for v in row]
+                             for label, row in zip(preds.tolist(), rows))
     return 0
 
 

@@ -110,18 +110,17 @@ def score_trial(
 
 
 def map_trials(fn, args_list, jobs: int = 1) -> list:
-    """Run ``fn`` over per-trial argument tuples, optionally in parallel.
-
-    Results come back in submission order and each trial's randomness is
-    derived from its own stream, so the output is identical for any job
-    count.
-    """
+    """Run ``fn`` over per-trial argument tuples, in up to ``jobs`` worker
+    processes but no more than there are trials, since a pool forks all of
+    its workers at once.  Results come back in submission order and each
+    trial's randomness is derived from its own stream, so the output is
+    identical for any job count."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
     chunk = max(1, len(args_list) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args_list))) as pool:
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 

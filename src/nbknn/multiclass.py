@@ -5,9 +5,10 @@ Both play rounds of binary pairings among the active classes; one
 driver, :func:`_reduce`, settles each round for all of its queries and
 replays winner sets, which strictly shrink, so every query terminates.
 A pairing is :func:`binary._pair_evidence` of two groups of classes,
-which owns their roles and ties; it counts the pair's rows along the
-shared test ordering, with no sort and no classifier fit.  A two-class
-OvR+ round plays one pairing and reads the other column as its mirror.
+which owns their roles and ties; it reads :meth:`Ranking.places` of the
+shared ranking, and a replay its :meth:`Ranking.take`, with no sort and
+no classifier fit.  A two-class OvR+ round plays one pairing and reads
+the other column as its mirror.
 """
 
 from __future__ import annotations
@@ -18,40 +19,38 @@ import numpy as np
 
 from .binary import _check_train, _is_minority, _pair_evidence
 from .dataset import LabeledDataset
-from .neighbors import Ranking, take_rows
+from .neighbors import Ranking
 
 
-def _test_prefix(
-    train: LabeledDataset, queries, k_max: int, ranking: Ranking | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check ``train`` and ``k_max`` and return the query rows' neighbor prefixes."""
+def _ranking(train: LabeledDataset, queries, k_max: int, ranking: Ranking | None) -> Ranking:
+    """Check ``train`` and ``k_max`` and return the query rows' neighbor ranking."""
     if train.n_classes < 2:
         raise ValueError("multiclass reduction needs at least 2 classes")
     _check_train(train, k_max)
-    return Ranking.of(train, queries, ranking, k_max).test
+    return Ranking.of(train, queries, ranking, k_max)
 
 
-def _reduce(play, active: tuple[int, ...], prefix) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of the queries of ``prefix`` among ``active``, and this round's scores.
+def _reduce(play, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the queries of ``ranking`` among ``active``, and this round's scores.
 
-    ``play(active, prefix)`` gives (classes, wins, score), one column per class.
+    ``play(active, ranking)`` gives (classes, wins, score), one column per class.
     A single winner wins; a winner set of 2 or more that is smaller than
     ``classes`` replays among itself (counts, p0 and k caps recomputed); any
     other query goes to the class of its first maximum score.
     """
-    classes, wins, score = play(active, prefix)
+    classes, wins, score = play(active, ranking)
     single = wins.sum(axis=1) == 1
     labels = classes[np.where(single, wins.argmax(axis=1), score.argmax(axis=1))]
     sets, inverse = np.unique(wins, axis=0, return_inverse=True)
     for s, members in enumerate(sets):
         if 2 <= np.count_nonzero(members) < classes.size:
             replay = inverse == s
-            labels[replay] = _reduce(play, tuple(classes[members]), take_rows(prefix, replay))[0]
+            labels[replay] = _reduce(play, tuple(classes[members]), ranking.take(replay))[0]
     return labels, score
 
 
 def _ovo_round(
-    train: LabeledDataset, k_max: int, active: tuple[int, ...], prefix
+    train: LabeledDataset, k_max: int, active: tuple[int, ...], ranking: Ranking
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each larger active class plays the smallest, the minority of every
     pairing, which wins none and is the fallback of an empty winner set."""
@@ -61,26 +60,26 @@ def _ovo_round(
         if _is_minority(int(counts[cls - 1]), int(counts[smallest - 1]), (cls,), (smallest,)):
             smallest = cls
     classes = np.array(active, dtype=np.int64)
-    wins = np.zeros((prefix[1].size, classes.size), dtype=bool)
+    wins = np.zeros((len(ranking), classes.size), dtype=bool)
     for j, cls in enumerate(active):
         if cls != smallest:
-            wins[:, j] = _pair_evidence(train.labels, prefix, (cls,), (smallest,), k_max)[0]
+            wins[:, j] = _pair_evidence(ranking, (cls,), (smallest,), k_max)[0]
     return classes, wins, np.broadcast_to(classes == smallest, wins.shape)
 
 
 def _ovr_round(
-    train: LabeledDataset, k_max: int, active: tuple[int, ...], prefix
+    train: LabeledDataset, k_max: int, active: tuple[int, ...], ranking: Ranking
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each active class against the pooled rest of the active set, roles
     and ties as :func:`binary._pair_evidence` decides.  The score is the
     class's side of the evidence, so the fallback is the maximum evidence,
     ties to the smaller id.  Over two classes one pairing is played: the
     other column is its mirror, wins negated and sides swapped."""
-    wins = np.zeros((prefix[1].size, len(active)), dtype=bool)
+    wins = np.zeros((len(ranking), len(active)), dtype=bool)
     evidence = np.zeros(wins.shape, dtype=np.float64)
     for j, cls in enumerate(active[:1] if len(active) == 2 else active):
         rest = tuple(c for c in active if c != cls)
-        wins[:, j], evidence[:, j], mirror = _pair_evidence(train.labels, prefix, (cls,), rest, k_max)
+        wins[:, j], evidence[:, j], mirror = _pair_evidence(ranking, (cls,), rest, k_max)
     if len(active) == 2:
         wins[:, 1], evidence[:, 1] = ~wins[:, 0], mirror
     return np.array(active, dtype=np.int64), wins, evidence
@@ -89,7 +88,7 @@ def _ovr_round(
 def _reduction(round_fn, train: LabeledDataset, queries, k_max: int, ranking: Ranking | None):
     """Labels and first-round scores of one reduction over all classes."""
     play, active = partial(round_fn, train, k_max), tuple(range(1, train.n_classes + 1))
-    return _reduce(play, active, _test_prefix(train, queries, k_max, ranking))
+    return _reduce(play, active, _ranking(train, queries, k_max, ranking))
 
 
 def classify_ovo_plus_batch(
@@ -120,4 +119,4 @@ def ovr_evidence_batch(
     j+1's side of its pairing against all other classes, as the first round
     of :func:`classify_ovr_plus_batch` records it."""
     active = tuple(range(1, train.n_classes + 1))
-    return _ovr_round(train, k_max, active, _test_prefix(train, queries, k_max, ranking))[2]
+    return _ovr_round(train, k_max, active, _ranking(train, queries, k_max, ranking))[2]

@@ -31,6 +31,7 @@ rows of a batch.
 
 from __future__ import annotations
 
+from copy import copy
 from functools import cached_property, reduce
 from operator import iadd
 
@@ -159,23 +160,13 @@ def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return orders[np.arange(orders.shape[1]) < counts[:, None]], counts
 
 
-def head(prefix: tuple[np.ndarray, np.ndarray], depth: int) -> np.ndarray:
+def _head(prefix: tuple[np.ndarray, np.ndarray], depth: int) -> np.ndarray:
     """The first ``depth`` entries of each prefix, one row each; raises if
     any prefix is shorter."""
     flat, counts = prefix
     if np.any(counts < depth):
         raise ValueError(f"a neighbor prefix is shorter than the {depth} rows read from it")
     return flat[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
-
-
-def take_rows(prefix: tuple[np.ndarray, np.ndarray], rows) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes of the queries ``rows`` (a mask or indices), in that order.
-
-    A kept entry moves back by the lengths of the prefixes dropped before it."""
-    flat, counts = prefix
-    kept = counts[rows]
-    shift = np.cumsum(counts)[rows] - np.cumsum(kept)
-    return flat[np.repeat(shift, kept) + np.arange(kept.sum())], kept
 
 
 def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
@@ -185,7 +176,7 @@ def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
     part = np.argpartition(dist, depth - 1, axis=1)
     tau = np.take_along_axis(dist, part[:, depth - 1 : depth], axis=1)
     if np.any(np.count_nonzero(dist <= tau, axis=1) > depth):
-        return head(prefix_rows(dist, tau[:, 0]), depth)
+        return _head(prefix_rows(dist, tau[:, 0]), depth)
     return _order_kept(dist, part[:, :depth]).astype(np.min_scalar_type(dist.shape[1]))
 
 
@@ -199,6 +190,9 @@ class Ranking:
     classes has min(k_max, n_G) points or more within tau_i, so the prefix
     covers every OvO+/OvR+ evidence sweep and the vote.  :meth:`fold`
     reads the training rows' heads of their own order, made once per depth.
+
+    Other modules read only ``len``, :meth:`head`, :meth:`places` and
+    :meth:`take`, never ``test``: the prefix layout is this module's own.
     """
 
     def __init__(self, train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0) -> None:
@@ -242,6 +236,44 @@ class Ranking:
             dist = distance_rows(self.points, self.queries[lo : lo + step])
             blocks.append(prefix_rows(dist, self._threshold(dist)))
         return tuple(map(np.concatenate, zip(*blocks)))
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def head(self, depth: int) -> np.ndarray:
+        """Each query's first ``depth`` training rows, one row each; raises
+        if a prefix is shorter."""
+        return _head(self.test, depth)
+
+    def places(self, code: np.ndarray, k: int) -> np.ndarray:
+        """n_obs: the places of each query's first ``k`` minority rows in the
+        pair's own order, the pair entries counted up to each along the prefix
+        (the restriction lemma).  ``code`` marks each training row 0 outside
+        the pair, 1 in its majority, 2 in its minority.  Raises if a prefix
+        holds fewer than ``k`` minority rows."""
+        flat, counts = self.test
+        codes = code.take(flat)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        if not code.all():  # read the pair's entries only, in order
+            pair = np.flatnonzero(codes != 0)  # nonzero is fastest on a bool mask
+            codes, bounds = codes.take(pair), np.searchsorted(pair, bounds)
+        at = np.flatnonzero(codes == 2)
+        first = np.searchsorted(at, bounds)
+        if np.any(np.diff(first) < k):
+            raise ValueError(f"a neighbor prefix holds fewer than the {k} minority rows swept")
+        return at[first[:-1, None] + np.arange(k)] - bounds[:-1, None] + 1
+
+    def take(self, rows) -> "Ranking":
+        """The ranking of the queries ``rows`` (a mask or indices), in that
+        order, from these prefixes, stored where ``test`` caches its value:
+        a kept entry moves back by the lengths of the prefixes dropped before it."""
+        flat, counts = self.test
+        kept = counts[rows]
+        shift = np.cumsum(counts)[rows] - np.cumsum(kept)
+        out = copy(self)
+        out.queries = self.queries[rows]
+        vars(out)["test"] = flat[np.repeat(shift, kept) + np.arange(kept.sum())], kept
+        return out
 
     def _train_head(self, depth: int) -> np.ndarray:
         """Each training row's first min(n, 2 depth + 2) entries of its order

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import betainc
 
 from nbknn import LabeledDataset
-from nbknn.binary import _evidence_arrays, _is_minority
+from nbknn.binary import _is_minority, _sweep
 from nbknn.negbin import _log_pmf_grid, _log_pmf_many, _tail_terms, adjusted_pvalue_many
 from nbknn.neighbors import _argsort_rows, distance_rows
 
@@ -111,7 +111,7 @@ def padded(prefix, n: int) -> np.ndarray:
 
 
 def head(orders: np.ndarray, n: int, depth: int) -> np.ndarray:
-    """``neighbors.head`` on padded prefixes (sentinel ``n``), as the fold
+    """``Ranking.head`` on padded prefixes (sentinel ``n``), as the fold
     reference reads them; raises if any prefix is shorter."""
     out = np.full((orders.shape[0], depth), n, dtype=orders.dtype)
     out[:, : orders.shape[1]] = orders[:, :depth]
@@ -210,13 +210,17 @@ def minority_share(train: LabeledDataset, minority_label: int) -> float:
 
 def evidence_arrays(clf, queries, p0: float | None = None):
     """The evidence sweep of ``clf`` over a fresh ordering of ``queries``,
-    under ``p0`` (by default the minority share of ``clf.train``)."""
+    under ``p0`` (by default the minority share of ``clf.train``): E1, E2,
+    the e-matrix and n_obs, the 1-based column of each query's k-th
+    minority row in its full order, k = 1..k_max_eff."""
     q = np.asarray(queries, dtype=np.float64)
     is_minority = clf.train.labels[order_rows(clf.train.points, q)] == clf.minority_label
     if p0 is None:
         p0 = minority_share(clf.train, clf.minority_label)
-    m, n = is_minority.shape
-    return _evidence_arrays(is_minority.reshape(-1), np.arange(m + 1) * n, p0, clf.k_max_eff)
+    rows, cols = np.nonzero(is_minority)
+    first = np.searchsorted(rows, np.arange(len(is_minority)))
+    n_obs = cols[first[:, None] + np.arange(clf.k_max_eff)] + 1
+    return (*_sweep(n_obs, p0), n_obs)
 
 
 def brute_force_evidence(train: LabeledDataset, query, k_max: int):

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -433,6 +434,34 @@ def test_fit_predict_failure_in_second_block_leaves_no_output(tmp_path, monkeypa
     assert blocks == [3, 3]
     assert not (tmp_path / "preds.csv").exists()
     assert not list(tmp_path.glob(".nbknn-*"))
+
+
+@pytest.mark.parametrize("method, n_classes", [("proposed", 2), ("ovr_plus", 3), ("ovo_plus", 3)])
+def test_fit_predict_quotes_names_with_commas_and_quotes(tmp_path, method, n_classes):
+    # A class or label-column name holding a comma or a quote is one quoted
+    # cell, so every row reads back with as many fields as the header.
+    names = ["big, red", 'say "hi"', "plain"][:n_classes]
+    label = 'kind, "as given"'
+    rng = np.random.default_rng(5)
+    train, queries = tmp_path / "train.csv", tmp_path / "queries.csv"
+    with train.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", label])
+        for i in range(60):
+            writer.writerow([*(rng.normal(size=2) + i % n_classes), names[i % n_classes]])
+    with queries.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["x", "y"], *rng.normal(size=(9, 2)).tolist()])
+    out = tmp_path / "preds.csv"
+    assert main(["fit-predict", "--train", str(train), "--queries", str(queries), "--label-column",
+                 label, "--method", method, "--emit-evidence", "--output", str(out)]) == 0
+    header, *rows = csv.reader(out.read_text(encoding="utf-8").splitlines())
+    columns = ["E1", "E2"] if method == "proposed" else [f"evidence_{name}" for name in names]
+    assert header[0] == f"predicted_{label}"
+    assert sorted(header[1:]) == sorted(columns)
+    assert len(rows) == 9
+    for row in rows:
+        assert len(row) == len(header) and row[0] in names
+        assert all(0.0 <= float(v) <= 1.0 for v in row[1:])
 
 
 def test_fit_predict_blank_label_exit_3(binary_csv, tmp_path, capsys):

@@ -224,15 +224,15 @@ def test_ovr_round_pairings(rng, monkeypatch, n_classes, active):
     # A J-class OvR+ round plays J pairings; a two-class round plays one,
     # and its other column is the mirror of that pairing, bit for bit.
     ds = make_dataset(rng, n=60, n_classes=n_classes)
-    prefix = Ranking(ds, rng.normal(size=(7, 2)), 6).test
+    ranking = Ranking(ds, rng.normal(size=(7, 2)), 6)
     played = []
     pair = nbknn.multiclass._pair_evidence
     monkeypatch.setattr(nbknn.multiclass, "_pair_evidence",
-                        lambda *args: played.append(args[2]) or pair(*args))
-    _, wins, evidence = _ovr_round(ds, 6, active, prefix)
+                        lambda *args: played.append(args[1]) or pair(*args))
+    _, wins, evidence = _ovr_round(ds, 6, active, ranking)
     assert played == [(c,) for c in (active[:1] if len(active) == 2 else active)]
     for j, cls in enumerate(active):
         rest = tuple(c for c in active if c != cls)
-        cls_wins, cls_side, _ = pair(ds.labels, prefix, (cls,), rest, 6)
+        cls_wins, cls_side, _ = pair(ranking, (cls,), rest, 6)
         assert wins[:, j].tobytes() == cls_wins.tobytes()
         assert evidence[:, j].tobytes() == cls_side.tobytes()

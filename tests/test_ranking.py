@@ -40,11 +40,11 @@ from nbknn import (
     select_k_cv,
 )
 from nbknn.baselines import _stratified_folds, _vote_weights
-from nbknn.binary import _evidence_arrays, _pair_evidence
+from nbknn.binary import _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
-from nbknn.neighbors import Ranking, distance_rows, head, prefix_rows, take_rows
+from nbknn.neighbors import Ranking, distance_rows, prefix_rows
 from nbknn.rng import Stream
 
 from conftest import (
@@ -279,9 +279,9 @@ def test_pair_evidence_symmetric_in_its_groups(problem, groups, k_max):
     train, queries = problem
     a, b = (tuple(c for c in range(1, train.n_classes + 1) if groups[c - 1] == g) for g in (0, 1))
     assume(a and b)
-    prefix = Ranking(train, queries, k_max).test
-    a_wins, a_evidence, b_evidence = _pair_evidence(train.labels, prefix, a, b, k_max)
-    b_wins, b_swapped, a_swapped = _pair_evidence(train.labels, prefix, b, a, k_max)
+    ranking = Ranking(train, queries, k_max)
+    a_wins, a_evidence, b_evidence = _pair_evidence(ranking, a, b, k_max)
+    b_wins, b_swapped, a_swapped = _pair_evidence(ranking, b, a, k_max)
     np.testing.assert_array_equal(a_wins, ~b_wins)
     assert a_evidence.tobytes() == a_swapped.tobytes()
     assert b_evidence.tobytes() == b_swapped.tobytes()
@@ -301,14 +301,14 @@ def test_pair_evidence_equals_restricted_reference(problem, groups, k_max, depth
     train, queries = problem
     a, b = (tuple(c for c in range(1, train.n_classes + 1) if groups[c - 1] == g) for g in (0, 1))
     assume(a and b)
-    prefix = Ranking(train, queries[:batch], depth).test
+    ranking = Ranking(train, queries[:batch], depth)
     try:
-        want = pair_evidence_reference(train.labels, padded(prefix, train.n), a, b, k_max)
+        want = pair_evidence_reference(train.labels, padded(ranking.test, train.n), a, b, k_max)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
-            _pair_evidence(train.labels, prefix, a, b, k_max)
+            _pair_evidence(ranking, a, b, k_max)
         return
-    for got, ref in zip(_pair_evidence(train.labels, prefix, a, b, k_max), want):
+    for got, ref in zip(_pair_evidence(ranking, a, b, k_max), want):
         _same_array(got, ref)
 
 
@@ -505,8 +505,8 @@ def test_reading_past_a_prefix_raises(problem, k_max):
     prefix = ranking.test
     short = int(_prefix_lengths(padded(prefix, train.n), train.n).min())
     with pytest.raises(ValueError, match="prefix"):
-        head(prefix, short + 1)
-    np.testing.assert_array_equal(head(prefix, short),
+        ranking.head(short + 1)
+    np.testing.assert_array_equal(ranking.head(short),
                                   order_rows(train.points, queries)[:, :short])
     if short < train.n:
         with pytest.raises(ValueError, match="prefix"):
@@ -514,14 +514,14 @@ def test_reading_past_a_prefix_raises(problem, k_max):
     clf = fit_binary(train, k_max)
     is_minority = np.append(train.labels == clf.minority_label, False)[padded(prefix, train.n)]
     found = int(np.count_nonzero(is_minority, axis=1).min())
-    marks, bounds = train.labels[prefix[0]] == clf.minority_label, np.cumsum(np.r_[0, prefix[1]])
+    code = np.where(train.labels == clf.minority_label, 2, 1).astype(np.uint8)
     with pytest.raises(ValueError, match="prefix"):
-        _evidence_arrays(marks, bounds, minority_share(train, clf.minority_label), found + 1)
+        ranking.places(code, found + 1)
 
 
 @SETTINGS
 @given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10), st.data())
-def test_take_rows_equals_queries_ranked_alone(problem, k_max, vote_k, data):
+def test_take_equals_queries_ranked_alone(problem, k_max, vote_k, data):
     # k_max = vote_k = 0 gives zero-length prefixes; a mask or indices,
     # in any order and with repeats, may pick no row or every row.
     train, queries = problem
@@ -529,10 +529,13 @@ def test_take_rows_equals_queries_ranked_alone(problem, k_max, vote_k, data):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     picks = np.array(data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m)), dtype=np.int64)
     for depths in ((k_max, vote_k), (0, 0)):
-        prefix = Ranking(train, queries, *depths).test
+        ranking = Ranking(train, queries, *depths)
         for rows in (mask, picks, np.zeros(m, dtype=bool), np.ones(m, dtype=bool), np.arange(m)):
-            want = Ranking(train, queries[rows], *depths).test
-            for got_part, want_part in zip(take_rows(prefix, rows), want):
+            want = Ranking(train, queries[rows], *depths)
+            got = ranking.take(rows)
+            assert len(got) == len(want)
+            _same_array(got.queries, want.queries)
+            for got_part, want_part in zip(got.test, want.test):
                 _same_array(got_part, want_part)
 
 

@@ -12,7 +12,8 @@ from nbknn import (
     run_scale_experiment,
     sample_mixture,
 )
-from nbknn.methods import MethodNameError, validate_methods
+import nbknn.methods
+from nbknn.methods import MethodNameError, map_trials, validate_methods
 from nbknn.simulation import location_specs, scale_specs
 
 
@@ -139,6 +140,29 @@ class TestDrivers:
         assert [r.macro_f1 for r in serial[0].per_trial] == [
             r.macro_f1 for r in parallel[0].per_trial
         ]
+
+    def test_pool_is_no_wider_than_the_trials(self, monkeypatch):
+        # A process pool forks all of its workers at the first submit, so
+        # workers beyond the trial count would only be forked to idle.
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args_list, chunksize=1):
+                return map(fn, args_list)
+
+        monkeypatch.setattr(nbknn.methods, "ProcessPoolExecutor", RecordingPool)
+        assert map_trials(abs, [-1, -2], jobs=64) == [1, 2]
+        assert map_trials(abs, [-1, -2, -3, -4], jobs=3) == [1, 2, 3, 4]
+        assert widths == [2, 3]
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'foo'"):
