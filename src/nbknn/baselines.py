@@ -74,7 +74,7 @@ def knn_classify_batch(
     """k-NN vote for many queries at once (from ``ranking`` if given)."""
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
-    ordered_labels = train.labels[Ranking.of(train, queries, ranking, vote_k=cfg.k).head(cfg.k)]
+    ordered_labels = Ranking.of(train, queries, ranking, vote_k=cfg.k).head(cfg.k)
     weights = _vote_weights(train.class_counts, cfg.weighting)
     return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
 

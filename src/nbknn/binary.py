@@ -10,9 +10,9 @@ class; the query goes to the minority class exactly when E2 > E1, so
 exact ties fall to the majority.
 
 OvO+ and OvR+ pairings call the same decision, :func:`_pair_evidence`.
-It codes each training row as outside the pair, pair majority or pair
-minority; :meth:`Ranking.places` counts the pair's n_obs along the shared
-ranking, with no sort, and :func:`_sweep` turns them into E1 and E2.
+It codes each class as outside the pair, pair majority or pair minority;
+:meth:`Ranking.places` counts the pair's n_obs along the shared ranking's
+neighbor labels, with no sort, and :func:`_sweep` turns them into E1 and E2.
 Its sweep length is min(k_max, minority count): beyond it the statistic
 is undefined.
 """
@@ -84,8 +84,8 @@ def _pair_evidence(
     ``a`` beat the disjoint classes ``b``, and each side's evidence (E1 for
     the majority, E2 for the minority); ties E1 == E2 go to the majority.
 
-    Each training row is coded 0 outside the pair, 1 in its majority and
-    2 in its minority, and :meth:`Ranking.places` counts the pair's n_obs.
+    Each class is coded 0 outside the pair, 1 in its majority and 2 in
+    its minority, and :meth:`Ranking.places` counts the pair's n_obs.
     """
     counts = np.bincount(ranking.labels)
     n_a, n_b = int(counts[list(a)].sum()), int(counts[list(b)].sum())
@@ -94,7 +94,7 @@ def _pair_evidence(
     code = np.zeros(counts.size, dtype=np.uint8)
     code[list(a + b)] = 1
     code[list(a if a_minor else b)] = 2
-    e1, e2, _ = _sweep(ranking.places(code[ranking.labels], min(int(k_max), n_min)), n_min / (n_a + n_b))
+    e1, e2, _ = _sweep(ranking.places(code, min(int(k_max), n_min)), n_min / (n_a + n_b))
     majority_wins = e1 >= e2
     if a_minor:
         return ~majority_wins, e2, e1

@@ -9,16 +9,16 @@ k-th neighbor), so a row is ordered only up to a threshold tau.  Its
 prefix {d <= tau}, ties at tau included, is bit for bit the head of the
 full order, and a subset's rows in it, in order, are the head of the
 subset's order: a reader counts them along the prefix, with no copy.
-A ranking holds its queries' prefixes laid end to end in one flat array,
-and their lengths; a reader that needs more than a row's prefix raises.
+A ranking holds its queries' prefixes of neighbor labels end to end in
+one flat array, and their lengths; a reader that needs more raises.
 
 Ranking does only the work its readers use.  The threshold counts
 before it partitions: a group's k-th point is looked for only in the
-rows that hold fewer than k of the group's points at or below their
-running tau.  Rows are sorted in buckets of equal ceil(log2 c_i), each
-to its own widest prefix c_i, not to the widest row of the block.  A
-cross-validation fold reads its fit rows along each training row's head
-of its order, ranked once; a row whose head holds too few ranks afresh.
+rows with fewer than k of the group's points at or below their running
+tau.  One sort of packed (distance, label) keys orders a row's labels,
+in buckets of equal ceil(log2 c_i); a row its keys cannot decide takes
+the index sort.  A cross-validation fold reads its fit rows along each
+training row's head of its index order; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -40,8 +40,7 @@ import numpy as np
 from .dataset import LabeledDataset
 
 _CHUNK_ELEMS = 1 << 20  # distance cells ranked at once
-_BLOCK_CELLS = 1 << 15  # distance cells summed at once: the partial sums stay in cache
-_SORT_CELLS = 1 << 18  # distance cells copied and ordered at once
+_BLOCK_CELLS = 1 << 15  # distance cells summed, or keyed and sorted, at once: the temporaries stay in cache
 _HEAD_CELLS = 1 << 17  # training distances ranked at once, few enough to reuse freed heap pages
 
 
@@ -126,38 +125,59 @@ def _order_kept(dist: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.take_along_axis(kept, _argsort_rows(np.take_along_axis(dist, kept, axis=1)), axis=1)
 
 
-def _sorted_prefix(dist: np.ndarray, width: int) -> np.ndarray:
-    """The first ``width`` entries of each row's (distance, index) order.
-
-    A partition to ``width`` keeps a row's ``width`` nearest columns, so
-    it serves every row whose prefix is no wider.  Past width n/2 a
-    whole-row sort is faster, with the same bits.
-    """
-    if 2 * width <= dist.shape[1]:
-        return _order_kept(dist, np.argpartition(dist, width - 1, axis=1)[:, :width])
-    return _argsort_rows(dist)[:, :width]
-
-
 def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's (distance, index) order up to its threshold, the rows'
-    prefixes laid end to end, and their lengths c_i = #{d <= tau_i}.
-
-    Rows with equal ceil(log2 c_i) are ordered together, in copies of at
-    most ``_SORT_CELLS`` cells, to the widest prefix among them: no row is
-    sorted to more than twice its own width.
-    """
-    n = dist.shape[1]
+    prefixes laid end to end, and their lengths c_i = #{d <= tau_i}: a
+    partition keeps each row's nearest columns to the block's widest c_i."""
     counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-    orders = np.empty((len(dist), int(counts.max(initial=0))), dtype=np.min_scalar_type(n))
+    width = int(counts.max(initial=0))
+    orders = _order_kept(dist, np.argpartition(dist, width - 1, axis=1)[:, :width])
+    return orders.astype(np.min_scalar_type(dist.shape[1]))[np.arange(width) < counts[:, None]], counts
+
+
+def label_rows(dist: np.ndarray, tau: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The training ``labels`` (1..C) along each row's (distance, index)
+    order up to its threshold, laid end to end, and the prefix lengths.
+
+    A distance d >= 0 read as uint64 keeps its order; its key drops the
+    sign bit and b - 1 low bits, b = max(1, bit_length(C - 1)), to hold
+    label - 1 in the b low bits.  Rows of equal ceil(log2 c_i) are keyed
+    and sorted in copies of at most ``_BLOCK_CELLS`` cells, to their widest
+    c_i and one key more.  Rows their keys cannot decide (two labels with
+    equal high bits, see below) take :func:`prefix_rows`, a bucket at a time.
+    """
+    n, b = dist.shape[1], max(1, int(labels.max() - 1).bit_length())
+    low, tags = np.uint64((1 << b) - 1), (labels - 1).astype(np.uint64)
+    counts = np.count_nonzero(dist <= tau[:, None], axis=1)
+    out = np.empty((len(dist), int(counts.max(initial=0))), dtype=np.min_scalar_type(labels.max()))
+    undecided = np.zeros(len(dist), dtype=bool)
     bucket = np.where(counts > 0, np.frexp(counts - 1)[1], -1)  # ceil(log2 c_i)
-    step = max(1, _SORT_CELLS // max(1, n))
-    for b in np.unique(bucket[bucket >= 0]):
-        rows = np.flatnonzero(bucket == b)
-        for lo in range(0, rows.size, step):
-            chunk = rows[lo : lo + step]
-            width = int(counts[chunk].max())
-            orders[chunk, :width] = _sorted_prefix(dist[chunk], width)
-    return orders[np.arange(orders.shape[1]) < counts[:, None]], counts
+    for e in np.unique(bucket[bucket >= 0]):
+        rows = np.flatnonzero(bucket == e)
+        for chunk in np.split(rows, range(0, rows.size, max(1, _BLOCK_CELLS // n))[1:]):
+            c, at = counts[chunk], np.arange(chunk.size)
+            width = int(c.max())
+            read = min(n, width + 1)
+            keys = dist[chunk].view(np.uint64) >> np.uint64(b - 1)
+            keys <<= b
+            keys |= tags
+            if 2 * read <= n:
+                keys.partition(read - 1, axis=1)
+                keys = keys[:, :read]
+            keys.sort(axis=1)
+            out[chunk, :width] = keys[:, :width]  # label - 1 in the low bits, masked below
+            x = keys[:, 1:read] ^ keys[:, : read - 1]  # equal high bits: x <= low
+            edge = c < read  # at the prefix's end, equal high bits are a tie
+            x[at[edge], c[edge] - 1] = x[at[edge], c[edge] - 1] <= low
+            x -= np.uint64(1)
+            row, j = np.divmod(np.flatnonzero(x < low), read - 1)  # 0 < x <= low: other labels
+            undecided[chunk[row[j < c[row]]]] = True
+    col = np.min_scalar_type(n)  # the narrowest compare of the prefix mask
+    flat = (out[np.arange(out.shape[1], dtype=col) < counts.astype(col)[:, None]] & out.dtype.type(low)) + 1
+    for e in np.unique(bucket[undecided]):
+        redo = undecided & (bucket == e)
+        flat[np.repeat(redo, counts)] = labels[prefix_rows(dist[redo], tau[redo])[0]]
+    return flat, counts
 
 
 def _head(prefix: tuple[np.ndarray, np.ndarray], depth: int) -> np.ndarray:
@@ -183,13 +203,13 @@ def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
 class Ranking:
     """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
-    ``test`` holds the query prefixes and their lengths, ranked a chunk
-    of queries at a time, so no queries x n matrix is held.  tau_i is
-    the farthest, over classes c, of the min(k_max, n_c)-th nearest point
-    of c, or the ``vote_k``-th nearest point if farther.  A group G of
-    classes has min(k_max, n_G) points or more within tau_i, so the prefix
-    covers every OvO+/OvR+ evidence sweep and the vote.  :meth:`fold`
-    reads the training rows' heads of their own order, made once per depth.
+    ``test`` holds the query prefixes of neighbor labels and their lengths,
+    ranked a chunk of queries at a time, so no queries x n matrix is held.
+    tau_i is the farthest, over classes c, of the min(k_max, n_c)-th
+    nearest point of c, or the ``vote_k``-th nearest point if farther.  A
+    group G of classes has min(k_max, n_G) points or more within tau_i, so
+    the prefix covers every OvO+/OvR+ evidence sweep and the vote.
+    :meth:`fold` reads the training rows' heads of their index order.
 
     Other modules read only ``len``, :meth:`head`, :meth:`places` and
     :meth:`take`, never ``test``: the prefix layout is this module's own.
@@ -234,27 +254,27 @@ class Ranking:
         blocks = []
         for lo in range(0, max(1, len(self.queries)), step):
             dist = distance_rows(self.points, self.queries[lo : lo + step])
-            blocks.append(prefix_rows(dist, self._threshold(dist)))
+            blocks.append(label_rows(dist, self._threshold(dist), self.labels))
         return tuple(map(np.concatenate, zip(*blocks)))
 
     def __len__(self) -> int:
         return len(self.queries)
 
     def head(self, depth: int) -> np.ndarray:
-        """Each query's first ``depth`` training rows, one row each; raises
+        """Each query's first ``depth`` neighbor labels, one row each; raises
         if a prefix is shorter."""
         return _head(self.test, depth)
 
     def places(self, code: np.ndarray, k: int) -> np.ndarray:
         """n_obs: the places of each query's first ``k`` minority rows in the
         pair's own order, the pair entries counted up to each along the prefix
-        (the restriction lemma).  ``code`` marks each training row 0 outside
-        the pair, 1 in its majority, 2 in its minority.  Raises if a prefix
+        (the restriction lemma).  ``code[c]`` marks class c 0 outside the
+        pair, 1 in its majority, 2 in its minority.  Raises if a prefix
         holds fewer than ``k`` minority rows."""
         flat, counts = self.test
         codes = code.take(flat)
         bounds = np.concatenate(([0], np.cumsum(counts)))
-        if not code.all():  # read the pair's entries only, in order
+        if not code[1:].all():  # read the pair's entries only, in order
             pair = np.flatnonzero(codes != 0)  # nonzero is fastest on a bool mask
             codes, bounds = codes.take(pair), np.searchsorted(pair, bounds)
         at = np.flatnonzero(codes == 2)

@@ -137,6 +137,24 @@ def prefix_rows_reference(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray
     return orders, counts
 
 
+def ranking_reference(train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0):
+    """The index prefixes of a ``Ranking(train, queries, k_max, vote_k)``
+    by the references above, padded with the sentinel ``train.n``, and
+    their lengths."""
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, train.dim)
+    dist = distance_rows_reference(train.points, q)
+    return prefix_rows_reference(dist, threshold_reference(train.labels, k_max, vote_k, dist))
+
+
+def label_prefix_reference(train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0):
+    """``Ranking.test`` by the references: the training labels along each
+    index prefix of :func:`ranking_reference`, laid end to end in the
+    narrowest unsigned type that holds the largest label, and the lengths."""
+    orders, counts = ranking_reference(train, queries, k_max, vote_k)
+    flat = orders[np.arange(orders.shape[1]) < counts[:, None]]
+    return train.labels[flat].astype(np.min_scalar_type(train.labels.max())), counts
+
+
 def fold_reference(train_dist: np.ndarray, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
     """``Ranking.fold`` by the kernel the one-selection fold replaced: a
     partition for tau, then ``prefix_rows_reference`` of the fold block."""

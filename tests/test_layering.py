@@ -7,7 +7,7 @@ from pathlib import Path
 
 import nbknn
 
-LAYOUT_NAMES = {"head", "take_rows", "prefix_rows"}
+LAYOUT_NAMES = {"head", "take_rows", "prefix_rows", "label_rows"}
 
 
 def test_only_neighbors_reads_the_prefix_layout():
@@ -18,7 +18,7 @@ def test_only_neighbors_reads_the_prefix_layout():
         if path.name == "neighbors.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in {"test", "take_rows", "prefix_rows"}:
+            if isinstance(node, ast.Attribute) and node.attr in {"test", "take_rows", "prefix_rows", "label_rows"}:
                 leaks.append(f"{path.name}:{node.lineno} reads .{node.attr}")
             elif isinstance(node, ast.ImportFrom):
                 leaks += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names

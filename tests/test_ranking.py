@@ -44,16 +44,19 @@ from nbknn.binary import _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
-from nbknn.neighbors import Ranking, distance_rows, prefix_rows
+from nbknn.neighbors import Ranking, distance_rows, label_rows, prefix_rows
 from nbknn.rng import Stream
 
 from conftest import (
+    distance_rows_reference,
     fold_reference,
+    label_prefix_reference,
     minority_share,
     order_rows,
     padded,
     pair_evidence_reference,
     prefix_rows_reference,
+    ranking_reference,
     restrict,
     threshold_reference,
     votes_for_grid_reference,
@@ -303,7 +306,8 @@ def test_pair_evidence_equals_restricted_reference(problem, groups, k_max, depth
     assume(a and b)
     ranking = Ranking(train, queries[:batch], depth)
     try:
-        want = pair_evidence_reference(train.labels, padded(ranking.test, train.n), a, b, k_max)
+        want = pair_evidence_reference(train.labels, ranking_reference(train, queries[:batch], depth)[0],
+                                       a, b, k_max)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
             _pair_evidence(ranking, a, b, k_max)
@@ -399,6 +403,14 @@ def _assert_heads(prefix, full, n):
     return counts
 
 
+def _assert_label_heads(prefix, full_labels):
+    """The flat label prefixes ``prefix`` are the heads of each row of
+    ``full_labels``, the labels along the full order; returns the lengths."""
+    flat, counts = prefix
+    np.testing.assert_array_equal(flat, full_labels[np.arange(full_labels.shape[1]) < counts[:, None]])
+    return counts
+
+
 @SETTINGS
 @given(grid_problem(), st.data())
 def test_prefix_rows_equal_head_of_full_order(problem, data):
@@ -424,24 +436,22 @@ def test_query_chunks_equal_head_of_full_order(rng):
                            (rng.random(5000) < 0.1) + 1)
     queries = rng.integers(-6, 7, size=(500, 2)).astype(float)
     blocks = []
-    original = nbknn.neighbors.prefix_rows
+    original = nbknn.neighbors.label_rows
 
     def ranked_block(*args):
         block = original(*args)
-        blocks.append(padded(block, train.n))
+        blocks.append(block)
         return block
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(nbknn.neighbors, "prefix_rows", ranked_block)
+        m.setattr(nbknn.neighbors, "label_rows", ranked_block)
         prefix = Ranking(train, queries, k_max=20, vote_k=31).test
-    assert [len(b) for b in blocks] == [209, 209, 82]
-    full = order_rows(train.points, queries)
-    counts = _assert_heads(np.vstack([np.pad(b, ((0, 0), (0, train.n - b.shape[1])),
-                                             constant_values=train.n) for b in blocks]),
-                           full, train.n)
-    np.testing.assert_array_equal(_assert_heads(padded(prefix, train.n), full, train.n), counts)
+    assert [len(b[1]) for b in blocks] == [209, 209, 82]
+    full = train.labels[order_rows(train.points, queries)]
+    counts = np.concatenate([_assert_label_heads(b, full[rows])
+                             for b, rows in zip(blocks, np.split(np.arange(500), [209, 418]))])
+    np.testing.assert_array_equal(_assert_label_heads(prefix, full), counts)
     assert np.all(counts >= 31)
-    assert [b.shape[1] for b in blocks] == [c.max() for c in np.split(counts, [209, 418])]
     ranked = binary_evidence_batch(fit_binary(train, 20), queries, ranking=Ranking(train, queries, 20))
     with full_sort_reference():
         assert [a.tobytes() for a in ranked] == [
@@ -461,7 +471,7 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
     train, queries = problem
     ranking = Ranking(train, queries, k_max, vote_k)
     full = order_rows(train.points, queries)
-    counts = _assert_heads(padded(ranking.test, train.n), full, train.n)
+    counts = _assert_label_heads(ranking.test, train.labels[full])
     classes = range(1, train.n_classes + 1)
     # Every group of classes reaches its min(k_max, n_G)-th member: the
     # depth of binary evidence and of each OvO+/OvR+ side.
@@ -485,7 +495,10 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
 def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data):
     train, queries = problem
     drawn = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
-    prefix = padded(Ranking(train, queries, k_max).test, train.n)
+    # The ranking holds the labels along the index prefixes restricted here.
+    prefix = ranking_reference(train, queries, k_max)[0]
+    np.testing.assert_array_equal(padded(Ranking(train, queries, k_max).test, 0),
+                                  np.append(train.labels, 0)[prefix])
     for keep in (drawn, np.ones(train.n, dtype=bool)):
         restricted = restrict(prefix, keep)
         counts = _assert_heads(restricted, order_rows(train.points[keep], queries),
@@ -502,19 +515,20 @@ def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data)
 def test_reading_past_a_prefix_raises(problem, k_max):
     train, queries = problem
     ranking = Ranking(train, queries, k_max)
-    prefix = ranking.test
-    short = int(_prefix_lengths(padded(prefix, train.n), train.n).min())
+    prefix, counts = ranking_reference(train, queries, k_max)
+    short = int(counts.min())
     with pytest.raises(ValueError, match="prefix"):
         ranking.head(short + 1)
     np.testing.assert_array_equal(ranking.head(short),
-                                  order_rows(train.points, queries)[:, :short])
+                                  train.labels[order_rows(train.points, queries)[:, :short]])
     if short < train.n:
         with pytest.raises(ValueError, match="prefix"):
             knn_classify_batch(train, queries, KnnConfig(k=short + 1), ranking=ranking)
     clf = fit_binary(train, k_max)
-    is_minority = np.append(train.labels == clf.minority_label, False)[padded(prefix, train.n)]
+    is_minority = np.append(train.labels == clf.minority_label, False)[prefix]
     found = int(np.count_nonzero(is_minority, axis=1).min())
-    code = np.where(train.labels == clf.minority_label, 2, 1).astype(np.uint8)
+    code = np.array([0, 1, 1], dtype=np.uint8)  # one code per class; slot 0 is no class
+    code[clf.minority_label] = 2
     with pytest.raises(ValueError, match="prefix"):
         ranking.places(code, found + 1)
 
@@ -531,11 +545,10 @@ def test_take_equals_queries_ranked_alone(problem, k_max, vote_k, data):
     for depths in ((k_max, vote_k), (0, 0)):
         ranking = Ranking(train, queries, *depths)
         for rows in (mask, picks, np.zeros(m, dtype=bool), np.ones(m, dtype=bool), np.arange(m)):
-            want = Ranking(train, queries[rows], *depths)
             got = ranking.take(rows)
-            assert len(got) == len(want)
-            _same_array(got.queries, want.queries)
-            for got_part, want_part in zip(got.test, want.test):
+            assert len(got) == len(queries[rows])
+            _same_array(got.queries, queries[rows])
+            for got_part, want_part in zip(got.test, label_prefix_reference(train, queries[rows], *depths)):
                 _same_array(got_part, want_part)
 
 
@@ -544,7 +557,7 @@ def full_sort_reference():
     """Every ranking read from whole-row ``order_rows`` sorts instead of prefixes."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Ranking, "test", property(lambda self: (
-            order_rows(self.points, self.queries).reshape(-1),
+            self.labels[order_rows(self.points, self.queries)].reshape(-1),
             np.full(len(self.queries), len(self.points)))))
         m.setattr(Ranking, "fold", lambda self, val, fit, depth:
                   order_rows(self.points[fit], self.points[val])[:, :depth])
@@ -642,8 +655,8 @@ def test_prefix_rows_equals_reference(problem, data):
 
 @pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width"])
 def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
-    # 3000 columns: buckets of more than 87 rows are ordered in several
-    # copies, and rows wider than 1500 take the whole-row sort.
+    # 3000 columns: the label kernel keys buckets of more than 10 rows in
+    # several copies, and rows wider than 1500 take the whole-row sort.
     dist = distance_rows(rng.normal(size=(3000, 3)), rng.normal(size=(300, 3)))
     dist[:, :40] = dist[:, 40:80]  # ties, also at tau
     picks = {"one-bucket": rng.integers(1025, 2048, size=300),
@@ -657,6 +670,79 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
     lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0)}[widths]
     assert lo <= len(np.unique(np.ceil(np.log2(counts[counts > 0])))) <= hi
     _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), 3000)
+    labels = rng.integers(1, 4, size=3000)  # tied columns with other labels take the index path
+    orders, counts = prefix_rows_reference(dist, tau)
+    _same_array(label_rows(dist, tau, labels)[0],
+                labels[orders[np.arange(orders.shape[1]) < counts[:, None]]].astype(np.uint8))
+
+
+# The label kernel must give the labels of the reference index prefix, bit
+# for bit and dtype included, whether a row is decided by its keys or
+# takes the index path.
+
+@SETTINGS
+@given(grid_problem(max_classes=5), st.integers(0, 8), st.integers(0, 12), st.booleans())
+@example(TIED_COUNTS, 3, 0, False)
+def test_labels_equal_labels_of_reference_prefix(problem, k_max, vote_k, nudge):
+    # Grid points tie often, between labels and at tau.  Nudged points
+    # scale by 1 + j ulp, so distances also lie a few ulps apart: the
+    # 1..2 distance bits that keys of 3..5 classes drop.
+    train, queries = problem
+    if nudge:
+        scale = 1 + np.arange(train.n)[:, None] % 4 * np.finfo(float).eps
+        train = LabeledDataset(train.points * scale, train.labels)
+    for got, want in zip(Ranking(train, queries, k_max, vote_k).test,
+                         label_prefix_reference(train, queries, k_max, vote_k)):
+        _same_array(got, want)
+
+
+def test_labels_of_300_classes_equal_reference(rng):
+    # 300 classes: 9 label bits, 8 distance bits dropped, uint16 labels.
+    # Grid rows tie; normal rows are decided by their keys.
+    points = np.vstack([rng.integers(-3, 4, size=(300, 2)).astype(float), rng.normal(size=(300, 2))])
+    train = LabeledDataset(points, np.concatenate([np.arange(1, 301), rng.integers(1, 301, size=300)]))
+    queries = np.vstack([rng.integers(-3, 4, size=(20, 2)).astype(float), rng.normal(size=(20, 2))])
+    got = Ranking(train, queries, k_max=1, vote_k=40).test
+    assert got[0].dtype == np.uint16
+    for got_part, want_part in zip(got, label_prefix_reference(train, queries, 1, 40)):
+        _same_array(got_part, want_part)
+
+
+def _index_path_rows(monkeypatch):
+    """The rows each call of ``prefix_rows`` orders exactly."""
+    rows = []
+    monkeypatch.setattr(nbknn.neighbors, "prefix_rows",
+                        lambda dist, tau: rows.append(len(dist)) or prefix_rows(dist, tau))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau"])
+def test_undecidable_rows_take_the_index_path(monkeypatch, case):
+    # Tie: distance 1 holds labels 2 (index 0) and 1 (index 1); keys would
+    # order label 1 first.  Ulp: with 4 classes keys drop one distance bit,
+    # so 2.0 (label 2, at tau) and the next float (label 1 on two rows,
+    # outside the prefix) share a key's high bits.  Keys order both label-1
+    # rows first, so the prefix's last two keys are equal: only its end
+    # shows the tie.  The second query has no such pair (in the tie case
+    # its one tie is between rows of one label).
+    up = np.nextafter(2.0, 3.0)
+    x, labels, tau = {
+        "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], [2, 1, 1, 2], 3.0),
+        "ulp-apart-at-tau": ([1.0, 2.0, up, -up, 5.0, 6.0], [3, 2, 1, 1, 4, 1], 2.0),
+    }[case]
+    points, labels = np.array(x)[:, None], np.array(labels)
+    queries = np.array([[0.0], [2.5]])
+    dist = distance_rows(points, queries)
+    assert dist[0].tolist() == np.abs(x).tolist()
+    tau = np.array([tau, dist[1].max()])
+    rows = _index_path_rows(monkeypatch)
+    got = label_rows(dist, tau, labels)
+    assert rows == [1]
+    orders, counts = prefix_rows_reference(distance_rows_reference(points, queries), tau)
+    want = labels[orders[np.arange(orders.shape[1]) < counts[:, None]]].astype(np.uint8)
+    _same_array(got[0], want)
+    _same_array(got[1], counts)
+    assert want[: counts[0]].tolist() == {"tie-inside-prefix": [2, 1, 1], "ulp-apart-at-tau": [3, 2]}[case]
 
 
 @SETTINGS
@@ -711,10 +797,10 @@ def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
     # A row's prefix does not depend on the rows sharing its block, its
     # bucket or its copy: alone it has the same entries.
     train, queries = problem
-    batch = padded(Ranking(train, queries, k_max, vote_k).test, train.n)
+    batch = padded(Ranking(train, queries, k_max, vote_k).test, 0)
     for i in range(len(queries)):
-        alone = padded(Ranking(train, queries[i : i + 1], k_max, vote_k).test, train.n)
+        alone = padded(Ranking(train, queries[i : i + 1], k_max, vote_k).test, 0)
         assert alone.dtype == batch.dtype
         width = alone.shape[1]
         assert batch[i, :width].tobytes() == alone[0].tobytes()
-        assert np.all(batch[i, width:] == train.n)
+        assert np.all(batch[i, width:] == 0)
