@@ -17,8 +17,10 @@ before it partitions: a group's k-th point is looked for only in the
 rows with fewer than k of the group's points at or below their running
 tau.  One sort of packed (distance, label) keys orders a row's labels,
 in buckets of equal ceil(log2 c_i); a row its keys cannot decide takes
-the index sort.  A cross-validation fold reads its fit rows along each
-training row's head of its index order; a short head ranks afresh.
+packed (distance, index) keys, and a row those cannot decide the exact
+index sort.  A cross-validation fold reads its fit rows along each
+training row's head of its index order, from the same index keys; a
+short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -26,7 +28,9 @@ the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
 eight strided accumulators up to 128 terms, two halves beyond.  The
 kernel runs one dimension at a time over transposed copies, so a cell's
 bits depend neither on the memory layout of the inputs nor on the other
-rows of a batch.
+rows of a batch.  It sets numpy's ufunc buffer below one row for its own
+elementwise steps, which keeps numpy from copying the broadcast query
+through the buffer, and restores the caller's size.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .dataset import LabeledDataset
 
 _CHUNK_ELEMS = 1 << 20  # distance cells ranked at once
 _BLOCK_CELLS = 1 << 15  # distance cells summed, or keyed and sorted, at once: the temporaries stay in cache
-_HEAD_CELLS = 1 << 17  # training distances ranked at once, few enough to reuse freed heap pages
+_HEAD_CELLS = 1 << 17  # training distances ranked at once; keyed in _BLOCK_CELLS copies, so freed pages are reused
+_UFUNC_BUFFER = 16  # numpy's ufunc buffer in distance_rows, elements: below a row (BENCH_19.json)
 
 
 def chunk_rows(n: int) -> int:
@@ -88,20 +93,30 @@ def distance_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix (queries x points), summed in numpy's
     pairwise order one dimension at a time, over blocks of query rows of
     about ``_BLOCK_CELLS`` cells.  Neither the block nor the layout of the
-    inputs changes a bit."""
+    inputs changes a bit.
+
+    The blocks run with numpy's ufunc buffer at ``_UFUNC_BUFFER`` elements,
+    the caller's size restored on return or raise: with three rows of a
+    ``(r, 1) - (n,)`` difference in the buffer, numpy copies the stride-0
+    query operand through it, at 3-5 times the cost of a cell.  Only
+    elementwise operations run in that scope, so no bit changes."""
     m, (n, p) = queries.shape[0], points.shape
     xT, qT = np.ascontiguousarray(points.T), np.ascontiguousarray(queries.T)
     out = np.empty((m, n), dtype=np.float64)
     step = max(1, _BLOCK_CELLS // max(1, n))
-    for lo in range(0, m, step):
-        rows = qT[:, lo : lo + step, None]
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for lo in range(0, m, step):
+            rows = qT[:, lo : lo + step, None]
 
-        def term(j: int) -> np.ndarray:
-            d = rows[j] - xT[j]
-            d *= d
-            return d
+            def term(j: int) -> np.ndarray:
+                d = rows[j] - xT[j]
+                d *= d
+                return d
 
-        np.sqrt(_pairwise_sum(term, range(p)), out=out[lo : lo + step])
+            np.sqrt(_pairwise_sum(term, range(p)), out=out[lo : lo + step])
+    finally:
+        np.setbufsize(bufsize)
     return out
 
 
@@ -144,7 +159,8 @@ def label_rows(dist: np.ndarray, tau: np.ndarray, labels: np.ndarray) -> tuple[n
     label - 1 in the b low bits.  Rows of equal ceil(log2 c_i) are keyed
     and sorted in copies of at most ``_BLOCK_CELLS`` cells, to their widest
     c_i and one key more.  Rows their keys cannot decide (two labels with
-    equal high bits, see below) take :func:`prefix_rows`, a bucket at a time.
+    equal high bits, see below) take the (distance, index) keys of
+    :func:`_nearest` to their bucket's widest c_i, a bucket at a time.
     """
     n, b = dist.shape[1], max(1, int(labels.max() - 1).bit_length())
     low, tags = np.uint64((1 << b) - 1), (labels - 1).astype(np.uint64)
@@ -176,7 +192,9 @@ def label_rows(dist: np.ndarray, tau: np.ndarray, labels: np.ndarray) -> tuple[n
     flat = (out[np.arange(out.shape[1], dtype=col) < counts.astype(col)[:, None]] & out.dtype.type(low)) + 1
     for e in np.unique(bucket[undecided]):
         redo = undecided & (bucket == e)
-        flat[np.repeat(redo, counts)] = labels[prefix_rows(dist[redo], tau[redo])[0]]
+        c = counts[redo]
+        near = _nearest(dist[redo], int(c.max()))
+        flat[np.repeat(redo, counts)] = labels[near[np.arange(near.shape[1]) < c[:, None]]]
     return flat, counts
 
 
@@ -190,14 +208,47 @@ def _head(prefix: tuple[np.ndarray, np.ndarray], depth: int) -> np.ndarray:
 
 
 def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
-    """The first ``depth`` entries of each row's (distance, index) order: one
-    partition, then a sort of the kept columns, or :func:`prefix_rows` if a
-    row holds more than ``depth`` distances at or below its ``depth``-th."""
-    part = np.argpartition(dist, depth - 1, axis=1)
-    tau = np.take_along_axis(dist, part[:, depth - 1 : depth], axis=1)
-    if np.any(np.count_nonzero(dist <= tau, axis=1) > depth):
-        return _head(prefix_rows(dist, tau[:, 0]), depth)
-    return _order_kept(dist, part[:, :depth]).astype(np.min_scalar_type(dist.shape[1]))
+    """The first ``depth`` entries of each row's (distance, index) order.
+
+    A key drops the distance's sign bit and s - 1 low bits, s =
+    max(1, bit_length(n - 1)), to hold the column index in the s low bits:
+    keys of equal distances stand in index order.  Rows are keyed in
+    copies of at most ``_BLOCK_CELLS`` cells, partitioned at depth + 1 and
+    those keys sorted.  Keys that share their high bits but not their
+    distance may stand out of order, so a row takes :func:`prefix_rows` if
+    two such keys meet among its first depth + 1, or if the key group at
+    its ``depth``-th entry runs past them and holds another distance
+    anywhere in the row."""
+    n = dist.shape[1]
+    s, read = max(1, (n - 1).bit_length()), min(n, depth + 1)
+    drop, low, index = np.uint64(s - 1), np.uint64((1 << s) - 1), np.arange(n, dtype=np.uint64)
+    out = np.empty((len(dist), depth), dtype=np.min_scalar_type(n))
+    undecided = np.zeros(len(dist), dtype=bool)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(dist), step):
+        block = dist[lo : lo + step]
+        keys = block.view(np.uint64) >> drop
+        keys <<= np.uint64(s)
+        keys |= index
+        if read < n:
+            keys.partition(read - 1, axis=1)
+            keys = keys[:, :read]
+        keys.sort(axis=1)
+        cols = (keys & low).astype(np.intp)
+        out[lo : lo + step] = cols[:, :depth]
+        shared = keys[:, 1:] ^ keys[:, :-1] <= low  # equal high bits
+        row, j = np.nonzero(shared)
+        bad = row[block[row, cols[row, j]] != block[row, cols[row, j + 1]]]
+        if read > depth:  # the group at the boundary may hold keys past the sorted ones
+            split = np.flatnonzero(shared[:, depth - 1])
+            edge = block[split, cols[split, depth - 1], None]
+            group = block[split].view(np.uint64) >> drop == edge.view(np.uint64) >> drop
+            bad = np.append(bad, split[np.any(group & (block[split] != edge), axis=1)])
+        undecided[lo + bad] = True
+    if undecided.any():
+        exact = dist[undecided]
+        out[undecided] = _head(prefix_rows(exact, np.partition(exact, depth - 1, axis=1)[:, depth - 1]), depth)
+    return out
 
 
 class Ranking:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nbknn import LabeledDataset, fit_binary
+from nbknn.cli import main
 from nbknn.neighbors import _BLOCK_CELLS, _argsort_rows, _as_queries, distance_rows
 
 from conftest import (
@@ -158,6 +159,33 @@ class TestNeighborOrder:
                 seen_tiny |= bool(np.any((expected > 0) & (expected < 1e-154)))
                 assert np.all(expected[:, 1] == expected[:, 2]) and expected[0, 3] == 0.0
         assert seen_inf and seen_tiny
+
+    @pytest.mark.parametrize("bufsize", [16, 8192, 65536])
+    @pytest.mark.parametrize("n", [64, 1000, 2730, 2731, 10000])
+    def test_ufunc_buffer_never_changes_distances(self, rng, n, bufsize):
+        # Three rows of n <= 2730 fit numpy's default buffer of 8192
+        # elements; distance_rows runs with a smaller one of its own and
+        # gives the caller's back.  Each shape spans more than two blocks.
+        points = rng.normal(size=(n, 6))
+        queries = rng.normal(size=(2 * _BLOCK_CELLS // n + 1, 6))
+        expected = distance_rows_reference(points, queries).tobytes()
+        caller = np.setbufsize(bufsize)
+        try:
+            assert distance_rows(points, queries).tobytes() == expected
+            assert np.getbufsize() == bufsize
+            with pytest.raises(IndexError):  # more point than query dimensions
+                distance_rows(points, queries[:, :5])
+            assert np.getbufsize() == bufsize
+        finally:
+            np.setbufsize(caller)
+
+    def test_library_calls_keep_the_callers_ufunc_buffer(self, tmp_path):
+        before = np.getbufsize()
+        args = ["simulate", "--design", "location", "--alpha", "0.3", "--trials", "1", "--seed", "7",
+                "--methods", "proposed,knn", "--train-size", "80", "--test-size", "60",
+                "--output", str(tmp_path / "report.json")]
+        assert main(args) == 0
+        assert np.getbufsize() == before
 
     @pytest.mark.parametrize("case", ["every-row-tied", "no-row-tied", "mixed", "width-1"])
     def test_argsort_rows_equals_stable_argsort(self, rng, case):

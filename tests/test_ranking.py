@@ -708,11 +708,10 @@ def test_labels_of_300_classes_equal_reference(rng):
         _same_array(got_part, want_part)
 
 
-def _index_path_rows(monkeypatch):
-    """The rows each call of ``prefix_rows`` orders exactly."""
-    rows = []
-    monkeypatch.setattr(nbknn.neighbors, "prefix_rows",
-                        lambda dist, tau: rows.append(len(dist)) or prefix_rows(dist, tau))
+def _spy_rows(monkeypatch, name):
+    """The rows each call of ``nbknn.neighbors.<name>`` gets."""
+    rows, kernel = [], getattr(nbknn.neighbors, name)
+    monkeypatch.setattr(nbknn.neighbors, name, lambda dist, *args: rows.append(len(dist)) or kernel(dist, *args))
     return rows
 
 
@@ -724,7 +723,9 @@ def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     # outside the prefix) share a key's high bits.  Keys order both label-1
     # rows first, so the prefix's last two keys are equal: only its end
     # shows the tie.  The second query has no such pair (in the tie case
-    # its one tie is between rows of one label).
+    # its one tie is between rows of one label).  Such a row is ordered by
+    # (distance, index) keys: the tie's keys decide it, while 2.0 and the
+    # next float share an index key's high bits too and take prefix_rows.
     up = np.nextafter(2.0, 3.0)
     x, labels, tau = {
         "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], [2, 1, 1, 2], 3.0),
@@ -735,9 +736,10 @@ def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     dist = distance_rows(points, queries)
     assert dist[0].tolist() == np.abs(x).tolist()
     tau = np.array([tau, dist[1].max()])
-    rows = _index_path_rows(monkeypatch)
+    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "prefix_rows")
     got = label_rows(dist, tau, labels)
     assert rows == [1]
+    assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [1]}[case]
     orders, counts = prefix_rows_reference(distance_rows_reference(points, queries), tau)
     want = labels[orders[np.arange(orders.shape[1]) < counts[:, None]]].astype(np.uint8)
     _same_array(got[0], want)
@@ -772,9 +774,10 @@ def test_fold_paths_equal_reference(rng, monkeypatch, path):
     # Distinct distances: one selection per block makes the training
     # heads, and every fold reads them, so the n^2 training distances are
     # the only ones computed.  Grid points tie at a head's last distance,
-    # which the heads' prefix sort resolves.  With two folds about half the
-    # rows find fewer than 31 fit rows in their head of 64: the fallback
-    # ranks them afresh against the fit rows.
+    # which the heads' (distance, index) keys resolve with no exact sort:
+    # distinct grid distances never share a key's high bits.  With two
+    # folds about half the rows find fewer than 31 fit rows in their head
+    # of 64: the fallback ranks them afresh against the fit rows.
     points = rng.integers(-3, 4, size=(400, 2)).astype(float) if path == "ties" else rng.normal(size=(400, 2))
     folds = 2 if path == "fallback" else 5
     ranking = Ranking(LabeledDataset(points, np.repeat([1, 2], 200)), points)
@@ -788,7 +791,32 @@ def test_fold_paths_equal_reference(rng, monkeypatch, path):
         val = np.flatnonzero(~fit)
         _same_array(ranking.fold(val, fit, 31), fold_reference(full, val, fit, 31))
     assert (sum(cells) == 400 * 400) == (path != "fallback")
-    assert bool(sorts) == (path == "ties")
+    assert not sorts
+
+
+def test_fold_reads_a_head_whose_boundary_splits_a_key_group(monkeypatch):
+    # 40 rows, so index keys drop 5 distance bits: 2.0 and the next float
+    # share their high bits.  Row 0 sees itself, four copies of the next
+    # float (rows 1-4), then 2.0 (row 5), which is nearer but comes after
+    # them in key order.  Its head of 4 keeps rows 0-3, the key at 4 ties
+    # the boundary, and row 5 lies past the sorted keys: only the group's
+    # full-row check shows it, and only row 0 is ranked exactly.  Rows 1-5
+    # see one another first; rows 6-39 lie 200 or more away, where both
+    # floats give one distance.
+    up = np.nextafter(2.0, 3.0)
+    x = np.concatenate([[0.0], [up] * 4, [2.0], 200.0 + 10.0 * np.arange(34)])
+    points = x[:, None]
+    full = distance_rows(points, points)
+    assert full[0, :6].tolist() == [0.0, up, up, up, up, 2.0]
+    ranking = Ranking(LabeledDataset(points, np.arange(40) % 2 + 1), points)
+    rows = _spy_rows(monkeypatch, "prefix_rows")
+    fit = np.ones(40, dtype=bool)
+    fit[[0, 10, 20, 30]] = False
+    val = np.flatnonzero(~fit)
+    got = ranking.fold(val, fit, 1)
+    _same_array(got, fold_reference(full, val, fit, 1))
+    assert got[0, 0] == 4  # row 5, renumbered among the fit rows
+    assert rows == [1]
 
 
 @SETTINGS
