@@ -9,18 +9,18 @@ k-th neighbor), so a row is ordered only up to a threshold tau.  Its
 prefix {d <= tau}, ties at tau included, is bit for bit the head of the
 full order, and a subset's rows in it, in order, are the head of the
 subset's order: a reader counts them along the prefix, with no copy.
-A ranking holds its queries' prefixes of neighbor labels end to end in
+A ranking holds its queries' prefixes of training indices end to end in
 one flat array, and their lengths; a reader that needs more raises.
 
 Ranking does only the work its readers use.  The threshold counts
 before it partitions: a group's k-th point is looked for only in the
 rows with fewer than k of the group's points at or below their running
-tau.  One sort of packed (distance, label) keys orders a row's labels,
-in buckets of equal ceil(log2 c_i); a row its keys cannot decide takes
-packed (distance, index) keys, and a row those cannot decide the exact
-index sort.  A cross-validation fold reads its fit rows along each
-training row's head of its index order, from the same index keys; a
-short head ranks afresh.
+tau.  One sort of packed (distance, index) keys orders the rows of each
+bucket of equal ceil(log2 c_i); exact ties are decided by the index
+bits, and a row whose keys cannot decide it (two distances that share
+the keys' high bits) is sorted whole.  A cross-validation fold reads its
+fit rows along each training row's head of its order, from the same
+keys; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -132,79 +132,23 @@ def _argsort_rows(dist: np.ndarray) -> np.ndarray:
     return order
 
 
-def _order_kept(dist: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """The (distance, index) order of the columns ``kept`` of each row:
-    sorting the kept indices, then their distances with ties in that
-    index order, gives the full order restricted to them."""
-    kept = np.sort(kept, axis=1)
-    return np.take_along_axis(kept, _argsort_rows(np.take_along_axis(dist, kept, axis=1)), axis=1)
-
-
 def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's (distance, index) order up to its threshold, the rows'
-    prefixes laid end to end, and their lengths c_i = #{d <= tau_i}: a
-    partition keeps each row's nearest columns to the block's widest c_i."""
+    prefixes laid end to end, and their lengths c_i = #{d <= tau_i}.
+
+    Rows of equal ceil(log2 c_i) are ranked by :func:`_nearest` in copies
+    of at most ``_BLOCK_CELLS`` cells, each to its widest c_i, and each
+    row's head is cut to its own c_i."""
+    n = dist.shape[1]
     counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-    width = int(counts.max(initial=0))
-    orders = _order_kept(dist, np.argpartition(dist, width - 1, axis=1)[:, :width])
-    return orders.astype(np.min_scalar_type(dist.shape[1]))[np.arange(width) < counts[:, None]], counts
-
-
-def label_rows(dist: np.ndarray, tau: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The training ``labels`` (1..C) along each row's (distance, index)
-    order up to its threshold, laid end to end, and the prefix lengths.
-
-    A distance d >= 0 read as uint64 keeps its order; its key drops the
-    sign bit and b - 1 low bits, b = max(1, bit_length(C - 1)), to hold
-    label - 1 in the b low bits.  Rows of equal ceil(log2 c_i) are keyed
-    and sorted in copies of at most ``_BLOCK_CELLS`` cells, to their widest
-    c_i and one key more.  Rows their keys cannot decide (two labels with
-    equal high bits, see below) take the (distance, index) keys of
-    :func:`_nearest` to their bucket's widest c_i, a bucket at a time.
-    """
-    n, b = dist.shape[1], max(1, int(labels.max() - 1).bit_length())
-    low, tags = np.uint64((1 << b) - 1), (labels - 1).astype(np.uint64)
-    counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-    out = np.empty((len(dist), int(counts.max(initial=0))), dtype=np.min_scalar_type(labels.max()))
-    undecided = np.zeros(len(dist), dtype=bool)
+    out = np.empty((len(dist), int(counts.max(initial=0))), dtype=np.min_scalar_type(n))
     bucket = np.where(counts > 0, np.frexp(counts - 1)[1], -1)  # ceil(log2 c_i)
     for e in np.unique(bucket[bucket >= 0]):
         rows = np.flatnonzero(bucket == e)
         for chunk in np.split(rows, range(0, rows.size, max(1, _BLOCK_CELLS // n))[1:]):
-            c, at = counts[chunk], np.arange(chunk.size)
-            width = int(c.max())
-            read = min(n, width + 1)
-            keys = dist[chunk].view(np.uint64) >> np.uint64(b - 1)
-            keys <<= b
-            keys |= tags
-            if 2 * read <= n:
-                keys.partition(read - 1, axis=1)
-                keys = keys[:, :read]
-            keys.sort(axis=1)
-            out[chunk, :width] = keys[:, :width]  # label - 1 in the low bits, masked below
-            x = keys[:, 1:read] ^ keys[:, : read - 1]  # equal high bits: x <= low
-            edge = c < read  # at the prefix's end, equal high bits are a tie
-            x[at[edge], c[edge] - 1] = x[at[edge], c[edge] - 1] <= low
-            x -= np.uint64(1)
-            row, j = np.divmod(np.flatnonzero(x < low), read - 1)  # 0 < x <= low: other labels
-            undecided[chunk[row[j < c[row]]]] = True
-    col = np.min_scalar_type(n)  # the narrowest compare of the prefix mask
-    flat = (out[np.arange(out.shape[1], dtype=col) < counts.astype(col)[:, None]] & out.dtype.type(low)) + 1
-    for e in np.unique(bucket[undecided]):
-        redo = undecided & (bucket == e)
-        c = counts[redo]
-        near = _nearest(dist[redo], int(c.max()))
-        flat[np.repeat(redo, counts)] = labels[near[np.arange(near.shape[1]) < c[:, None]]]
-    return flat, counts
-
-
-def _head(prefix: tuple[np.ndarray, np.ndarray], depth: int) -> np.ndarray:
-    """The first ``depth`` entries of each prefix, one row each; raises if
-    any prefix is shorter."""
-    flat, counts = prefix
-    if np.any(counts < depth):
-        raise ValueError(f"a neighbor prefix is shorter than the {depth} rows read from it")
-    return flat[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
+            width = int(counts[chunk].max())
+            out[chunk, :width] = _nearest(dist[chunk], width)
+    return out[np.arange(out.shape[1]) < counts[:, None]], counts
 
 
 def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
@@ -213,12 +157,12 @@ def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
     A key drops the distance's sign bit and s - 1 low bits, s =
     max(1, bit_length(n - 1)), to hold the column index in the s low bits:
     keys of equal distances stand in index order.  Rows are keyed in
-    copies of at most ``_BLOCK_CELLS`` cells, partitioned at depth + 1 and
-    those keys sorted.  Keys that share their high bits but not their
-    distance may stand out of order, so a row takes :func:`prefix_rows` if
-    two such keys meet among its first depth + 1, or if the key group at
-    its ``depth``-th entry runs past them and holds another distance
-    anywhere in the row."""
+    copies of at most ``_BLOCK_CELLS`` cells and sorted, partitioned first
+    at depth + 1 if that is at most half the row.  Keys that share their
+    high bits but not their distance may stand out of order, so a row is
+    sorted whole by :func:`_argsort_rows` if two such keys meet among its
+    first depth + 1, or if the key group at its ``depth``-th entry runs
+    past them and holds another distance anywhere in the row."""
     n = dist.shape[1]
     s, read = max(1, (n - 1).bit_length()), min(n, depth + 1)
     drop, low, index = np.uint64(s - 1), np.uint64((1 << s) - 1), np.arange(n, dtype=np.uint64)
@@ -230,32 +174,36 @@ def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
         keys = block.view(np.uint64) >> drop
         keys <<= np.uint64(s)
         keys |= index
-        if read < n:
+        if 2 * read <= n:
             keys.partition(read - 1, axis=1)
             keys = keys[:, :read]
         keys.sort(axis=1)
-        cols = (keys & low).astype(np.intp)
-        out[lo : lo + step] = cols[:, :depth]
-        shared = keys[:, 1:] ^ keys[:, :-1] <= low  # equal high bits
-        row, j = np.nonzero(shared)
-        bad = row[block[row, cols[row, j]] != block[row, cols[row, j + 1]]]
+        keys = keys[:, :read]
+        np.copyto(out[lo : lo + step], keys[:, :depth], casting="unsafe")  # truncated, masked below
+        row, j = np.divmod(np.flatnonzero(keys[:, 1:] ^ keys[:, :-1] <= low), read - 1)  # equal high bits
+        if not row.size:
+            continue
+        col = (keys[row, j] & low).astype(np.intp)
+        bad = row[block[row, col] != block[row, (keys[row, j + 1] & low).astype(np.intp)]]
         if read > depth:  # the group at the boundary may hold keys past the sorted ones
-            split = np.flatnonzero(shared[:, depth - 1])
-            edge = block[split, cols[split, depth - 1], None]
+            at = j == depth - 1
+            split, edge = row[at], block[row[at], col[at], None]
             group = block[split].view(np.uint64) >> drop == edge.view(np.uint64) >> drop
             bad = np.append(bad, split[np.any(group & (block[split] != edge), axis=1)])
         undecided[lo + bad] = True
+    out &= out.dtype.type(low)
     if undecided.any():
-        exact = dist[undecided]
-        out[undecided] = _head(prefix_rows(exact, np.partition(exact, depth - 1, axis=1)[:, depth - 1]), depth)
+        out[undecided] = _argsort_rows(dist[undecided])[:, :depth]
     return out
 
 
 class Ranking:
     """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
-    ``test`` holds the query prefixes of neighbor labels and their lengths,
-    ranked a chunk of queries at a time, so no queries x n matrix is held.
+    ``test`` holds the query prefixes of training indices and their
+    lengths, ranked a chunk of queries at a time by :func:`prefix_rows`, so
+    no queries x n matrix is held; :meth:`head` and :meth:`places` read
+    the labels of the indices.
     tau_i is the farthest, over classes c, of the min(k_max, n_c)-th
     nearest point of c, or the ``vote_k``-th nearest point if farther.  A
     group G of classes has min(k_max, n_G) points or more within tau_i, so
@@ -305,7 +253,7 @@ class Ranking:
         blocks = []
         for lo in range(0, max(1, len(self.queries)), step):
             dist = distance_rows(self.points, self.queries[lo : lo + step])
-            blocks.append(label_rows(dist, self._threshold(dist), self.labels))
+            blocks.append(prefix_rows(dist, self._threshold(dist)))
         return tuple(map(np.concatenate, zip(*blocks)))
 
     def __len__(self) -> int:
@@ -314,7 +262,10 @@ class Ranking:
     def head(self, depth: int) -> np.ndarray:
         """Each query's first ``depth`` neighbor labels, one row each; raises
         if a prefix is shorter."""
-        return _head(self.test, depth)
+        flat, counts = self.test
+        if np.any(counts < depth):
+            raise ValueError(f"a neighbor prefix is shorter than the {depth} rows read from it")
+        return self.labels.take(flat[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)])
 
     def places(self, code: np.ndarray, k: int) -> np.ndarray:
         """n_obs: the places of each query's first ``k`` minority rows in the
@@ -323,7 +274,7 @@ class Ranking:
         pair, 1 in its majority, 2 in its minority.  Raises if a prefix
         holds fewer than ``k`` minority rows."""
         flat, counts = self.test
-        codes = code.take(flat)
+        codes = code.take(self.labels).take(flat)
         bounds = np.concatenate(([0], np.cumsum(counts)))
         if not code[1:].all():  # read the pair's entries only, in order
             pair = np.flatnonzero(codes != 0)  # nonzero is fastest on a bool mask

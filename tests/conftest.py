@@ -146,13 +146,11 @@ def ranking_reference(train: LabeledDataset, queries, k_max: int = 0, vote_k: in
     return prefix_rows_reference(dist, threshold_reference(train.labels, k_max, vote_k, dist))
 
 
-def label_prefix_reference(train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0):
-    """``Ranking.test`` by the references: the training labels along each
-    index prefix of :func:`ranking_reference`, laid end to end in the
-    narrowest unsigned type that holds the largest label, and the lengths."""
+def flat_prefix_reference(train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0):
+    """``Ranking.test`` by the references: the index prefixes of
+    :func:`ranking_reference` laid end to end, and their lengths."""
     orders, counts = ranking_reference(train, queries, k_max, vote_k)
-    flat = orders[np.arange(orders.shape[1]) < counts[:, None]]
-    return train.labels[flat].astype(np.min_scalar_type(train.labels.max())), counts
+    return orders[np.arange(orders.shape[1]) < counts[:, None]], counts
 
 
 def fold_reference(train_dist: np.ndarray, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:

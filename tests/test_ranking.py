@@ -44,13 +44,13 @@ from nbknn.binary import _pair_evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
 from nbknn.multiclass import ovr_plus_evidence_batch
-from nbknn.neighbors import Ranking, distance_rows, label_rows, prefix_rows
+from nbknn.neighbors import Ranking, distance_rows, prefix_rows
 from nbknn.rng import Stream
 
 from conftest import (
     distance_rows_reference,
+    flat_prefix_reference,
     fold_reference,
-    label_prefix_reference,
     minority_share,
     order_rows,
     padded,
@@ -403,11 +403,11 @@ def _assert_heads(prefix, full, n):
     return counts
 
 
-def _assert_label_heads(prefix, full_labels):
-    """The flat label prefixes ``prefix`` are the heads of each row of
-    ``full_labels``, the labels along the full order; returns the lengths."""
+def _assert_flat_heads(prefix, full):
+    """The flat prefixes ``prefix`` are the heads of each row of ``full``,
+    the full order; returns the lengths."""
     flat, counts = prefix
-    np.testing.assert_array_equal(flat, full_labels[np.arange(full_labels.shape[1]) < counts[:, None]])
+    np.testing.assert_array_equal(flat, full[np.arange(full.shape[1]) < counts[:, None]])
     return counts
 
 
@@ -436,7 +436,7 @@ def test_query_chunks_equal_head_of_full_order(rng):
                            (rng.random(5000) < 0.1) + 1)
     queries = rng.integers(-6, 7, size=(500, 2)).astype(float)
     blocks = []
-    original = nbknn.neighbors.label_rows
+    original = nbknn.neighbors.prefix_rows
 
     def ranked_block(*args):
         block = original(*args)
@@ -444,13 +444,13 @@ def test_query_chunks_equal_head_of_full_order(rng):
         return block
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(nbknn.neighbors, "label_rows", ranked_block)
+        m.setattr(nbknn.neighbors, "prefix_rows", ranked_block)
         prefix = Ranking(train, queries, k_max=20, vote_k=31).test
     assert [len(b[1]) for b in blocks] == [209, 209, 82]
-    full = train.labels[order_rows(train.points, queries)]
-    counts = np.concatenate([_assert_label_heads(b, full[rows])
+    full = order_rows(train.points, queries)
+    counts = np.concatenate([_assert_flat_heads(b, full[rows])
                              for b, rows in zip(blocks, np.split(np.arange(500), [209, 418]))])
-    np.testing.assert_array_equal(_assert_label_heads(prefix, full), counts)
+    np.testing.assert_array_equal(_assert_flat_heads(prefix, full), counts)
     assert np.all(counts >= 31)
     ranked = binary_evidence_batch(fit_binary(train, 20), queries, ranking=Ranking(train, queries, 20))
     with full_sort_reference():
@@ -471,7 +471,9 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
     train, queries = problem
     ranking = Ranking(train, queries, k_max, vote_k)
     full = order_rows(train.points, queries)
-    counts = _assert_label_heads(ranking.test, train.labels[full])
+    for got, want in zip(ranking.test, flat_prefix_reference(train, queries, k_max, vote_k)):
+        _same_array(got, want)
+    counts = ranking.test[1]
     classes = range(1, train.n_classes + 1)
     # Every group of classes reaches its min(k_max, n_G)-th member: the
     # depth of binary evidence and of each OvO+/OvR+ side.
@@ -495,10 +497,10 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
 def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data):
     train, queries = problem
     drawn = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
-    # The ranking holds the labels along the index prefixes restricted here.
-    prefix = ranking_reference(train, queries, k_max)[0]
-    np.testing.assert_array_equal(padded(Ranking(train, queries, k_max).test, 0),
-                                  np.append(train.labels, 0)[prefix])
+    # The ranking holds the index prefixes restricted here.
+    want = ranking_reference(train, queries, k_max)
+    _same_prefix(Ranking(train, queries, k_max).test, want, train.n)
+    prefix = want[0]
     for keep in (drawn, np.ones(train.n, dtype=bool)):
         restricted = restrict(prefix, keep)
         counts = _assert_heads(restricted, order_rows(train.points[keep], queries),
@@ -548,7 +550,7 @@ def test_take_equals_queries_ranked_alone(problem, k_max, vote_k, data):
             got = ranking.take(rows)
             assert len(got) == len(queries[rows])
             _same_array(got.queries, queries[rows])
-            for got_part, want_part in zip(got.test, label_prefix_reference(train, queries[rows], *depths)):
+            for got_part, want_part in zip(got.test, flat_prefix_reference(train, queries[rows], *depths)):
                 _same_array(got_part, want_part)
 
 
@@ -557,7 +559,7 @@ def full_sort_reference():
     """Every ranking read from whole-row ``order_rows`` sorts instead of prefixes."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Ranking, "test", property(lambda self: (
-            self.labels[order_rows(self.points, self.queries)].reshape(-1),
+            order_rows(self.points, self.queries).reshape(-1),
             np.full(len(self.queries), len(self.points)))))
         m.setattr(Ranking, "fold", lambda self, val, fit, depth:
                   order_rows(self.points[fit], self.points[val])[:, :depth])
@@ -655,8 +657,8 @@ def test_prefix_rows_equals_reference(problem, data):
 
 @pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width"])
 def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
-    # 3000 columns: the label kernel keys buckets of more than 10 rows in
-    # several copies, and rows wider than 1500 take the whole-row sort.
+    # 3000 columns: buckets of more than 10 rows are keyed in several
+    # copies, and rows wider than 1500 sort their whole row of keys.
     dist = distance_rows(rng.normal(size=(3000, 3)), rng.normal(size=(300, 3)))
     dist[:, :40] = dist[:, 40:80]  # ties, also at tau
     picks = {"one-bucket": rng.integers(1025, 2048, size=300),
@@ -670,15 +672,20 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
     lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0)}[widths]
     assert lo <= len(np.unique(np.ceil(np.log2(counts[counts > 0])))) <= hi
     _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), 3000)
-    labels = rng.integers(1, 4, size=3000)  # tied columns with other labels take the index path
-    orders, counts = prefix_rows_reference(dist, tau)
-    _same_array(label_rows(dist, tau, labels)[0],
-                labels[orders[np.arange(orders.shape[1]) < counts[:, None]]].astype(np.uint8))
 
 
-# The label kernel must give the labels of the reference index prefix, bit
-# for bit and dtype included, whether a row is decided by its keys or
-# takes the index path.
+# A ranking must hold the reference index prefixes, bit for bit and dtype
+# included, whether a row is decided by its keys or sorted whole, and its
+# head must read the training labels along them.
+
+def _assert_ranking_equals_reference(train, queries, k_max, vote_k):
+    ranking = Ranking(train, queries, k_max, vote_k)
+    orders, counts = ranking_reference(train, queries, k_max, vote_k)
+    _same_prefix(ranking.test, (orders, counts), train.n)
+    depth = int(counts.min(initial=0))
+    _same_array(ranking.head(depth), train.labels[orders[:, :depth]])
+    return ranking
+
 
 @SETTINGS
 @given(grid_problem(max_classes=5), st.integers(0, 8), st.integers(0, 12), st.booleans())
@@ -686,26 +693,22 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
 def test_labels_equal_labels_of_reference_prefix(problem, k_max, vote_k, nudge):
     # Grid points tie often, between labels and at tau.  Nudged points
     # scale by 1 + j ulp, so distances also lie a few ulps apart: the
-    # 1..2 distance bits that keys of 3..5 classes drop.
+    # distance bits that index keys of up to 45 rows drop.
     train, queries = problem
     if nudge:
         scale = 1 + np.arange(train.n)[:, None] % 4 * np.finfo(float).eps
         train = LabeledDataset(train.points * scale, train.labels)
-    for got, want in zip(Ranking(train, queries, k_max, vote_k).test,
-                         label_prefix_reference(train, queries, k_max, vote_k)):
-        _same_array(got, want)
+    _assert_ranking_equals_reference(train, queries, k_max, vote_k)
 
 
 def test_labels_of_300_classes_equal_reference(rng):
-    # 300 classes: 9 label bits, 8 distance bits dropped, uint16 labels.
-    # Grid rows tie; normal rows are decided by their keys.
+    # 300 classes over 600 rows: 10 index bits, 9 distance bits dropped,
+    # uint16 indices.  Grid rows tie; normal rows are decided by their keys.
     points = np.vstack([rng.integers(-3, 4, size=(300, 2)).astype(float), rng.normal(size=(300, 2))])
     train = LabeledDataset(points, np.concatenate([np.arange(1, 301), rng.integers(1, 301, size=300)]))
     queries = np.vstack([rng.integers(-3, 4, size=(20, 2)).astype(float), rng.normal(size=(20, 2))])
-    got = Ranking(train, queries, k_max=1, vote_k=40).test
-    assert got[0].dtype == np.uint16
-    for got_part, want_part in zip(got, label_prefix_reference(train, queries, 1, 40)):
-        _same_array(got_part, want_part)
+    ranking = _assert_ranking_equals_reference(train, queries, 1, 40)
+    assert ranking.test[0].dtype == np.uint16
 
 
 def _spy_rows(monkeypatch, name):
@@ -717,34 +720,29 @@ def _spy_rows(monkeypatch, name):
 
 @pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau"])
 def test_undecidable_rows_take_the_index_path(monkeypatch, case):
-    # Tie: distance 1 holds labels 2 (index 0) and 1 (index 1); keys would
-    # order label 1 first.  Ulp: with 4 classes keys drop one distance bit,
-    # so 2.0 (label 2, at tau) and the next float (label 1 on two rows,
-    # outside the prefix) share a key's high bits.  Keys order both label-1
-    # rows first, so the prefix's last two keys are equal: only its end
-    # shows the tie.  The second query has no such pair (in the tie case
-    # its one tie is between rows of one label).  Such a row is ordered by
-    # (distance, index) keys: the tie's keys decide it, while 2.0 and the
-    # next float share an index key's high bits too and take prefix_rows.
+    # Tie: distance 1 holds rows 0 and 1, whose keys differ in their index
+    # bits only and so decide the tie: exact ties never take the whole-row
+    # sort.  Ulp: with 6 rows keys drop two distance bits, so 2.0 (row 1,
+    # at tau) and the next float (rows 2 and 3, outside the prefix) share a
+    # key's high bits, and the first query's row is sorted whole.  The
+    # second query has no such pair, and its prefix is its whole row: in
+    # the tie case both share one bucket, in the ulp case each has its own.
     up = np.nextafter(2.0, 3.0)
-    x, labels, tau = {
-        "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], [2, 1, 1, 2], 3.0),
-        "ulp-apart-at-tau": ([1.0, 2.0, up, -up, 5.0, 6.0], [3, 2, 1, 1, 4, 1], 2.0),
+    x, tau = {
+        "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], 3.0),
+        "ulp-apart-at-tau": ([1.0, 2.0, up, -up, 5.0, 6.0], 2.0),
     }[case]
-    points, labels = np.array(x)[:, None], np.array(labels)
+    points = np.array(x)[:, None]
     queries = np.array([[0.0], [2.5]])
     dist = distance_rows(points, queries)
     assert dist[0].tolist() == np.abs(x).tolist()
     tau = np.array([tau, dist[1].max()])
-    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "prefix_rows")
-    got = label_rows(dist, tau, labels)
-    assert rows == [1]
+    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
+    got = prefix_rows(dist, tau)
+    assert rows == {"tie-inside-prefix": [2], "ulp-apart-at-tau": [1, 1]}[case]
     assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [1]}[case]
-    orders, counts = prefix_rows_reference(distance_rows_reference(points, queries), tau)
-    want = labels[orders[np.arange(orders.shape[1]) < counts[:, None]]].astype(np.uint8)
-    _same_array(got[0], want)
-    _same_array(got[1], counts)
-    assert want[: counts[0]].tolist() == {"tie-inside-prefix": [2, 1, 1], "ulp-apart-at-tau": [3, 2]}[case]
+    _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
+    assert got[0][: got[1][0]].tolist() == {"tie-inside-prefix": [0, 1, 2], "ulp-apart-at-tau": [0, 1]}[case]
 
 
 @SETTINGS
@@ -782,10 +780,10 @@ def test_fold_paths_equal_reference(rng, monkeypatch, path):
     folds = 2 if path == "fallback" else 5
     ranking = Ranking(LabeledDataset(points, np.repeat([1, 2], 200)), points)
     full = distance_rows(points, points)
-    cells, sorts = [], []
+    cells = []
     monkeypatch.setattr(nbknn.neighbors, "distance_rows",
                         lambda p, q: cells.append(len(p) * len(q)) or distance_rows(p, q))
-    monkeypatch.setattr(nbknn.neighbors, "prefix_rows", lambda *args: sorts.append(1) or prefix_rows(*args))
+    sorts = _spy_rows(monkeypatch, "_argsort_rows")
     for f in range(folds):
         fit = np.arange(400) % folds != f
         val = np.flatnonzero(~fit)
@@ -809,7 +807,7 @@ def test_fold_reads_a_head_whose_boundary_splits_a_key_group(monkeypatch):
     full = distance_rows(points, points)
     assert full[0, :6].tolist() == [0.0, up, up, up, up, 2.0]
     ranking = Ranking(LabeledDataset(points, np.arange(40) % 2 + 1), points)
-    rows = _spy_rows(monkeypatch, "prefix_rows")
+    rows = _spy_rows(monkeypatch, "_argsort_rows")
     fit = np.ones(40, dtype=bool)
     fit[[0, 10, 20, 30]] = False
     val = np.flatnonzero(~fit)
@@ -825,10 +823,10 @@ def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
     # A row's prefix does not depend on the rows sharing its block, its
     # bucket or its copy: alone it has the same entries.
     train, queries = problem
-    batch = padded(Ranking(train, queries, k_max, vote_k).test, 0)
+    batch = padded(Ranking(train, queries, k_max, vote_k).test, train.n)
     for i in range(len(queries)):
-        alone = padded(Ranking(train, queries[i : i + 1], k_max, vote_k).test, 0)
+        alone = padded(Ranking(train, queries[i : i + 1], k_max, vote_k).test, train.n)
         assert alone.dtype == batch.dtype
         width = alone.shape[1]
         assert batch[i, :width].tobytes() == alone[0].tobytes()
-        assert np.all(batch[i, width:] == 0)
+        assert np.all(batch[i, width:] == train.n)
