@@ -15,12 +15,13 @@ one flat array, and their lengths; a reader that needs more raises.
 Ranking does only the work its readers use.  The threshold counts
 before it partitions: a group's k-th point is looked for only in the
 rows with fewer than k of the group's points at or below their running
-tau.  One sort of packed (distance, index) keys orders the rows of each
-bucket of equal ceil(log2 c_i); exact ties are decided by the index
-bits, and a row whose keys cannot decide it (two distances that share
-the keys' high bits) is sorted whole.  A cross-validation fold reads its
-fit rows along each training row's head of its order, from the same
-keys; a short head ranks afresh.
+tau.  One pass of packed (distance, index) keys ranks every row to its
+own c_i: a few rows at a time are sorted to their widest c_i and each
+row's head is written at its offset.  Exact ties are decided by the
+index bits, and a row whose keys cannot decide it (two distances that
+share the keys' high bits) is sorted whole.  A cross-validation fold
+reads its fit rows along each training row's head of its order, from the
+same keys; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -134,43 +135,39 @@ def _argsort_rows(dist: np.ndarray) -> np.ndarray:
 
 def prefix_rows(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's (distance, index) order up to its threshold, the rows'
-    prefixes laid end to end, and their lengths c_i = #{d <= tau_i}.
-
-    Rows of equal ceil(log2 c_i) are ranked by :func:`_nearest` in copies
-    of at most ``_BLOCK_CELLS`` cells, each to its widest c_i, and each
-    row's head is cut to its own c_i."""
-    n = dist.shape[1]
+    prefixes laid end to end by :func:`_nearest`, and their lengths
+    c_i = #{d <= tau_i}."""
     counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-    out = np.empty((len(dist), int(counts.max(initial=0))), dtype=np.min_scalar_type(n))
-    bucket = np.where(counts > 0, np.frexp(counts - 1)[1], -1)  # ceil(log2 c_i)
-    for e in np.unique(bucket[bucket >= 0]):
-        rows = np.flatnonzero(bucket == e)
-        for chunk in np.split(rows, range(0, rows.size, max(1, _BLOCK_CELLS // n))[1:]):
-            width = int(counts[chunk].max())
-            out[chunk, :width] = _nearest(dist[chunk], width)
-    return out[np.arange(out.shape[1]) < counts[:, None]], counts
+    return _nearest(dist, counts), counts
 
 
-def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
-    """The first ``depth`` entries of each row's (distance, index) order.
+def _nearest(dist: np.ndarray, depth) -> np.ndarray:
+    """The first d_i entries of each row's (distance, index) order, the
+    rows' heads laid end to end; ``depth`` gives d_i, one for all rows or
+    one per row.
 
     A key drops the distance's sign bit and s - 1 low bits, s =
     max(1, bit_length(n - 1)), to hold the column index in the s low bits:
     keys of equal distances stand in index order.  Rows are keyed in
-    copies of at most ``_BLOCK_CELLS`` cells and sorted, partitioned first
-    at depth + 1 if that is at most half the row.  Keys that share their
-    high bits but not their distance may stand out of order, so a row is
-    sorted whole by :func:`_argsort_rows` if two such keys meet among its
-    first depth + 1, or if the key group at its ``depth``-th entry runs
-    past them and holds another distance anywhere in the row."""
+    copies of at most ``_BLOCK_CELLS`` cells, and each copy is sorted to
+    its widest depth w, partitioned first at w + 1 if that is at most half
+    the row.  Keys that share their high bits but not their distance may
+    stand out of order, so a row is sorted whole by :func:`_argsort_rows`
+    if two such keys meet among its first w + 1, or if the key group at
+    its w-th entry runs past them and holds another distance anywhere in
+    the row.  A row that passes has exact first w entries, so exact first
+    d_i: the copy's checks hold for each of its shorter rows."""
     n = dist.shape[1]
-    s, read = max(1, (n - 1).bit_length()), min(n, depth + 1)
+    depth = np.full(len(dist), depth)
+    bounds = np.concatenate(([0], np.cumsum(depth)))
+    s = max(1, (n - 1).bit_length())
     drop, low, index = np.uint64(s - 1), np.uint64((1 << s) - 1), np.arange(n, dtype=np.uint64)
-    out = np.empty((len(dist), depth), dtype=np.min_scalar_type(n))
-    undecided = np.zeros(len(dist), dtype=bool)
+    out = np.empty(bounds[-1], dtype=np.min_scalar_type(n))
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(dist), step):
-        block = dist[lo : lo + step]
+        block, d = dist[lo : lo + step], depth[lo : lo + step]
+        w = int(d.max())
+        read = min(n, w + 1)
         keys = block.view(np.uint64) >> drop
         keys <<= np.uint64(s)
         keys |= index
@@ -179,21 +176,20 @@ def _nearest(dist: np.ndarray, depth: int) -> np.ndarray:
             keys = keys[:, :read]
         keys.sort(axis=1)
         keys = keys[:, :read]
-        np.copyto(out[lo : lo + step], keys[:, :depth], casting="unsafe")  # truncated, masked below
         row, j = np.divmod(np.flatnonzero(keys[:, 1:] ^ keys[:, :-1] <= low), read - 1)  # equal high bits
-        if not row.size:
-            continue
-        col = (keys[row, j] & low).astype(np.intp)
-        bad = row[block[row, col] != block[row, (keys[row, j + 1] & low).astype(np.intp)]]
-        if read > depth:  # the group at the boundary may hold keys past the sorted ones
-            at = j == depth - 1
-            split, edge = row[at], block[row[at], col[at], None]
-            group = block[split].view(np.uint64) >> drop == edge.view(np.uint64) >> drop
-            bad = np.append(bad, split[np.any(group & (block[split] != edge), axis=1)])
-        undecided[lo + bad] = True
-    out &= out.dtype.type(low)
-    if undecided.any():
-        out[undecided] = _argsort_rows(dist[undecided])[:, :depth]
+        if row.size:
+            col = (keys[row, j] & low).astype(np.intp)
+            bad = row[block[row, col] != block[row, (keys[row, j + 1] & low).astype(np.intp)]]
+            if read > w:  # the group at the boundary may hold keys past the sorted ones
+                at = j == w - 1
+                split, edge = row[at], block[row[at], col[at], None]
+                group = block[split].view(np.uint64) >> drop == edge.view(np.uint64) >> drop
+                bad = np.append(bad, split[np.any(group & (block[split] != edge), axis=1)])
+            if bad.size:
+                bad = np.unique(bad)
+                keys[bad, :w] = _argsort_rows(block[bad])[:, :w]  # indices: below 2^s, kept by the mask
+        np.copyto(out[bounds[lo] : bounds[lo + len(d)]], keys[np.arange(read) < d[:, None]], casting="unsafe")
+    out &= out.dtype.type(low)  # the index bits of the truncated keys
     return out
 
 
@@ -201,9 +197,9 @@ class Ranking:
     """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
     ``test`` holds the query prefixes of training indices and their
-    lengths, ranked a chunk of queries at a time by :func:`prefix_rows`, so
-    no queries x n matrix is held; :meth:`head` and :meth:`places` read
-    the labels of the indices.
+    lengths, ranked a chunk of queries at a time by :func:`prefix_rows`,
+    each row to its own length, so no queries x n matrix is held;
+    :meth:`head` and :meth:`places` read the labels of the indices.
     tau_i is the farthest, over classes c, of the min(k_max, n_c)-th
     nearest point of c, or the ``vote_k``-th nearest point if farther.  A
     group G of classes has min(k_max, n_G) points or more within tau_i, so
@@ -303,10 +299,10 @@ class Ranking:
         fifth of the rows held out, nearly every head holds ``depth`` fit rows."""
         if depth not in self._heads:
             n = len(self.points)
-            step = max(1, _HEAD_CELLS // n)
+            step, width = max(1, _HEAD_CELLS // n), min(n, 2 * depth + 2)
             self._heads[depth] = np.concatenate([
-                _nearest(distance_rows(self.points, self.points[lo : lo + step]), min(n, 2 * depth + 2))
-                for lo in range(0, n, step)])
+                _nearest(distance_rows(self.points, self.points[lo : lo + step]), width)
+                for lo in range(0, n, step)]).reshape(n, width)
         return self._heads[depth]
 
     def fold(self, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
@@ -324,7 +320,7 @@ class Ranking:
         out = np.empty((len(val), depth), dtype=np.min_scalar_type(np.count_nonzero(fit)))
         out[~short] = (np.cumsum(fit) - 1)[near[inside]].reshape(-1, depth)
         if short.any():
-            out[short] = _nearest(distance_rows(self.points[fit], self.points[val[short]]), depth)
+            out[short] = _nearest(distance_rows(self.points[fit], self.points[val[short]]), depth).reshape(-1, depth)
         return out
 
     @classmethod

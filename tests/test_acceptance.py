@@ -49,21 +49,21 @@ def check(num: int, description: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def location_a05():
     return run_location_experiment(
-        alpha=0.05, trials=100, seed=0, methods=("proposed", "knn"), k_max=45
+        alpha=0.05, trials=100, seed=0, methods=("proposed", "knn"), k_max=45, jobs=2
     )
 
 
 @pytest.fixture(scope="session")
 def location_a40():
     return run_location_experiment(
-        alpha=0.40, trials=100, seed=0, methods=("proposed", "knn"), k_max=45
+        alpha=0.40, trials=100, seed=0, methods=("proposed", "knn"), k_max=45, jobs=2
     )
 
 
 @pytest.fixture(scope="session")
 def location_a50():
     return run_location_experiment(
-        alpha=0.50, trials=100, seed=0, methods=("proposed", "knn"), k_max=45
+        alpha=0.50, trials=100, seed=0, methods=("proposed", "knn"), k_max=45, jobs=2
     )
 
 

@@ -646,7 +646,7 @@ def test_threshold_equals_reference(problem, k_max, vote_k):
 @given(grid_problem(), st.data())
 def test_prefix_rows_equals_reference(problem, data):
     # tau is one of the row's own distances, so ties at tau are common,
-    # or -inf, a zero-width row; the widths spread over many buckets.
+    # or -inf, a zero-width row; rows of one key copy differ in width.
     train, queries = problem
     dist = distance_rows(train.points, queries)
     picks = np.array(data.draw(st.lists(st.integers(-1, train.n - 1), min_size=len(queries),
@@ -655,21 +655,27 @@ def test_prefix_rows_equals_reference(problem, data):
     _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), train.n)
 
 
-@pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width"])
+@pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width", "one-whole-row"])
 def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
-    # 3000 columns: buckets of more than 10 rows are keyed in several
-    # copies, and rows wider than 1500 sort their whole row of keys.
+    # 3000 columns: rows are keyed in copies of 10, each sorted to its
+    # widest row, and copies wider than 1499 sort their whole row of keys.
+    # The widths span one or many powers of two; in the last case one row
+    # takes all 3000 columns among rows of at most 21, so its copy alone
+    # sorts whole rows.
     dist = distance_rows(rng.normal(size=(3000, 3)), rng.normal(size=(300, 3)))
     dist[:, :40] = dist[:, 40:80]  # ties, also at tau
     picks = {"one-bucket": rng.integers(1025, 2048, size=300),
              "many-buckets": np.concatenate([rng.integers(1, 3000, size=150),
                                              rng.integers(1025, 2048, size=150)]),
-             "zero-width": np.zeros(300, dtype=np.int64)}[widths]
+             "zero-width": np.zeros(300, dtype=np.int64),
+             "one-whole-row": rng.integers(1, 21, size=300)}[widths]
     tau = np.sort(dist, axis=1)[np.arange(300), picks - 1]
     if widths == "zero-width":
         tau[:] = -np.inf
+    if widths == "one-whole-row":
+        tau[155] = np.inf
     counts = prefix_rows_reference(dist, tau)[1]
-    lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0)}[widths]
+    lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0), "one-whole-row": (6, 7)}[widths]
     assert lo <= len(np.unique(np.ceil(np.log2(counts[counts > 0])))) <= hi
     _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), 3000)
 
@@ -725,8 +731,8 @@ def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     # sort.  Ulp: with 6 rows keys drop two distance bits, so 2.0 (row 1,
     # at tau) and the next float (rows 2 and 3, outside the prefix) share a
     # key's high bits, and the first query's row is sorted whole.  The
-    # second query has no such pair, and its prefix is its whole row: in
-    # the tie case both share one bucket, in the ulp case each has its own.
+    # second query has no such pair, and its prefix is its whole row.  In
+    # both cases the two rows share one key copy, ranked in one call.
     up = np.nextafter(2.0, 3.0)
     x, tau = {
         "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], 3.0),
@@ -739,10 +745,31 @@ def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     tau = np.array([tau, dist[1].max()])
     rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
     got = prefix_rows(dist, tau)
-    assert rows == {"tie-inside-prefix": [2], "ulp-apart-at-tau": [1, 1]}[case]
+    assert rows == [2]
     assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [1]}[case]
     _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
     assert got[0][: got[1][0]].tolist() == {"tie-inside-prefix": [0, 1, 2], "ulp-apart-at-tau": [0, 1]}[case]
+
+
+def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
+    # 40 rows, so keys drop 5 distance bits: 2.0 and the next float share
+    # their high bits.  The first query sees row 0 at 0, rows 1-4 at the
+    # next float and row 5 at 2.0, its tau: its prefix is rows 0 and 5,
+    # but in key order rows 1-4 come between them, and row 5 lies past
+    # the three sorted keys.  Only the group check at this row's own depth
+    # 2 shows it.  The second query's prefix is its nearest row alone, and
+    # both rows share one key copy.
+    up = np.nextafter(2.0, 3.0)
+    x = np.concatenate([[0.0], [up] * 4, [2.0], 200.0 + 10.0 * np.arange(34)])
+    points, queries = x[:, None], np.array([[0.0], [200.0]])
+    dist = distance_rows(points, queries)
+    assert dist[0, :6].tolist() == [0.0, up, up, up, up, 2.0]
+    tau = np.array([2.0, 0.0])
+    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
+    got = prefix_rows(dist, tau)
+    assert (rows, exact) == ([2], [1])
+    _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
+    assert got[0].tolist() == [0, 5, 6]
 
 
 @SETTINGS
@@ -820,8 +847,8 @@ def test_fold_reads_a_head_whose_boundary_splits_a_key_group(monkeypatch):
 @SETTINGS
 @given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10))
 def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
-    # A row's prefix does not depend on the rows sharing its block, its
-    # bucket or its copy: alone it has the same entries.
+    # A row's prefix does not depend on the rows sharing its block or its
+    # key copy, nor on their widths: alone it has the same entries.
     train, queries = problem
     batch = padded(Ranking(train, queries, k_max, vote_k).test, train.n)
     for i in range(len(queries)):
