@@ -68,15 +68,19 @@ def _votes_for_grid(
     return dict(zip(ks, preds))
 
 
-def knn_classify_batch(
-    train: LabeledDataset, queries, cfg: KnnConfig, *, ranking: Ranking | None = None
-) -> np.ndarray:
-    """k-NN vote for many queries at once (from ``ranking`` if given)."""
+def vote(ranking: Ranking, cfg: KnnConfig) -> np.ndarray:
+    """k-NN vote at ``cfg.k`` of the queries of ``ranking``, a ranking of
+    its training set deep enough for the vote."""
+    train = ranking.train
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
-    ordered_labels = Ranking.of(train, queries, ranking, vote_k=cfg.k).head(cfg.k)
     weights = _vote_weights(train.class_counts, cfg.weighting)
-    return _votes_for_grid(ordered_labels, (cfg.k,), train.n_classes, weights)[cfg.k]
+    return _votes_for_grid(ranking.head(cfg.k), (cfg.k,), train.n_classes, weights)[cfg.k]
+
+
+def knn_classify_batch(train: LabeledDataset, queries, cfg: KnnConfig) -> np.ndarray:
+    """k-NN vote for many queries at once."""
+    return vote(Ranking(train, queries, vote_k=cfg.k), cfg)
 
 
 def _stratified_folds(train: LabeledDataset, folds: int, stream: Stream) -> np.ndarray:
@@ -100,15 +104,19 @@ def select_k_cv(
 
     Deterministic given ``seed``; score ties resolve to the smaller k.
     A fold reads labels only: each validation row's order of the fold's
-    training rows, to the largest grid k, from :meth:`Ranking.fold` of
-    ``ranking`` if given (its training heads are shared by every call).
+    training rows, to the largest grid k, from :meth:`Ranking.fold`.  A
+    ``ranking`` of ``train`` shares its training heads with every call
+    that reads it; without one, a ranking of ``train`` is made here.
     """
     assignment = _stratified_folds(train, cfg.cv_folds, Stream(seed, 0))
     min_fit = train.n - int(np.bincount(assignment).max())
     ks = tuple(k for k in cfg.k_grid if k <= min_fit)
     if not ks:
         raise ValueError(f"no k_grid value fits the fold training size {min_fit}")
-    ranking = Ranking.of(train, ranking=ranking)
+    if ranking is None:
+        ranking = Ranking(train, train.points)
+    elif ranking.train is not train:
+        raise ValueError("the ranking was built for another training set")
     scores = {k: [] for k in ks}
     for f in range(cfg.cv_folds):
         fit = assignment != f
@@ -126,9 +134,14 @@ def select_k_cv(
     return int(best)
 
 
-def knn_with_cv(
-    train: LabeledDataset, queries, cfg: KnnConfig, seed: int, *, ranking: Ranking | None = None
-) -> np.ndarray:
-    """Select k by cross-validation, then classify ``queries``."""
-    k = select_k_cv(train, cfg, seed, ranking=ranking)
-    return knn_classify_batch(train, queries, replace(cfg, k=k), ranking=ranking)
+def cv_vote(ranking: Ranking, cfg: KnnConfig, seed: int) -> np.ndarray:
+    """Select k by :func:`select_k_cv` on the ranking's training set, then
+    vote the queries of ``ranking`` at that k."""
+    k = select_k_cv(ranking.train, cfg, seed, ranking=ranking)
+    return vote(ranking, replace(cfg, k=k))
+
+
+def knn_with_cv(train: LabeledDataset, queries, cfg: KnnConfig, seed: int) -> np.ndarray:
+    """Select k by cross-validation, then classify ``queries``: one ranking,
+    deep enough for any grid k, serves both."""
+    return cv_vote(Ranking(train, queries, vote_k=max(cfg.k_grid)), cfg, seed)

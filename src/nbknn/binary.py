@@ -101,22 +101,18 @@ def _pair_evidence(
     return majority_wins, e1, e2
 
 
-def binary_evidence_batch(
-    clf: BinaryEvidenceClassifier, queries, *, ranking: Ranking | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predicted labels, E1 and E2 for many queries, one row each.
-
-    One neighbor ordering, ``ranking`` when given, serves both the labels
-    and the evidence.
-    """
-    ranking = Ranking.of(clf.train, queries, ranking, k_max=clf.k_max_eff)
+def evidence(clf: BinaryEvidenceClassifier, ranking: Ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted labels, E1 and E2 of the queries of ``ranking``, a ranking
+    of ``clf.train``, one row each; ties go to the majority class."""
     wins, e1, e2 = _pair_evidence(ranking, (clf.majority_label,), (clf.minority_label,), clf.k_max_eff)
-    labels = np.where(wins, clf.majority_label, clf.minority_label).astype(np.int64)
-    return labels, e1, e2
+    return np.where(wins, clf.majority_label, clf.minority_label).astype(np.int64), e1, e2
 
 
-def classify_binary_batch(
-    clf: BinaryEvidenceClassifier, queries, *, ranking: Ranking | None = None
-) -> np.ndarray:
+def binary_evidence_batch(clf: BinaryEvidenceClassifier, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predicted labels, E1 and E2 for many queries, from one ranking."""
+    return evidence(clf, Ranking(clf.train, queries, clf.k_max_eff))
+
+
+def classify_binary_batch(clf: BinaryEvidenceClassifier, queries) -> np.ndarray:
     """Predicted labels for many queries; ties go to the majority class."""
-    return binary_evidence_batch(clf, queries, ranking=ranking)[0]
+    return binary_evidence_batch(clf, queries)[0]

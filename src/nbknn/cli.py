@@ -17,19 +17,18 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .benchmark import run_csv_benchmark
-from .binary import binary_evidence_batch, fit_binary
+from .binary import evidence, fit_binary
 from .data_io import SplitSpec, load_csv, load_queries, split_indices
 from .methods import (
     BAYES, OVO_PLUS, OVR_PLUS, PROPOSED, MethodNameError, default_methods, validate_methods,
 )
 from .metrics import TrialReport, efficiency_scores
-from .multiclass import classify_ovo_plus_batch, ovr_evidence_batch, ovr_plus_evidence_batch
+from .multiclass import _ovo_round, _ovr_round, ovr_evidence, reduction
 from .neighbors import Ranking, chunk_rows
 from .simulation import MINORITY_ROLES, run_location_experiment, run_scale_experiment
 
@@ -247,16 +246,13 @@ def _cmd_fit_predict(args) -> int:
     if method == PROPOSED:
         clf, columns = fit_binary(data, k_max), ["E1", "E2"]
 
-        def predict(block):
-            preds, e1, e2 = binary_evidence_batch(clf, block)
+    def predict(ranking):
+        if method == PROPOSED:
+            preds, e1, e2 = evidence(clf, ranking)
             return preds, np.column_stack([e1, e2])
-    elif method == OVR_PLUS:
-        predict = partial(ovr_plus_evidence_batch, data, k_max=k_max)
-    else:
-        def predict(block):
-            ranking = Ranking(data, block, k_max)
-            preds = classify_ovo_plus_batch(data, block, k_max, ranking=ranking)
-            return preds, ovr_evidence_batch(data, block, k_max, ranking=ranking) if emit else None
+        if method == OVR_PLUS:
+            return reduction(_ovr_round, ranking, k_max)
+        return reduction(_ovo_round, ranking, k_max)[0], ovr_evidence(ranking, k_max) if emit else None
 
     header = [f"predicted_{args.label_column}"] + (columns if emit else [])
     step = chunk_rows(data.n)
@@ -264,8 +260,8 @@ def _cmd_fit_predict(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for lo in range(0, len(queries), step):
-            preds, evidence = predict(queries[lo : lo + step])
-            rows = evidence.tolist() if emit else [[]] * len(preds)
+            preds, values = predict(Ranking(data, queries[lo : lo + step], k_max))
+            rows = values.tolist() if emit else [[]] * len(preds)
             writer.writerows([train_csv.class_name(label)] + [repr(v) for v in row]
                              for label, row in zip(preds.tolist(), rows))
     return 0

@@ -6,11 +6,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .baselines import KnnConfig, knn_with_cv
-from .binary import classify_binary_batch, fit_binary
+from .baselines import KnnConfig, cv_vote
+from .binary import evidence, fit_binary
 from .dataset import LabeledDataset
 from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
-from .multiclass import classify_ovo_plus_batch, classify_ovr_plus_batch
+from .multiclass import _ovo_round, _ovr_round, reduction
 from .neighbors import Ranking
 
 PROPOSED = "proposed"
@@ -39,8 +39,8 @@ def validate_methods(methods, n_classes: int | None = None, valid=CSV_METHODS) -
     """The method names as a tuple, each checked against ``valid``.
 
     Raises MethodNameError for a string, an empty list, an unknown name
-    or a repeated one, and ValueError when 'proposed' meets data without
-    exactly 2 classes.
+    or a repeated one, and ValueError for data of fewer than 2 classes or
+    when 'proposed' meets data without exactly 2 classes.
     """
     if isinstance(methods, str):
         raise MethodNameError(f"expected a sequence of method names, got the string {methods!r}")
@@ -54,6 +54,8 @@ def validate_methods(methods, n_classes: int | None = None, valid=CSV_METHODS) -
             raise MethodNameError(f"method {name!r} is listed more than once")
     if not out:
         raise MethodNameError("at least one method is required")
+    if n_classes is not None and n_classes < 2:
+        raise ValueError(f"the data hold {n_classes} class; every method needs at least 2")
     if n_classes is not None and n_classes != 2 and PROPOSED in out:
         raise ValueError("method 'proposed' requires exactly 2 classes; use ovo_plus/ovr_plus")
     return out
@@ -71,22 +73,22 @@ def predict_with_method(
     name: str,
     train: LabeledDataset,
     queries: np.ndarray,
+    ranking: Ranking,
     k_max: int,
     cv_seed: int,
     bayes_oracle=None,
-    ranking: Ranking | None = None,
 ) -> np.ndarray:
-    """Run one named method end to end for a single trial; share one
-    ``ranking`` of ``train.points`` and ``queries`` among a trial's methods."""
+    """Run one named method end to end for a single trial, reading
+    ``ranking``, the trial's one ranking of ``train`` against ``queries``."""
     if name == PROPOSED:
-        return classify_binary_batch(fit_binary(train, k_max), queries, ranking=ranking)
+        return evidence(fit_binary(train, k_max), ranking)[0]
     if name == OVO_PLUS:
-        return classify_ovo_plus_batch(train, queries, k_max, ranking=ranking)
+        return reduction(_ovo_round, ranking, k_max)[0]
     if name == OVR_PLUS:
-        return classify_ovr_plus_batch(train, queries, k_max, ranking=ranking)
+        return reduction(_ovr_round, ranking, k_max)[0]
     if name in (KNN, WNN):
         cfg = KnnConfig(weighting="uniform" if name == KNN else "inverse-class-size")
-        return knn_with_cv(train, queries, cfg, cv_seed, ranking=ranking)
+        return cv_vote(ranking, cfg, cv_seed)
     if name == BAYES:
         if bayes_oracle is None:
             raise ValueError("method 'bayes' is only available in simulations")
@@ -102,9 +104,7 @@ def score_trial(
     ranking = trial_ranking(train, test.points, methods, k_max)
     out: dict[str, PrfReport] = {}
     for j, name in enumerate(methods):
-        preds = predict_with_method(
-            name, train, test.points, k_max, cv_seed(j), bayes_oracle, ranking=ranking
-        )
+        preds = predict_with_method(name, train, test.points, ranking, k_max, cv_seed(j), bayes_oracle)
         out[name] = prf(confusion(test.labels, preds, train.n_classes))
     return out
 

@@ -22,14 +22,6 @@ from .dataset import LabeledDataset
 from .neighbors import Ranking
 
 
-def _ranking(train: LabeledDataset, queries, k_max: int, ranking: Ranking | None) -> Ranking:
-    """Check ``train`` and ``k_max`` and return the query rows' neighbor ranking."""
-    if train.n_classes < 2:
-        raise ValueError("multiclass reduction needs at least 2 classes")
-    _check_train(train, k_max)
-    return Ranking.of(train, queries, ranking, k_max)
-
-
 def _reduce(play, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray]:
     """Labels of the queries of ``ranking`` among ``active``, and this round's scores.
 
@@ -49,12 +41,10 @@ def _reduce(play, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray
     return labels, score
 
 
-def _ovo_round(
-    train: LabeledDataset, k_max: int, active: tuple[int, ...], ranking: Ranking
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ovo_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each larger active class plays the smallest, the minority of every
     pairing, which wins none and is the fallback of an empty winner set."""
-    counts = train.class_counts
+    counts = ranking.train.class_counts
     smallest = active[0]
     for cls in active[1:]:
         if _is_minority(int(counts[cls - 1]), int(counts[smallest - 1]), (cls,), (smallest,)):
@@ -67,9 +57,7 @@ def _ovo_round(
     return classes, wins, np.broadcast_to(classes == smallest, wins.shape)
 
 
-def _ovr_round(
-    train: LabeledDataset, k_max: int, active: tuple[int, ...], ranking: Ranking
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ovr_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each active class against the pooled rest of the active set, roles
     and ties as :func:`binary._pair_evidence` decides.  The score is the
     class's side of the evidence, so the fallback is the maximum evidence,
@@ -85,38 +73,43 @@ def _ovr_round(
     return np.array(active, dtype=np.int64), wins, evidence
 
 
-def _reduction(round_fn, train: LabeledDataset, queries, k_max: int, ranking: Ranking | None):
-    """Labels and first-round scores of one reduction over all classes."""
-    play, active = partial(round_fn, train, k_max), tuple(range(1, train.n_classes + 1))
-    return _reduce(play, active, _ranking(train, queries, k_max, ranking))
+def _classes(ranking: Ranking, k_max: int) -> tuple[int, ...]:
+    """Every class of the ranking's training set, which must hold 2 or more
+    nonempty classes, after checking ``k_max``."""
+    if ranking.train.n_classes < 2:
+        raise ValueError("multiclass reduction needs at least 2 classes")
+    _check_train(ranking.train, k_max)
+    return tuple(range(1, ranking.train.n_classes + 1))
 
 
-def classify_ovo_plus_batch(
-    train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
-) -> np.ndarray:
-    """Ordered one-vs-one predictions for many queries (from ``ranking`` if given)."""
-    return _reduction(_ovo_round, train, queries, k_max, ranking)[0]
+def reduction(round_fn, ranking: Ranking, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the queries of ``ranking`` and the first-round scores of the
+    reduction that plays ``round_fn`` (:func:`_ovo_round` or :func:`_ovr_round`)."""
+    return _reduce(partial(round_fn, k_max), _classes(ranking, k_max), ranking)
 
 
-def ovr_plus_evidence_batch(
-    train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def ovr_evidence(ranking: Ranking, k_max: int) -> np.ndarray:
+    """First one-vs-rest round evidence of the queries of ``ranking``, one row
+    per query: column j is class j+1's side of its pairing against all
+    other classes, as the first round of :func:`reduction` records it."""
+    return _ovr_round(k_max, _classes(ranking, k_max), ranking)[2]
+
+
+def classify_ovo_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:
+    """Ordered one-vs-one predictions for many queries."""
+    return reduction(_ovo_round, Ranking(train, queries, k_max), k_max)[0]
+
+
+def ovr_plus_evidence_batch(train: LabeledDataset, queries, k_max: int = 45) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest predictions and first-round evidence from one pass."""
-    return _reduction(_ovr_round, train, queries, k_max, ranking)
+    return reduction(_ovr_round, Ranking(train, queries, k_max), k_max)
 
 
-def classify_ovr_plus_batch(
-    train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
-) -> np.ndarray:
-    """One-vs-rest predictions for many queries (from ``ranking`` if given)."""
-    return ovr_plus_evidence_batch(train, queries, k_max, ranking=ranking)[0]
+def classify_ovr_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:
+    """One-vs-rest predictions for many queries."""
+    return ovr_plus_evidence_batch(train, queries, k_max)[0]
 
 
-def ovr_evidence_batch(
-    train: LabeledDataset, queries, k_max: int = 45, *, ranking: Ranking | None = None
-) -> np.ndarray:
-    """First one-vs-rest round evidence, one row per query: column j is class
-    j+1's side of its pairing against all other classes, as the first round
-    of :func:`classify_ovr_plus_batch` records it."""
-    active = tuple(range(1, train.n_classes + 1))
-    return _ovr_round(train, k_max, active, _ranking(train, queries, k_max, ranking))[2]
+def ovr_evidence_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:
+    """First one-vs-rest round evidence for many queries, as :func:`ovr_evidence`."""
+    return ovr_evidence(Ranking(train, queries, k_max), k_max)

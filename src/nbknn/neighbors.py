@@ -206,12 +206,12 @@ class Ranking:
     the prefix covers every OvO+/OvR+ evidence sweep and the vote.
     :meth:`fold` reads the training rows' heads of their index order.
 
-    Other modules read only ``len``, :meth:`head`, :meth:`places` and
-    :meth:`take`, never ``test``: the prefix layout is this module's own.
+    Other modules read only ``train``, ``len``, :meth:`head`, :meth:`places`
+    and :meth:`take`, never ``test``: the prefix layout is this module's own.
     """
 
     def __init__(self, train: LabeledDataset, queries, k_max: int = 0, vote_k: int = 0) -> None:
-        self.points, self.labels = train.points, train.labels
+        self.train, self.points, self.labels = train, train.points, train.labels
         self.queries = _as_queries(queries, self.points.shape[1])
         self.k_max, self.vote_k = k_max, vote_k
         self._heads: dict[int, np.ndarray] = {}
@@ -220,8 +220,8 @@ class Ranking:
     def _groups(self) -> list[tuple[np.ndarray, int]]:
         """(member mask, depth) of every group with a nonzero depth: the
         classes from smallest to largest, then the vote group of all rows."""
-        classes, counts = np.unique(self.labels, return_counts=True)
-        groups = [(self.labels == c, min(self.k_max, int(n_c))) for n_c, c in sorted(zip(counts, classes))]
+        counts = self.train.class_counts
+        groups = [(self.labels == c + 1, min(self.k_max, int(counts[c]))) for c in np.argsort(counts, kind="stable")]
         groups.append((np.ones(self.labels.size, dtype=bool), min(self.vote_k, self.labels.size)))
         return [(member, k) for member, k in groups if k]
 
@@ -322,19 +322,3 @@ class Ranking:
         if short.any():
             out[short] = _nearest(distance_rows(self.points[fit], self.points[val[short]]), depth).reshape(-1, depth)
         return out
-
-    @classmethod
-    def of(cls, train: LabeledDataset, queries=None, ranking: "Ranking | None" = None,
-           k_max: int = 0, vote_k: int = 0) -> "Ranking":
-        """``ranking``, which must be built from ``train`` and, if ``queries``
-        is given, from equal queries, or a new ranking of ``queries`` (by
-        default the training points) to the given depths."""
-        if ranking is None:
-            return cls(train, train.points if queries is None else queries, k_max, vote_k)
-        if ranking.points is not train.points:
-            raise ValueError("the ranking was built for other training points")
-        if queries is not None and queries is not ranking.queries:
-            q = _as_queries(queries, ranking.points.shape[1])
-            if q.shape != ranking.queries.shape or q.tobytes() != ranking.queries.tobytes():
-                raise ValueError("the ranking was built for other queries")
-        return ranking

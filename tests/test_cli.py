@@ -417,15 +417,15 @@ def test_fit_predict_failure_in_second_block_leaves_no_output(tmp_path, monkeypa
     # The first block is already written to the temp file when the second fails.
     argv, n_train = fit_predict_golden_case(tmp_path, "proposed")
     monkeypatch.setattr(nbknn.neighbors, "_CHUNK_ELEMS", 3 * n_train)
-    original, blocks = nbknn.cli.binary_evidence_batch, []
+    original, blocks = nbknn.cli.evidence, []
 
-    def failing(clf, block):
-        blocks.append(len(block))
+    def failing(clf, ranking):
+        blocks.append(len(ranking))
         if len(blocks) == 2:
             raise error("second block")
-        return original(clf, block)
+        return original(clf, ranking)
 
-    monkeypatch.setattr(nbknn.cli, "binary_evidence_batch", failing)
+    monkeypatch.setattr(nbknn.cli, "evidence", failing)
     if code is None:
         with pytest.raises(error, match="second block"):
             main(argv + ["--emit-evidence"])
@@ -477,6 +477,31 @@ def test_fit_predict_blank_label_exit_3(binary_csv, tmp_path, capsys):
     assert code == 3
     assert "row 6, column 'outcome': empty label" in capsys.readouterr().err
     assert not out.exists()
+
+
+ONE_CLASS_RUNS = {
+    "benchmark-knn": ["benchmark", "--methods", "knn"],
+    "benchmark-default": ["benchmark"],
+    "fit-predict-auto": ["fit-predict", "--method", "auto"],
+    "fit-predict-ovo_plus": ["fit-predict", "--method", "ovo_plus"],
+    "fit-predict-ovr_plus": ["fit-predict", "--method", "ovr_plus"],
+}
+
+
+@pytest.mark.parametrize("command", ONE_CLASS_RUNS.values(), ids=ONE_CLASS_RUNS.keys())
+def test_one_class_training_data_exit_3_before_any_output(tmp_path, capsys, command):
+    # Every method tells classes apart: data of one class fail before any
+    # trial runs or any line is written, a report or a CSV header.
+    path = tmp_path / "one.csv"
+    path.write_text("x,y\n" + "".join(f"{i},a\n" for i in range(12)))
+    if command[0] == "benchmark":
+        argv = command + ["--input", str(path), "--label-column", "y", "--trials", "1"]
+    else:
+        argv = command + ["--train", str(path), "--queries", str(path), "--label-column", "y"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "nbknn: error: the data hold 1 class; every method needs at least 2\n"
+    assert captured.out == ""
 
 
 PEAK_RSS_CHILD = """

@@ -24,3 +24,41 @@ def test_only_neighbors_reads_the_prefix_layout():
                 leaks += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names
                           if alias.name in LAYOUT_NAMES]
     assert not leaks, leaks
+
+
+def _ranking_is_none(test) -> bool:
+    return (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name) and test.left.id == "ranking"
+            and isinstance(test.ops[0], ast.Is) and getattr(test.comparators[0], "value", 0) is None)
+
+
+def test_ranking_readers_do_not_rank():
+    # Read, don't re-rank: a function given a ranking reads it and builds
+    # none, except select_k_cv when it is given none.  A Ranking is built
+    # only by a public entry point, methods.trial_ranking, the CLI and
+    # neighbors.py itself.
+    public = set(nbknn.__all__)
+    leaks = []
+    for path in sorted(Path(nbknn.__file__).parent.glob("*.py")):
+        if path.name in ("neighbors.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        inside = {id(node) for func in funcs for node in ast.walk(func)}
+        builds = {id(node): node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Ranking"}
+        leaks += [f"{path.name}:{node.lineno} builds a Ranking outside a function"
+                  for key, node in builds.items() if key not in inside]
+        for func in funcs:
+            calls = [node for node in ast.walk(func) if id(node) in builds]
+            params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+            if "ranking" in params:
+                exempt = set()
+                if func.name == "select_k_cv":
+                    exempt = {id(node) for branch in ast.walk(func) if isinstance(branch, ast.If)
+                              and _ranking_is_none(branch.test) for stmt in branch.body for node in ast.walk(stmt)}
+                leaks += [f"{path.name}:{node.lineno} {func.name} is given a ranking and builds one"
+                          for node in calls if id(node) not in exempt]
+            elif calls and not (func.name in public or (func.name.endswith("_batch") and func.name[0] != "_")
+                                or (path.name, func.name) == ("methods.py", "trial_ranking")):
+                leaks += [f"{path.name}:{node.lineno} {func.name} builds a Ranking" for node in calls]
+    assert not leaks, leaks

@@ -229,7 +229,7 @@ def test_ovr_round_pairings(rng, monkeypatch, n_classes, active):
     pair = nbknn.multiclass._pair_evidence
     monkeypatch.setattr(nbknn.multiclass, "_pair_evidence",
                         lambda *args: played.append(args[1]) or pair(*args))
-    _, wins, evidence = _ovr_round(ds, 6, active, ranking)
+    _, wins, evidence = _ovr_round(6, active, ranking)
     assert played == [(c,) for c in (active[:1] if len(active) == 2 else active)]
     for j, cls in enumerate(active):
         rest = tuple(c for c in active if c != cls)

@@ -39,11 +39,11 @@ from nbknn import (
     ovr_evidence_batch,
     select_k_cv,
 )
-from nbknn.baselines import _stratified_folds, _vote_weights
-from nbknn.binary import _pair_evidence
+from nbknn.baselines import _stratified_folds, _vote_weights, cv_vote, vote
+from nbknn.binary import _pair_evidence, evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
-from nbknn.multiclass import ovr_plus_evidence_batch
+from nbknn.multiclass import _ovo_round, _ovr_round, ovr_evidence, ovr_plus_evidence_batch, reduction
 from nbknn.neighbors import Ranking, distance_rows, prefix_rows
 from nbknn.rng import Stream
 
@@ -111,46 +111,60 @@ def test_subset_distances_are_bit_identical(rng, p):
 
 
 def test_ranking_of_other_points_rejected(rng):
+    # Cross-validation reads the training heads of the ranking it is given:
+    # one of an equal but other training set must not stand in for it.
     train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
     ranking = Ranking(train, rng.normal(size=(3, 2)))
-    assert Ranking.of(train, ranking=ranking) is ranking
-    with pytest.raises(ValueError, match="other training points"):
-        Ranking.of(LabeledDataset(train.points, train.labels), ranking=ranking)
+    cfg = KnnConfig(k_grid=(1, 3))
+    assert ranking.train is train
+    assert select_k_cv(train, cfg, 0, ranking=ranking) == select_k_cv(train, cfg, 0)
+    with pytest.raises(ValueError, match="another training set"):
+        select_k_cv(LabeledDataset(train.points, train.labels), cfg, 0, ranking=ranking)
 
 
+# Each public entry point, which ranks its queries itself, and the function
+# of a ranking that it calls; the ranking is deep enough for all of them.
 QUERY_ENTRY_POINTS = {
-    "binary_evidence_batch": lambda t, q, r: binary_evidence_batch(fit_binary(t), q, ranking=r),
-    "classify_binary_batch": lambda t, q, r: classify_binary_batch(fit_binary(t), q, ranking=r),
-    "knn_classify_batch": lambda t, q, r: knn_classify_batch(t, q, KnnConfig(k=3), ranking=r),
-    "knn_with_cv": lambda t, q, r: knn_with_cv(t, q, KnnConfig(k_grid=(1, 3)), 0, ranking=r),
-    "classify_ovo_plus_batch": lambda t, q, r: classify_ovo_plus_batch(t, q, ranking=r),
-    "classify_ovr_plus_batch": lambda t, q, r: classify_ovr_plus_batch(t, q, ranking=r),
-    "ovr_evidence_batch": lambda t, q, r: ovr_evidence_batch(t, q, ranking=r),
+    "binary_evidence_batch": (lambda t, q: binary_evidence_batch(fit_binary(t), q),
+                              lambda r: evidence(fit_binary(r.train), r)),
+    "classify_binary_batch": (lambda t, q: classify_binary_batch(fit_binary(t), q),
+                              lambda r: evidence(fit_binary(r.train), r)[0]),
+    "knn_classify_batch": (lambda t, q: knn_classify_batch(t, q, KnnConfig(k=3)),
+                           lambda r: vote(r, KnnConfig(k=3))),
+    "knn_with_cv": (lambda t, q: knn_with_cv(t, q, KnnConfig(k_grid=(1, 3)), 0),
+                    lambda r: cv_vote(r, KnnConfig(k_grid=(1, 3)), 0)),
+    "classify_ovo_plus_batch": (lambda t, q: classify_ovo_plus_batch(t, q),
+                                lambda r: reduction(_ovo_round, r, 45)[0]),
+    "classify_ovr_plus_batch": (lambda t, q: classify_ovr_plus_batch(t, q),
+                                lambda r: reduction(_ovr_round, r, 45)[0]),
+    "ovr_plus_evidence_batch": (lambda t, q: ovr_plus_evidence_batch(t, q),
+                                lambda r: reduction(_ovr_round, r, 45)),
+    "ovr_evidence_batch": (lambda t, q: ovr_evidence_batch(t, q), lambda r: ovr_evidence(r, 45)),
 }
 
 
+def _as_bytes(out):
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("rows", [5, 0], ids=["queries", "no-queries"])
 @pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS.values(), ids=QUERY_ENTRY_POINTS.keys())
-def test_ranking_of_other_queries_rejected(rng, entry):
-    # A ranking answers only for the queries it was built from: other
-    # rows, more rows, or one changed bit must not read its orderings.
+def test_entry_point_equals_its_ranking_function(rng, entry, rows):
+    # Read from a ranking deep enough for every entry point, the function
+    # gives the bits of the entry point that ranks the queries by itself.
+    public, of_ranking = entry
     train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
-    built = rng.normal(size=(5, 2))
-    ranking = Ranking(train, built, k_max=45, vote_k=3)
-    same = entry(train, built.tolist(), ranking)
-    np.testing.assert_array_equal(np.asarray(same), np.asarray(entry(train, built, None)))
-    tweaked = built.copy()
-    tweaked[2, 1] = np.nextafter(tweaked[2, 1], np.inf)
-    for queries in (built[:3], rng.normal(size=(5, 2)), tweaked):
-        with pytest.raises(ValueError, match="other queries"):
-            entry(train, queries, ranking)
+    queries = rng.normal(size=(rows, 2))
+    shared = Ranking(train, queries, k_max=45, vote_k=3)
+    assert _as_bytes(of_ranking(shared)) == _as_bytes(public(train, queries))
 
 
 @pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS.values(), ids=QUERY_ENTRY_POINTS.keys())
 def test_empty_query_batch_gives_empty_outputs(rng, entry):
+    public, of_ranking = entry
     train = LabeledDataset(rng.normal(size=(20, 2)), np.repeat([1, 2], 10))
     queries = np.empty((0, 2))
-    for ranking in (None, Ranking(train, queries, k_max=45, vote_k=3)):
-        out = entry(train, queries, ranking)
+    for out in (public(train, queries), of_ranking(Ranking(train, queries, k_max=45, vote_k=3))):
         for part in out if isinstance(out, tuple) else (out,):
             assert np.asarray(part).shape[0] == 0
 
@@ -191,7 +205,7 @@ def test_cv_and_votes_from_shared_ranking(problem, seed, weighting):
     for vote_k in (1, k, train.n):
         vote_cfg = KnnConfig(k=vote_k, weighting=weighting)
         fresh = knn_classify_batch(train, queries, vote_cfg)
-        shared = knn_classify_batch(train, queries, vote_cfg, ranking=ranking)
+        shared = vote(ranking, vote_cfg)
         np.testing.assert_array_equal(shared, fresh)
 
 
@@ -252,16 +266,16 @@ TIED_COUNTS = (
 def test_reductions_equal_per_pair_resort(problem, k_max):
     train, queries = problem
     ranking = Ranking(train, queries, k_max)
-    ovo = classify_ovo_plus_batch(train, queries, k_max, ranking=ranking)
-    ovr = classify_ovr_plus_batch(train, queries, k_max, ranking=ranking)
-    evidence = ovr_evidence_batch(train, queries, k_max, ranking=ranking)
+    ovo = reduction(_ovo_round, ranking, k_max)[0]
+    ovr, first = reduction(_ovr_round, ranking, k_max)
+    np.testing.assert_array_equal(first, ovr_evidence(ranking, k_max))
     active = tuple(range(1, train.n_classes + 1))
     for i in range(queries.shape[0]):
         q = queries[i : i + 1]
         assert ovo[i] == _ovo_fresh(train, active, q, k_max)
         label, first_round = _ovr_fresh(train, active, q, k_max)
         assert ovr[i] == label
-        assert evidence[i].tolist() == [first_round[c] for c in active]
+        assert first[i].tolist() == [first_round[c] for c in active]
 
 
 # Two classes of 3 rows each: a count tie, where roles follow the ids.
@@ -342,6 +356,21 @@ def _count_distance_cells(monkeypatch):
     return cells
 
 
+def _predict_alone(name, train, queries, ranking, k_max, cv_seed, bayes_oracle=None):
+    """A method's predictions from its public entry point, which ranks the
+    queries itself; ``ranking``, the trial's shared one, is not read."""
+    if name == "proposed":
+        return classify_binary_batch(fit_binary(train, k_max), queries)
+    if name == "ovo_plus":
+        return classify_ovo_plus_batch(train, queries, k_max)
+    if name == "ovr_plus":
+        return classify_ovr_plus_batch(train, queries, k_max)
+    if name in ("knn", "wnn"):
+        cfg = KnnConfig(weighting="uniform" if name == "knn" else "inverse-class-size")
+        return knn_with_cv(train, queries, cfg, cv_seed)
+    return bayes_oracle(queries)
+
+
 def _trial_with_and_without_sharing(monkeypatch, trial, args):
     """A trial's reports (as bytes) with its shared ranking, and with
     every method ranking for itself; also the distance cells the first
@@ -355,7 +384,7 @@ def _trial_with_and_without_sharing(monkeypatch, trial, args):
     shared = as_bytes(trial(args))
     shared_cells = sum(cells)
     with monkeypatch.context() as m:
-        m.setattr(nbknn.methods, "trial_ranking", lambda *args: None)
+        m.setattr(nbknn.methods, "predict_with_method", _predict_alone)
         alone = as_bytes(trial(args))
     return shared, alone, shared_cells
 
@@ -452,7 +481,7 @@ def test_query_chunks_equal_head_of_full_order(rng):
                              for b, rows in zip(blocks, np.split(np.arange(500), [209, 418]))])
     np.testing.assert_array_equal(_assert_flat_heads(prefix, full), counts)
     assert np.all(counts >= 31)
-    ranked = binary_evidence_batch(fit_binary(train, 20), queries, ranking=Ranking(train, queries, 20))
+    ranked = evidence(fit_binary(train, 20), Ranking(train, queries, 20))
     with full_sort_reference():
         assert [a.tobytes() for a in ranked] == [
             a.tobytes() for a in binary_evidence_batch(fit_binary(train, 20), queries)]
@@ -525,7 +554,7 @@ def test_reading_past_a_prefix_raises(problem, k_max):
                                   train.labels[order_rows(train.points, queries)[:, :short]])
     if short < train.n:
         with pytest.raises(ValueError, match="prefix"):
-            knn_classify_batch(train, queries, KnnConfig(k=short + 1), ranking=ranking)
+            vote(ranking, KnnConfig(k=short + 1))
     clf = fit_binary(train, k_max)
     is_minority = np.append(train.labels == clf.minority_label, False)[prefix]
     found = int(np.count_nonzero(is_minority, axis=1).min())
