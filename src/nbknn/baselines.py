@@ -121,9 +121,8 @@ def select_k_cv(
     for f in range(cfg.cv_folds):
         fit = assignment != f
         val_idx = np.flatnonzero(~fit)
-        fit_labels = train.labels[fit]
-        ordered_labels = fit_labels[ranking.fold(val_idx, fit, max(ks))]
-        counts = np.bincount(fit_labels, minlength=train.n_classes + 1)[1:]
+        ordered_labels = train.labels[ranking.fold(val_idx, fit, max(ks))]
+        counts = np.bincount(train.labels[fit], minlength=train.n_classes + 1)[1:]
         weights = _vote_weights(counts, cfg.weighting)
         preds = _votes_for_grid(ordered_labels, ks, train.n_classes, weights)
         f1 = macro_f1_many(train.labels[val_idx], np.stack([preds[k] for k in ks]), train.n_classes)

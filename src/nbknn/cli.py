@@ -18,18 +18,15 @@ import sys
 import tempfile
 from contextlib import contextmanager
 
-import numpy as np
-
 from . import __version__
 from .benchmark import run_csv_benchmark
-from .binary import evidence, fit_binary
 from .data_io import SplitSpec, load_csv, load_queries, split_indices
 from .methods import (
-    BAYES, OVO_PLUS, OVR_PLUS, PROPOSED, MethodNameError, default_methods, validate_methods,
+    BAYES, OVO_PLUS, OVR_PLUS, PROPOSED, MethodNameError, decide, default_methods, trial_ranking,
+    validate_methods,
 )
 from .metrics import TrialReport, efficiency_scores
-from .multiclass import _ovo_round, _ovr_round, ovr_evidence, reduction
-from .neighbors import Ranking, chunk_rows
+from .neighbors import chunk_rows
 from .simulation import MINORITY_ROLES, run_location_experiment, run_scale_experiment
 
 SCHEMA_VERSION = 1
@@ -242,25 +239,15 @@ def _cmd_fit_predict(args) -> int:
         method = PROPOSED if data.n_classes == 2 else OVR_PLUS
     validate_methods((method,), n_classes=data.n_classes)
 
-    columns = [f"evidence_{name}" for name in train_csv.class_names]
-    if method == PROPOSED:
-        clf, columns = fit_binary(data, k_max), ["E1", "E2"]
-
-    def predict(ranking):
-        if method == PROPOSED:
-            preds, e1, e2 = evidence(clf, ranking)
-            return preds, np.column_stack([e1, e2])
-        if method == OVR_PLUS:
-            return reduction(_ovr_round, ranking, k_max)
-        return reduction(_ovo_round, ranking, k_max)[0], ovr_evidence(ranking, k_max) if emit else None
-
+    columns = ["E1", "E2"] if method == PROPOSED else [f"evidence_{name}" for name in train_csv.class_names]
     header = [f"predicted_{args.label_column}"] + (columns if emit else [])
     step = chunk_rows(data.n)
     with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for lo in range(0, len(queries), step):
-            preds, values = predict(Ranking(data, queries[lo : lo + step], k_max))
+            ranking = trial_ranking(data, queries[lo : lo + step], (method,), k_max)
+            preds, values = decide(method, ranking, k_max, emit)
             rows = values.tolist() if emit else [[]] * len(preds)
             writer.writerows([train_csv.class_name(label)] + [repr(v) for v in row]
                              for label, row in zip(preds.tolist(), rows))

@@ -1,4 +1,5 @@
-"""Method dispatch and trial scoring shared by the simulation and benchmark drivers."""
+"""Method dispatch and trial scoring shared by the simulation and benchmark
+drivers, and the evidence decision that trials and fit-predict share."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from .baselines import KnnConfig, cv_vote
 from .binary import evidence, fit_binary
 from .dataset import LabeledDataset
 from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
-from .multiclass import _ovo_round, _ovr_round, reduction
+from .multiclass import _ovo_round, _ovr_round, ovr_evidence, reduction
 from .neighbors import Ranking
 
 PROPOSED = "proposed"
@@ -69,6 +70,21 @@ def trial_ranking(train: LabeledDataset, queries, methods, k_max: int) -> Rankin
     return Ranking(train, queries, k_max if evidence else 0, max(KnnConfig().k_grid) if vote else 0)
 
 
+def decide(name: str, ranking: Ranking, k_max: int, emit: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Labels of the queries of ``ranking`` by the evidence method ``name``,
+    and its evidence columns, one row per query: E1 and E2 for 'proposed',
+    the first one-vs-rest round for the reductions.  'ovr_plus' has them
+    at no cost; 'ovo_plus' plays that round only if ``emit``, else None."""
+    if name == PROPOSED:
+        preds, e1, e2 = evidence(fit_binary(ranking.train, k_max), ranking)
+        return preds, np.column_stack([e1, e2])
+    if name == OVR_PLUS:
+        return reduction(_ovr_round, ranking, k_max)
+    if name == OVO_PLUS:
+        return reduction(_ovo_round, ranking, k_max)[0], ovr_evidence(ranking, k_max) if emit else None
+    raise ValueError(f"{name!r} is not an evidence method")
+
+
 def predict_with_method(
     name: str,
     train: LabeledDataset,
@@ -80,12 +96,8 @@ def predict_with_method(
 ) -> np.ndarray:
     """Run one named method end to end for a single trial, reading
     ``ranking``, the trial's one ranking of ``train`` against ``queries``."""
-    if name == PROPOSED:
-        return evidence(fit_binary(train, k_max), ranking)[0]
-    if name == OVO_PLUS:
-        return reduction(_ovo_round, ranking, k_max)[0]
-    if name == OVR_PLUS:
-        return reduction(_ovr_round, ranking, k_max)[0]
+    if name in (PROPOSED, OVO_PLUS, OVR_PLUS):
+        return decide(name, ranking, k_max, False)[0]
     if name in (KNN, WNN):
         cfg = KnnConfig(weighting="uniform" if name == KNN else "inverse-class-size")
         return cv_vote(ranking, cfg, cv_seed)

@@ -100,14 +100,9 @@ def classify_ovo_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> 
     return reduction(_ovo_round, Ranking(train, queries, k_max), k_max)[0]
 
 
-def ovr_plus_evidence_batch(train: LabeledDataset, queries, k_max: int = 45) -> tuple[np.ndarray, np.ndarray]:
-    """One-vs-rest predictions and first-round evidence from one pass."""
-    return reduction(_ovr_round, Ranking(train, queries, k_max), k_max)
-
-
 def classify_ovr_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:
     """One-vs-rest predictions for many queries."""
-    return ovr_plus_evidence_batch(train, queries, k_max)[0]
+    return reduction(_ovr_round, Ranking(train, queries, k_max), k_max)[0]
 
 
 def ovr_evidence_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:

@@ -20,8 +20,8 @@ own c_i: a few rows at a time are sorted to their widest c_i and each
 row's head is written at its offset.  Exact ties are decided by the
 index bits, and a row whose keys cannot decide it (two distances that
 share the keys' high bits) is sorted whole.  A cross-validation fold
-reads its fit rows along each training row's head of its order, from the
-same keys; a short head ranks afresh.
+reads its fit rows, as training indices, along each training row's head
+of its order, from the same keys; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -307,7 +307,7 @@ class Ranking:
 
     def fold(self, val: np.ndarray, fit: np.ndarray, depth: int) -> np.ndarray:
         """Each ``val`` row's ``depth`` nearest ``fit`` rows (a mask), in
-        order and renumbered within them.
+        order, as training indices.
 
         A row's ``fit`` entries in its training head are the head of the
         ``fit`` rows' own order; a row whose head holds too few ranks afresh.
@@ -317,8 +317,9 @@ class Ranking:
         seen = np.cumsum(inside, axis=1)
         short = seen[:, -1] < depth
         inside &= (seen <= depth) & ~short[:, None]
-        out = np.empty((len(val), depth), dtype=np.min_scalar_type(np.count_nonzero(fit)))
-        out[~short] = (np.cumsum(fit) - 1)[near[inside]].reshape(-1, depth)
+        out = np.empty((len(val), depth), dtype=near.dtype)
+        out[~short] = near[inside].reshape(-1, depth)
         if short.any():
-            out[short] = _nearest(distance_rows(self.points[fit], self.points[val[short]]), depth).reshape(-1, depth)
+            fresh = _nearest(distance_rows(self.points[fit], self.points[val[short]]), depth)
+            out[short] = np.flatnonzero(fit)[fresh].reshape(-1, depth)
         return out

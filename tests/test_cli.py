@@ -417,15 +417,15 @@ def test_fit_predict_failure_in_second_block_leaves_no_output(tmp_path, monkeypa
     # The first block is already written to the temp file when the second fails.
     argv, n_train = fit_predict_golden_case(tmp_path, "proposed")
     monkeypatch.setattr(nbknn.neighbors, "_CHUNK_ELEMS", 3 * n_train)
-    original, blocks = nbknn.cli.evidence, []
+    original, blocks = nbknn.cli.decide, []
 
-    def failing(clf, ranking):
+    def failing(name, ranking, k_max, emit):
         blocks.append(len(ranking))
         if len(blocks) == 2:
             raise error("second block")
-        return original(clf, ranking)
+        return original(name, ranking, k_max, emit)
 
-    monkeypatch.setattr(nbknn.cli, "evidence", failing)
+    monkeypatch.setattr(nbknn.cli, "decide", failing)
     if code is None:
         with pytest.raises(error, match="second block"):
             main(argv + ["--emit-evidence"])

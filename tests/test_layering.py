@@ -34,12 +34,12 @@ def _ranking_is_none(test) -> bool:
 def test_ranking_readers_do_not_rank():
     # Read, don't re-rank: a function given a ranking reads it and builds
     # none, except select_k_cv when it is given none.  A Ranking is built
-    # only by a public entry point, methods.trial_ranking, the CLI and
-    # neighbors.py itself.
+    # only by a public entry point, methods.trial_ranking and neighbors.py
+    # itself; the CLI ranks its queries through methods.trial_ranking.
     public = set(nbknn.__all__)
     leaks = []
     for path in sorted(Path(nbknn.__file__).parent.glob("*.py")):
-        if path.name in ("neighbors.py", "cli.py"):
+        if path.name == "neighbors.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
@@ -62,3 +62,14 @@ def test_ranking_readers_do_not_rank():
                                 or (path.name, func.name) == ("methods.py", "trial_ranking")):
                 leaks += [f"{path.name}:{node.lineno} {func.name} builds a Ranking" for node in calls]
     assert not leaks, leaks
+
+
+def test_cli_imports_no_private_name():
+    # The CLI reaches a method through its public decision, not through
+    # another module's private pieces; a dunder such as __version__ is public.
+    path = Path(nbknn.__file__).parent / "cli.py"
+    private = [f"cli.py:{node.lineno} imports {alias.name} from {'.' * node.level}{node.module or ''}"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nbknn"))
+               for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, private

@@ -42,8 +42,8 @@ from nbknn import (
 from nbknn.baselines import _stratified_folds, _vote_weights, cv_vote, vote
 from nbknn.binary import _pair_evidence, evidence
 from nbknn.cli import main
-from nbknn.methods import CSV_METHODS, SIMULATION_METHODS
-from nbknn.multiclass import _ovo_round, _ovr_round, ovr_evidence, ovr_plus_evidence_batch, reduction
+from nbknn.methods import CSV_METHODS, OVO_PLUS, OVR_PLUS, PROPOSED, SIMULATION_METHODS, decide
+from nbknn.multiclass import _ovo_round, _ovr_round, ovr_evidence, reduction
 from nbknn.neighbors import Ranking, distance_rows, prefix_rows
 from nbknn.rng import Stream
 
@@ -137,10 +137,26 @@ QUERY_ENTRY_POINTS = {
                                 lambda r: reduction(_ovo_round, r, 45)[0]),
     "classify_ovr_plus_batch": (lambda t, q: classify_ovr_plus_batch(t, q),
                                 lambda r: reduction(_ovr_round, r, 45)[0]),
-    "ovr_plus_evidence_batch": (lambda t, q: ovr_plus_evidence_batch(t, q),
-                                lambda r: reduction(_ovr_round, r, 45)),
     "ovr_evidence_batch": (lambda t, q: ovr_evidence_batch(t, q), lambda r: ovr_evidence(r, 45)),
+    # The one decision of trials and fit-predict, evidence columns on.
+    "decide-proposed": (lambda t, q: (lambda p, e1, e2: (p, np.column_stack([e1, e2])))(
+                            *binary_evidence_batch(fit_binary(t), q)),
+                        lambda r: decide(PROPOSED, r, 45, True)),
+    "decide-ovr_plus": (lambda t, q: (classify_ovr_plus_batch(t, q), ovr_evidence_batch(t, q)),
+                        lambda r: decide(OVR_PLUS, r, 45, True)),
+    "decide-ovo_plus": (lambda t, q: (classify_ovo_plus_batch(t, q), ovr_evidence_batch(t, q)),
+                        lambda r: decide(OVO_PLUS, r, 45, True)),
 }
+
+
+def test_ovo_plus_decides_without_evidence_unless_asked(rng):
+    # Without evidence columns OvO+ gives None for them, and the same labels.
+    train = LabeledDataset(rng.normal(size=(30, 2)), np.repeat([1, 2, 3], 10))
+    ranking = Ranking(train, rng.normal(size=(5, 2)), k_max=45)
+    labels, columns = decide(OVO_PLUS, ranking, 45, False)
+    assert columns is None
+    assert labels.tobytes() == decide(OVO_PLUS, ranking, 45, True)[0].tobytes()
+    assert labels.tobytes() == reduction(_ovo_round, ranking, 45)[0].tobytes()
 
 
 def _as_bytes(out):
@@ -517,8 +533,8 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
     for f in range(5):
         fit, val = assignment != f, np.flatnonzero(assignment == f)
         depth = min(8, int(np.count_nonzero(fit)))
-        np.testing.assert_array_equal(ranking.fold(val, fit, depth),
-                                      order_rows(train.points[fit], train.points[val])[:, :depth])
+        want = order_rows(train.points[fit], train.points[val])[:, :depth]
+        np.testing.assert_array_equal(ranking.fold(val, fit, depth), np.flatnonzero(fit)[want])
 
 
 @SETTINGS
@@ -591,7 +607,7 @@ def full_sort_reference():
             order_rows(self.points, self.queries).reshape(-1),
             np.full(len(self.queries), len(self.points)))))
         m.setattr(Ranking, "fold", lambda self, val, fit, depth:
-                  order_rows(self.points[fit], self.points[val])[:, :depth])
+                  np.flatnonzero(fit)[order_rows(self.points[fit], self.points[val])[:, :depth]])
         yield
 
 
@@ -603,7 +619,7 @@ def _all_outputs(train, queries, k_max):
     if train.n_classes == 2:
         out["binary"] = binary_evidence_batch(fit_binary(train, k_max), queries)
     out["ovo"] = classify_ovo_plus_batch(train, queries, k_max)
-    out["ovr"] = ovr_plus_evidence_batch(train, queries, k_max)
+    out["ovr"] = decide(OVR_PLUS, Ranking(train, queries, k_max), k_max, True)
     return {name: [np.asarray(v).tobytes() + str(np.asarray(v).shape).encode()
                    for v in (value if isinstance(value, tuple) else (value,))]
             for name, value in out.items()}
@@ -652,6 +668,12 @@ def test_vote_deeper_than_evidence_equals_full_sort(tmp_path):
 def _same_array(got, want):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+def _in_training(fold, fit):
+    """A reference fold's fit-local indices as training indices, in the
+    dtype of the training heads."""
+    return np.flatnonzero(fit)[fold].astype(np.min_scalar_type(fit.size))
 
 
 def _same_prefix(got, want, n):
@@ -746,6 +768,26 @@ def test_labels_of_300_classes_equal_reference(rng):
     assert ranking.test[0].dtype == np.uint16
 
 
+def test_ranking_of_more_than_2_16_rows_equals_reference(rng, monkeypatch):
+    # 70,000 rows: uint32 indices, 17 index bits, 16 distance bits dropped.
+    # Points on a grid of step 1/64 tie exactly and often, also at tau, and
+    # distinct grid distances lie far apart: their keys decide a row.  500
+    # points at x > 1/2 moved by 1 ulp lie a few ulps from their grid
+    # neighbors, so the rows of the queries there are sorted whole.  (On a
+    # decimal grid the differences are inexact and every row would be.)
+    points = rng.integers(-64, 65, size=(70_000, 2)) / 64
+    nudged = rng.choice(np.flatnonzero(points[:, 0] > 0.5), size=500, replace=False)
+    points[nudged] = np.nextafter(points[nudged], np.inf)
+    train = LabeledDataset(points, np.where(rng.random(70_000) < 0.1, 2, 1))
+    queries = np.vstack([rng.integers(40, 65, size=(3, 2)), rng.integers(-64, -16, size=(4, 2))]) / 64
+    sorts = _spy_rows(monkeypatch, "_argsort_rows")
+    got = Ranking(train, queries, 45, 31).test
+    for got_part, want_part in zip(got, flat_prefix_reference(train, queries, 45, 31)):
+        _same_array(got_part, want_part)
+    assert got[0].dtype == np.uint32
+    assert sorts == [1, 1, 1]
+
+
 def _spy_rows(monkeypatch, name):
     """The rows each call of ``nbknn.neighbors.<name>`` gets."""
     rows, kernel = [], getattr(nbknn.neighbors, name)
@@ -820,7 +862,7 @@ def test_fold_equals_reference(problem, folds, depth_share, seed, points):
     for f in range(folds):
         fit, val = assignment != f, np.flatnonzero(assignment == f)
         d = max(1, round(depth_share * np.count_nonzero(fit)))
-        _same_array(ranking.fold(val, fit, d), fold_reference(full, val, fit, d))
+        _same_array(ranking.fold(val, fit, d), _in_training(fold_reference(full, val, fit, d), fit))
 
 
 @pytest.mark.parametrize("path", ["one-selection", "ties", "fallback"])
@@ -843,7 +885,7 @@ def test_fold_paths_equal_reference(rng, monkeypatch, path):
     for f in range(folds):
         fit = np.arange(400) % folds != f
         val = np.flatnonzero(~fit)
-        _same_array(ranking.fold(val, fit, 31), fold_reference(full, val, fit, 31))
+        _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
     assert (sum(cells) == 400 * 400) == (path != "fallback")
     assert not sorts
 
@@ -868,8 +910,8 @@ def test_fold_reads_a_head_whose_boundary_splits_a_key_group(monkeypatch):
     fit[[0, 10, 20, 30]] = False
     val = np.flatnonzero(~fit)
     got = ranking.fold(val, fit, 1)
-    _same_array(got, fold_reference(full, val, fit, 1))
-    assert got[0, 0] == 4  # row 5, renumbered among the fit rows
+    _same_array(got, _in_training(fold_reference(full, val, fit, 1), fit))
+    assert got[0, 0] == 5
     assert rows == [1]
 
 
