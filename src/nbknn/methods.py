@@ -12,6 +12,7 @@ from .binary import evidence, fit_binary
 from .dataset import LabeledDataset
 from .metrics import PrfReport, TrialReport, aggregate_trials, confusion, prf
 from .multiclass import _ovo_round, _ovr_round, ovr_evidence, reduction
+from .negbin import run_tables
 from .neighbors import Ranking
 
 PROPOSED = "proposed"
@@ -137,6 +138,8 @@ def map_trials(fn, args_list, jobs: int = 1) -> list:
 
 
 def run_trials(trial, args_list, methods, jobs: int = 1) -> list[TrialReport]:
-    """Each method's scores from ``trial`` over ``args_list``, aggregated."""
-    per_trial = map_trials(trial, args_list, jobs)
+    """Each method's scores from ``trial`` over ``args_list``, aggregated.
+    The trials share one run of evidence tables (:func:`negbin.run_tables`)."""
+    with run_tables():
+        per_trial = map_trials(trial, args_list, jobs)
     return [aggregate_trials([res[name] for res in per_trial], name) for name in methods]

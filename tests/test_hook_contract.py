@@ -12,7 +12,13 @@ tests pin what such a wrapper sees in one ``simulate`` and one
 - one ``metrics.confusion`` call per method, outside every prediction,
   right after it;
 - exactly one ``baselines.select_k_cv`` call inside each k-NN or wnn
-  prediction, and none inside another method's.
+  prediction, and none inside another method's;
+- ``negbin.adjusted_pvalue_many`` calls inside each evidence prediction
+  and none inside another method's: in a ``simulate`` trial, the
+  'proposed' prediction reads its whole sweep in one call, with ``k`` of
+  shape (1, k_eff) and ``n_obs`` of shape (n_test, k_eff).  A run's
+  evidence table lives inside that function, so such a wrapper still
+  sees every cell read.
 """
 
 import sys
@@ -23,6 +29,7 @@ import pytest
 import nbknn.baselines
 import nbknn.methods
 import nbknn.metrics
+import nbknn.negbin
 from nbknn import LabeledDataset, SplitSpec, balanced_split, load_csv
 from nbknn.cli import main
 
@@ -30,6 +37,7 @@ HOOKS = (
     (nbknn.methods, "predict_with_method"),
     (nbknn.metrics, "confusion"),
     (nbknn.baselines, "select_k_cv"),
+    (nbknn.negbin, "adjusted_pvalue_many"),
 )
 
 
@@ -72,9 +80,11 @@ def _assert_one_trial(calls, methods, n_train, n_test, dim):
         assert np.shape(queries) == (n_test, dim)
     predictions = [i for i, (name, parent, _) in enumerate(calls) if name == "predict_with_method"]
     for i in predictions:
+        method = calls[i][2][0]
         inside = [name for name, parent, _ in calls if parent == i]
-        expected = ["select_k_cv"] if calls[i][2][0] in ("knn", "wnn") else []
-        assert [name for name in inside if name != "confusion"] == expected, calls[i][2][0]
+        expected = ["select_k_cv"] if method in ("knn", "wnn") else []
+        assert [name for name in inside if name not in ("confusion", "adjusted_pvalue_many")] == expected, method
+        assert ("adjusted_pvalue_many" in inside) == (method in ("proposed", "ovo_plus", "ovr_plus")), method
 
 
 def test_simulate_trial_calls(tmp_path, calls):
@@ -83,6 +93,11 @@ def test_simulate_trial_calls(tmp_path, calls):
             "--output", str(tmp_path / "sim.json")]
     assert main(argv) == 0
     _assert_one_trial(calls, ("proposed", "knn", "wnn", "bayes"), 120, 40, 2)
+    proposed = next(i for i, (name, _, args) in enumerate(calls) if name == "predict_with_method")
+    sweeps = [args for name, parent, args in calls if name == "adjusted_pvalue_many" and parent == proposed]
+    assert len(sweeps) == 1
+    k, n_obs = sweeps[0][:2]
+    assert np.shape(k) == (1, 36) and np.shape(n_obs) == (40, 36)  # k_eff: the 36 minority rows (0.3 of 120)
 
 
 def test_benchmark_trial_calls(tmp_path, calls):

@@ -1,6 +1,8 @@
 """Layering: only ``neighbors.py`` knows how a ranking lays out its
 prefixes.  Every other module reads a ``Ranking`` through ``len``,
-``head``, ``places`` and ``take``, so the layout can change in one file."""
+``head``, ``places`` and ``take``, so the layout can change in one file.
+Only ``methods.py`` opens a run of evidence tables, so one module owns
+their lifetime."""
 
 import ast
 from pathlib import Path
@@ -73,3 +75,17 @@ def test_cli_imports_no_private_name():
                if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nbknn"))
                for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private, private
+
+
+def test_only_methods_opens_a_run_of_evidence_tables():
+    # negbin.run_tables is named, called or imported in methods.py (around
+    # the trials of run_trials) and nowhere else outside negbin.py.
+    names = {}
+    for path in sorted(Path(nbknn.__file__).parent.glob("*.py")):
+        if path.name == "negbin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            named = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "run_tables" in named:
+                names.setdefault(path.name, []).append(node.lineno)
+    assert list(names) == ["methods.py"], names

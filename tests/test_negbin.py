@@ -2,14 +2,17 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nbknn import adjusted_pvalue_many
-from nbknn.negbin import _log_pmf_many
+import nbknn.negbin as negbin
+from nbknn import adjusted_pvalue_many, confusion, prf
+from nbknn.methods import map_trials, run_trials
+from nbknn.negbin import _log_pmf_many, run_tables
 from scipy.special import betainc
 
 from conftest import (
@@ -240,6 +243,119 @@ class TestShortSpanTable:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@st.composite
+def _run_calls(draw):
+    """A sequence of (k, n, p0) calls for one run: cells repeat within and
+    across calls, the largest k and n move so tables grow, spans fall on
+    both tail branches, and p0 takes two values one ulp apart."""
+    p0 = draw(_P0)
+    p0s = (p0, math.nextafter(p0, 1.0))
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.integers(1, 80))
+        picks = draw(st.lists(st.tuples(st.integers(1, top), _SPANS), max_size=60))
+        k = np.array([kk for kk, _ in picks], dtype=np.int64)
+        calls.append((k, k + np.array([span for _, span in picks], dtype=np.int64), draw(st.sampled_from(p0s))))
+    return calls
+
+
+def _growing_calls(p0):
+    q0 = math.nextafter(p0, 1.0)
+    k = [np.array(ks, dtype=np.int64) for ks in ([1, 2, 2], [40, 1], [3, 3, 70], [2, 40])]
+    n = [np.array(ns, dtype=np.int64) for ns in ([1, 70, 70], [200, 1], [3, 67, 300], [70, 200])]
+    return list(zip(k, n, (p0, p0, q0, p0)))
+
+
+class TestRunTables:
+    """Inside a run, a cell is read from its p0's table, computed once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(calls=_run_calls(), cap=st.sampled_from([negbin._RUN_CELLS, 3_000]))
+    @example(calls=_growing_calls(0.05), cap=negbin._RUN_CELLS)
+    @example(calls=_growing_calls(0.05), cap=15_000)
+    def test_bits_do_not_depend_on_the_table(self, calls, cap):
+        # Each call equals the same call outside any run, bit for bit,
+        # whatever earlier calls left in the tables, which hold at most cap cells.
+        alone = [adjusted_pvalue_many(k, n, p0) for k, n, p0 in calls]
+        capped = cap < negbin._RUN_CELLS
+        with mock.patch.object(negbin, "_RUN_CELLS", cap), run_tables():
+            for (k, n, p0), ref in zip(calls, alone):
+                got = adjusted_pvalue_many(k, n, p0)
+                np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+                assert sum(table.size for table in negbin._run.values()) <= cap
+                assert p0 in negbin._run or capped or not k.size
+
+    def test_a_call_past_the_cap_computes_directly(self, monkeypatch):
+        monkeypatch.setattr(negbin, "_RUN_CELLS", 600)
+        k, n = grid(5, range(5, 21))
+        with run_tables():
+            adjusted_pvalue_many(k, n, 0.3)  # 6 x 21 cells
+            adjusted_pvalue_many(*grid(10, [10, 40]), 0.4)  # 11 x 41 cells: 577 held
+            for args in ((*grid(5, [5, 60]), 0.3), (*grid(2, [2, 10**7]), 0.5)):  # past the cap
+                assert adjusted_pvalue_many(*args).tobytes() == midp_padded_reference(*args).tobytes()
+            assert {p0: table.shape for p0, table in negbin._run.items()} == {0.3: (6, 21), 0.4: (11, 41)}
+            assert np.count_nonzero(negbin._run[0.3]) == 16
+            assert adjusted_pvalue_many(k, n, 0.3).tobytes() == midp_padded_reference(k, n, 0.3).tobytes()
+
+    def test_trials_of_a_run_share_one_table(self):
+        held = []
+
+        def trial(top):
+            ks = np.arange(1, top + 1)
+            adjusted_pvalue_many(ks[None, :], np.stack([3 * ks, 3 * ks]), 0.2)
+            held.append({p0: int(np.count_nonzero(table)) for p0, table in negbin._run.items()})
+            return {"m": prf(confusion(np.array([1, 2]), np.array([1, 2]), 2))}
+
+        run_trials(trial, [5, 9, 7], ("m",))
+        assert held == [{0.2: 5}, {0.2: 9}, {0.2: 9}]
+        assert negbin._run is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_no_table_outlives_run_trials(self, jobs, fail):
+        args = [(5, False), (9, fail), (7, False)]
+        if fail:
+            with pytest.raises(RuntimeError, match="a trial failed"):
+                run_trials(_evidence_trial, args, ("m",), jobs)
+        else:
+            assert run_trials(_evidence_trial, args, ("m",), jobs)[0].trials == 3
+        assert negbin._run is None
+
+    def test_forked_workers_write_their_own_tables(self):
+        # Workers forked with a table open fill cells of it (k, 3k for
+        # k <= 9 fit its shape) in their own copy, not in the parent's.
+        with run_tables():
+            adjusted_pvalue_many(*grid(9, [9, 40]), 0.2)
+            table = negbin._run[0.2].copy()
+            map_trials(_evidence_trial, [(9, False), (5, False)], jobs=2)
+            np.testing.assert_array_equal(negbin._run[0.2], table)
+
+    def test_nested_run_restores_the_outer_one(self):
+        with run_tables():
+            adjusted_pvalue_many(*grid(3, [3, 80]), 0.25)
+            outer = negbin._run
+            table = outer[0.25].copy()
+            with run_tables():
+                assert negbin._run == {}
+                adjusted_pvalue_many(*grid(6, [6, 90]), 0.25)
+            assert negbin._run is outer
+            with pytest.raises(ValueError, match="k values"), run_tables():
+                adjusted_pvalue_many(0, 5, 0.25)
+            assert negbin._run is outer and list(outer) == [0.25]
+            np.testing.assert_array_equal(outer[0.25], table)
+        assert negbin._run is None
+
+
+def _evidence_trial(args):
+    """A trial of run_trials that reads evidence cells, or raises."""
+    top, fail = args
+    if fail:
+        raise RuntimeError("a trial failed")
+    ks = np.arange(1, top + 1)
+    adjusted_pvalue_many(ks, 3 * ks, 0.2)
+    return {"m": prf(confusion(np.array([1, 2]), np.array([1, 2]), 2))}
 
 
 class TestNormalization:
