@@ -65,6 +65,15 @@ class CsvDataset:
         return self.class_names[label - 1]
 
 
+def _header(path, names: list[str]) -> list[str]:
+    """The stripped header names; raises on a duplicate."""
+    header = [h.strip() for h in names]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise CsvFormatError(f"{path}: duplicate column name {name!r} in the header")
+    return header
+
+
 def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
     """Header, float matrix of the feature columns, and the label cells.
 
@@ -73,18 +82,103 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
     of the label column or None.  Header names must be unique, every
     nonblank row must have one field per name, every feature cell must
     parse as a finite float and every label cell must be nonblank; errors
-    cite the row and column.  The values go straight into one flat
-    buffer of 8 bytes a cell, which the matrix views.
+    cite the row and column.
+
+    A file with no quote and no carriage return is read by numpy's parser
+    (:func:`_read_plain`).  Every other file, and every file that fails a
+    check there, is read by the csv module (:func:`_read_rows`), which
+    gives the same values and labels and is the only source of the
+    row-and-column messages.
     """
+    with open(path, "rb") as fh:
+        parsed = _read_plain(path, fh, select)
+    return _read_rows(path, select) if parsed is None else parsed
+
+
+def _line_blocks(fh):
+    """The bytes of the file ``fh`` in blocks of whole lines, about 256 kB each."""
+    rest = b""
+    for block in iter(lambda: fh.read(1 << 18), b""):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield rest + block[:cut]
+            rest = block[cut:]
+        else:
+            rest += block
+    if rest:
+        yield rest
+
+
+def _read_plain(path, fh, select) -> tuple[list[str], np.ndarray, list[str]] | None:
+    """:func:`_read_csv` of the binary file ``fh`` by ``np.loadtxt``, or
+    None if the file holds a quote or a carriage return, or a line fails
+    a check.  Without them the csv module splits a line at every comma,
+    as numpy does.
+
+    A first pass reads the file in blocks of whole lines.  The header is
+    the first line, after a UTF-8 byte-order mark, split at its commas.
+    Every nonblank line after it must hold one comma fewer than the header
+    has names: ``loadtxt`` does not count the fields it skips.  The label
+    cells are sliced from the bytes between their line's commas, and
+    stripped.  A second pass, one ``loadtxt``, reads the feature columns.
+    It refuses every cell that ``float`` refuses, and a few that it takes
+    (``1_0``, non-ASCII digits, lines of spaces), which the csv module then
+    reads; it takes ``nan`` and ``inf``, which the csv module then names.
+    Besides the values and labels, a block at a time is held.
+    """
+    header, labels, n_rows = None, [], 0
+    for lines in _line_blocks(fh):
+        if b'"' in lines or b"\r" in lines:
+            return None
+        if header is None:
+            lines = lines.removeprefix(b"\xef\xbb\xbf")
+            if not lines:
+                return None
+            line, _, lines = lines.partition(b"\n")
+            try:
+                names = line.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            header = _header(path, names.split(",") if names else [])
+            positions, label_pos = select(header)
+        chars = np.frombuffer(lines, dtype=np.uint8)
+        ends = np.flatnonzero(chars == ord("\n"))
+        if not lines.endswith(b"\n"):
+            ends = np.append(ends, len(lines))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        commas = np.flatnonzero(chars == ord(","))
+        nonblank = ends > starts
+        if np.any((np.searchsorted(commas, ends) - np.searchsorted(commas, starts))[nonblank] != len(header) - 1):
+            return None
+        n_rows += np.count_nonzero(nonblank)
+        if label_pos is not None:  # the cell between its commas, or a line's end
+            inner = commas.reshape(-1, len(header) - 1)
+            lo = inner[:, label_pos - 1] + 1 if label_pos else starts[nonblank]
+            hi = inner[:, label_pos] if label_pos < len(header) - 1 else ends[nonblank]
+            try:
+                labels += [lines[a:b].decode("utf-8").strip() for a, b in zip(lo.tolist(), hi.tolist())]
+            except UnicodeDecodeError:
+                return None
+    if not n_rows or not all(labels):
+        return None
+    fh.seek(0)
+    try:
+        values = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, usecols=positions,
+                            quotechar=None, ndmin=2, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError too
+        return None
+    return (header, values, labels) if np.isfinite(values).all() else None
+
+
+def _read_rows(path, select) -> tuple[list[str], np.ndarray, list[str]]:
+    """:func:`_read_csv` by the csv module: the values go straight into
+    one flat buffer of 8 bytes a cell, which the matrix views."""
     with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = _header(path, next(reader))
         except StopIteration:
             raise CsvFormatError(f"{path}: file is empty") from None
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise CsvFormatError(f"{path}: duplicate column name {name!r} in the header")
         positions, label_pos = select(header)
 
         values = array("d")

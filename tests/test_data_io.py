@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nbknn.data_io
 from nbknn import (
     CsvFormatError,
     LabeledDataset,
@@ -12,7 +15,7 @@ from nbknn import (
     split_indices,
     standardize,
 )
-from nbknn.data_io import load_queries
+from nbknn.data_io import CsvDataset, load_queries
 
 
 @pytest.fixture()
@@ -129,6 +132,138 @@ class TestLoadCsv:
         path = csv_file("x,y,cls\n0,1,a\n2,b\n")
         with pytest.raises(CsvFormatError, match="row 3 has 2 fields"):
             load_csv(path, "cls")
+
+
+# Files the numpy parser reads and files it must hand to the csv module:
+# quotes, a byte-order mark, CR line ends, blank and space-only lines,
+# ragged rows, tokens that float() takes and numpy does not (or neither
+# does), spaces around cells, blank labels, the label in any column, and
+# query files with their columns reordered, with or without the label.
+NUMBER_TOKENS = ["0", "-1.5", " 2.25 ", "\t3", "1e5", "+.5", "5.", "-0", "nan", "-inf", "Infinity",
+                 "1e400", "1_0", "\u0663", "\uff17", "\u00a01", "", " ", "abc", "0x10", "1e", ".",
+                 "1D3", "1j", "1#x", "1\x00"]
+LABEL_TOKENS = ["a", "b", " a", "b ", "", "  ", "\u00e9", "c d", "#", "a\x00"]
+TRAIN = CsvDataset(LabeledDataset([[0.0, 1.0, 2.0]], [1]), "cls", ("x", "y", "z"), ("a",))
+
+
+@st.composite
+def csv_files(draw):
+    """(kind, text): a training file of 1-3 features, or a query file for
+    ``TRAIN``.  Each kind of trouble is in about a quarter of the files,
+    so about a fifth of them hold none."""
+    kind = draw(st.sampled_from(["train", "query"]))
+    if kind == "train":
+        names = ["x", "y", "z"][: draw(st.integers(1, 3))] + ["cls"]
+    else:
+        names = ["x", "y", "z"] + (["cls"] if draw(st.booleans()) else [])
+    names = draw(st.permutations(names))
+    sometimes = st.integers(0, 3).map(lambda i: i == 0)
+    quotes, tokens, odd_labels, ragged, blank, spaces = (draw(sometimes) for _ in range(6))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    number = st.one_of(finite, st.floats().map(repr), st.sampled_from(NUMBER_TOKENS)) if tokens else finite
+    label = st.sampled_from(LABEL_TOKENS if odd_labels else ["a", "b"])
+    cell = lambda text: f'"{text}"' if quotes and draw(st.booleans()) else text
+    lines = [",".join(cell(f" {n} " if spaces else n) for n in names)]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(label if n == "cls" else number) for n in names]
+        if ragged:
+            cells = draw(st.sampled_from([cells, cells[:-1], cells + ["9"]]))
+        lines.append(",".join(map(cell, cells)))
+        if blank:
+            lines += draw(st.sampled_from([[], [""], ["  "]]))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return kind, bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _load(kind, path):
+    """What the loader gives for ``path``, or the error it raises."""
+    try:
+        if kind == "train":
+            got = load_csv(path, "cls")
+            return got.data.points.tobytes(), got.data.labels.tolist(), got.class_names, got.feature_names
+        queries = load_queries(path, TRAIN)
+        return queries.shape, queries.tobytes()
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+@example(("train", '"x",cls\n1,a\n'))
+@example(("train", "\ufeffx,cls\r\n1,a\r\n"))
+@example(("train", "x,cls\n1,a\r2,b\n"))
+@example(("train", "x,cls\n1,a\n\n  \n2,b\n"))
+@example(("train", "x,y,cls\n1,2,a\n3,b\n"))
+@example(("query", "x,y,z\n1,2,3,4\n"))
+@example(("train", "x,cls\nnan,a\ninf,b\n"))
+@example(("train", "x,cls\n1_0,a\n\u0663,b\n\uff17,a\n"))
+@example(("train", "x,cls\n 1.5 ,a\n"))
+@example(("train", "x,cls\n1,  \n"))
+@example(("train", "cls,x\n a ,1\nb,2\n"))
+@example(("query", "cls,z,x,y\n,1,2,3\n"))
+@example(("query", "z,y,x\n1,2,3\n"))
+def test_numpy_path_equals_csv_module(tmp_path_factory, case):
+    # The same outcome with the numpy parser enabled and with every file
+    # read by the csv module: values bit for bit, labels, or the error.
+    kind, text = case
+    path = tmp_path_factory.mktemp("csv") / f"{kind}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _load(kind, path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nbknn.data_io, "_read_plain", lambda *args: None)
+        assert got == _load(kind, path)
+
+
+@pytest.mark.parametrize("flaw", [None, "ragged", "blank label", "quote", "nan"])
+def test_numpy_path_reads_blocks_of_whole_lines(csv_file, rng, flaw):
+    # 20,000 lines of about 45 bytes: the first pass reads several blocks,
+    # and lines cross their bounds.  A clean file does not reach the csv
+    # module; a flaw near its end sends it there, which names the bad cell
+    # or reads the quoted one.
+    points = rng.normal(size=(20000, 2))
+    lines = ["x,cls,y"] + [f"{x!r},{'ab'[i % 3 == 0]},{y!r}" for i, (x, y) in enumerate(points.tolist())]
+    lines.insert(9000, "")
+    if flaw:
+        lines[-3] = {"ragged": "1,a", "blank label": "1, ,2", "quote": '1,"a",2', "nan": "nan,a,1"}[flaw]
+    path = csv_file("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as m:
+        if flaw is None:
+            m.setattr(nbknn.data_io.csv, "reader", None)
+        got = _load("train", path)
+        m.undo()
+        m.setattr(nbknn.data_io, "_read_plain", lambda *args: None)
+        assert got == _load("train", path)
+    assert (type(got[0]) is bytes) == (flaw in (None, "quote"))  # a quoted cell is no error
+
+
+@pytest.mark.parametrize("label_at", ["last", "middle"])
+def test_clean_file_takes_the_numpy_path(csv_file, monkeypatch, rng, label_at):
+    # A file shaped like the benchmark inputs (repr floats, the label last
+    # or in the middle, a label-less query file) must not reach the csv
+    # module: a quiet fall-back would keep every value and lose the speed.
+    points = rng.normal(size=(50, 4))
+    labels = np.where(rng.random(50) < 0.2, "pos", "neg")
+    at = 4 if label_at == "last" else 2
+    header = ["x0", "x1", "x2", "x3"]
+    rows = [[repr(float(v)) for v in row] for row in points]
+    for row, label in zip(rows, labels):
+        row.insert(at, str(label))
+    train_path = csv_file(",".join(header[:at] + ["label"] + header[at:]) + "\n"
+                          + "".join(",".join(row) + "\n" for row in rows), "train.csv")
+    query_path = csv_file(",".join(header) + "\n"
+                          + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in points[:7]),
+                          "queries.csv")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clean file reached the csv module")
+
+    monkeypatch.setattr(nbknn.data_io.csv, "reader", refuse)
+    train = load_csv(train_path, "label")
+    queries = load_queries(query_path, train)
+    assert train.data.points.tobytes() == points.tobytes()
+    assert [train.class_name(c) for c in train.data.labels.tolist()] == labels.tolist()
+    assert queries.tobytes() == points[:7].tobytes()
 
 
 class TestStandardize:

@@ -44,7 +44,7 @@ from nbknn.binary import _pair_evidence, evidence
 from nbknn.cli import main
 from nbknn.methods import CSV_METHODS, OVO_PLUS, OVR_PLUS, PROPOSED, SIMULATION_METHODS, decide
 from nbknn.multiclass import _ovo_round, _ovr_round, ovr_evidence, reduction
-from nbknn.neighbors import Ranking, distance_rows, prefix_rows
+from nbknn.neighbors import Ranking, distance_rows
 from nbknn.rng import Stream
 
 from conftest import (
@@ -434,6 +434,14 @@ def test_benchmark_trial_same_with_shared_ranking(problem, seed):
     assert cells == m * n + n * n
 
 
+def ranked_prefix(dist, tau):
+    """Each row's (distance, index) order up to ``tau``, by the kernel that
+    ranks a ``Ranking``'s blocks, laid end to end, and the lengths
+    c_i = #{d <= tau_i}."""
+    counts = np.count_nonzero(dist <= tau[:, None], axis=1)
+    return nbknn.neighbors._nearest(dist, counts), counts
+
+
 def _prefix_lengths(orders, n):
     return np.count_nonzero(orders < n, axis=1)
 
@@ -465,7 +473,7 @@ def test_prefix_rows_equal_head_of_full_order(problem, data):
     picks = data.draw(st.lists(st.integers(0, train.n - 1), min_size=queries.shape[0],
                                max_size=queries.shape[0]))
     tau = np.sort(dist, axis=1)[np.arange(queries.shape[0]), picks]
-    prefix = prefix_rows(dist, tau)
+    prefix = ranked_prefix(dist, tau)
     orders, counts = padded(prefix, train.n), prefix[1]
     np.testing.assert_array_equal(counts, np.count_nonzero(dist <= tau[:, None], axis=1))
     np.testing.assert_array_equal(
@@ -481,15 +489,15 @@ def test_query_chunks_equal_head_of_full_order(rng):
                            (rng.random(5000) < 0.1) + 1)
     queries = rng.integers(-6, 7, size=(500, 2)).astype(float)
     blocks = []
-    original = nbknn.neighbors.prefix_rows
+    original = nbknn.neighbors._nearest
 
-    def ranked_block(*args):
-        block = original(*args)
-        blocks.append(block)
-        return block
+    def ranked_block(dist, counts):
+        flat = original(dist, counts)
+        blocks.append((flat, counts))
+        return flat
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(nbknn.neighbors, "prefix_rows", ranked_block)
+        m.setattr(nbknn.neighbors, "_nearest", ranked_block)
         prefix = Ranking(train, queries, k_max=20, vote_k=31).test
     assert [len(b[1]) for b in blocks] == [209, 209, 82]
     full = order_rows(train.points, queries)
@@ -683,14 +691,17 @@ def _same_prefix(got, want, n):
 
 
 @SETTINGS
-@given(grid_problem(max_classes=4), st.integers(0, 8), st.integers(0, 40))
+@given(grid_problem(min_classes=1, max_classes=4), st.integers(0, 8), st.integers(0, 40))
 @example(TIED_COUNTS, 0, 0)
 def test_threshold_equals_reference(problem, k_max, vote_k):
     # k_max = vote_k = 0 leaves every row at -inf: zero-width prefixes.
+    # The counts come from one compare of the block and the bounds of
+    # the later groups; they must equal a full compare at tau.
     train, queries = problem
     dist = distance_rows(train.points, queries)
-    _same_array(Ranking(train, queries, k_max, vote_k)._threshold(dist),
-                threshold_reference(train.labels, k_max, vote_k, dist))
+    tau, counts = Ranking(train, queries, k_max, vote_k)._threshold(dist)
+    _same_array(tau, threshold_reference(train.labels, k_max, vote_k, dist))
+    _same_array(counts, np.count_nonzero(dist <= tau[:, None], axis=1))
 
 
 @SETTINGS
@@ -703,7 +714,7 @@ def test_prefix_rows_equals_reference(problem, data):
     picks = np.array(data.draw(st.lists(st.integers(-1, train.n - 1), min_size=len(queries),
                                         max_size=len(queries))))
     tau = np.where(picks < 0, -np.inf, np.sort(dist, axis=1)[np.arange(len(queries)), picks])
-    _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), train.n)
+    _same_prefix(ranked_prefix(dist, tau), prefix_rows_reference(dist, tau), train.n)
 
 
 @pytest.mark.parametrize("widths", ["one-bucket", "many-buckets", "zero-width", "one-whole-row"])
@@ -728,7 +739,7 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
     counts = prefix_rows_reference(dist, tau)[1]
     lo, hi = {"one-bucket": (1, 1), "many-buckets": (8, 13), "zero-width": (0, 0), "one-whole-row": (6, 7)}[widths]
     assert lo <= len(np.unique(np.ceil(np.log2(counts[counts > 0])))) <= hi
-    _same_prefix(prefix_rows(dist, tau), prefix_rows_reference(dist, tau), 3000)
+    _same_prefix(ranked_prefix(dist, tau), prefix_rows_reference(dist, tau), 3000)
 
 
 # A ranking must hold the reference index prefixes, bit for bit and dtype
@@ -795,31 +806,36 @@ def _spy_rows(monkeypatch, name):
     return rows
 
 
-@pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau"])
+@pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau", "ulp-apart-past-the-head"])
 def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     # Tie: distance 1 holds rows 0 and 1, whose keys differ in their index
     # bits only and so decide the tie: exact ties never take the whole-row
     # sort.  Ulp: with 6 rows keys drop two distance bits, so 2.0 (row 1,
     # at tau) and the next float (rows 2 and 3, outside the prefix) share a
-    # key's high bits, and the first query's row is sorted whole.  The
-    # second query has no such pair, and its prefix is its whole row.  In
-    # both cases the two rows share one key copy, ranked in one call.
+    # key's high bits.  The second query has no such pair.  If its prefix
+    # is its whole row, the key copy is sorted whole, the first query's
+    # head holds the group, and the head is re-sorted by exact distance.
+    # If its prefix is its nearest row, the copy is sorted to width 2, the
+    # group runs past it, and the first query's row is sorted whole.  In
+    # every case the two rows share one key copy, ranked in one call.
     up = np.nextafter(2.0, 3.0)
     x, tau = {
         "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], 3.0),
         "ulp-apart-at-tau": ([1.0, 2.0, up, -up, 5.0, 6.0], 2.0),
+        "ulp-apart-past-the-head": ([1.0, 2.0, up, -up, 5.0, 6.0], 2.0),
     }[case]
     points = np.array(x)[:, None]
     queries = np.array([[0.0], [2.5]])
     dist = distance_rows(points, queries)
     assert dist[0].tolist() == np.abs(x).tolist()
-    tau = np.array([tau, dist[1].max()])
+    tau = np.array([tau, dist[1].min() if case == "ulp-apart-past-the-head" else dist[1].max()])
     rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
-    got = prefix_rows(dist, tau)
+    got = ranked_prefix(dist, tau)
     assert rows == [2]
-    assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [1]}[case]
+    assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [], "ulp-apart-past-the-head": [1]}[case]
     _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
-    assert got[0][: got[1][0]].tolist() == {"tie-inside-prefix": [0, 1, 2], "ulp-apart-at-tau": [0, 1]}[case]
+    assert got[0][: got[1][0]].tolist() == {"tie-inside-prefix": [0, 1, 2], "ulp-apart-at-tau": [0, 1],
+                                            "ulp-apart-past-the-head": [0, 1]}[case]
 
 
 def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
@@ -837,10 +853,33 @@ def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
     assert dist[0, :6].tolist() == [0.0, up, up, up, up, 2.0]
     tau = np.array([2.0, 0.0])
     rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
-    got = prefix_rows(dist, tau)
+    got = ranked_prefix(dist, tau)
     assert (rows, exact) == ([2], [1])
     _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
     assert got[0].tolist() == [0, 5, 6]
+
+
+def test_decimal_grid_rows_sort_whole_only_past_their_head(rng, monkeypatch):
+    # Points rounded to one decimal: their differences are inexact, so
+    # distances a few ulps apart are common, and their keys share high
+    # bits.  A row whose such pairs all lie inside its head has its head
+    # re-sorted by exact distance; only a row whose key group at the
+    # head's end runs past it with another distance is sorted whole: here
+    # no query row and 9 of the 280 training heads, where most rows hold
+    # such a pair.
+    means = 1.5 * np.eye(4, 6)
+    labels = np.repeat([1, 2, 3, 4], [120, 80, 50, 30])
+    train = LabeledDataset(np.round(means[labels - 1] + rng.normal(size=(280, 6)), 1), labels)
+    queries = np.round(rng.normal(size=(40, 6)), 1)
+    sorts = _spy_rows(monkeypatch, "_argsort_rows")
+    ranking = Ranking(train, queries, 45, 31)
+    for got_part, want_part in zip(ranking.test, flat_prefix_reference(train, queries, 45, 31)):
+        _same_array(got_part, want_part)
+    fit = np.arange(280) % 5 != 0
+    val = np.flatnonzero(~fit)
+    full = distance_rows(train.points, train.points)
+    _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
+    assert sorts == [2, 3, 4]
 
 
 @SETTINGS
