@@ -15,16 +15,15 @@ one flat array, and their lengths; a reader that needs more raises.
 Ranking does only the work its readers use.  The threshold partitions
 the first group over every row and counts c_i = #{d <= tau_i} once over
 the block.  A later group's k-th point is looked for only in the rows
-that this count, or a bound from it, leaves with fewer than k of the
-group's points at or below tau_i, and only a row whose tau_i rose is
-counted again.  One pass of packed (distance, index) keys ranks every
-row to its own c_i: a few rows at a time are sorted to their widest c_i
-and each row's head is written at its offset.  Exact ties are decided
-by the index bits.  Where two distances share the keys' high bits, the
-head is re-sorted by exact distance, or, if they straddle its end, the
-row is sorted whole.  A cross-validation fold reads its fit rows, as
-training indices, along each training row's head of its order, from the
-same keys; a short head ranks afresh.
+with fewer than k of the group's points at or below tau_i, and only a
+row whose tau_i rose is counted again.  One pass of packed (distance,
+index) keys ranks every row to its own c_i: a few rows at a time are
+sorted to their widest c_i and each row's head is written at its
+offset.  Exact ties are decided by the index bits, and a row whose keys
+cannot decide it (two distances that share the keys' high bits) is
+sorted whole.  A cross-validation fold reads its fit rows, as training
+indices, along each training row's head of its order, from the same
+keys; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -147,31 +146,23 @@ def _nearest(dist: np.ndarray, depth) -> np.ndarray:
     copies of at most ``_BLOCK_CELLS`` cells, and each copy is sorted to
     its widest depth w, partitioned first at w + 1 if that is at most half
     the row.  Keys that share their high bits but not their distance may
-    stand out of order.  If the key group at a row's w-th entry runs past
-    it and holds another distance anywhere in the row, the head may hold
-    the wrong keys, and the row is sorted whole by :func:`_argsort_rows`.
-    Otherwise the head holds the right keys, and a row with such a pair
-    among them has its head re-sorted, stably, by exact distance: equal
-    distances share their high bits, so they already stand in index
-    order.  A row's exact first w entries are its exact first d_i: the
-    copy's checks hold for each of its shorter rows.  Rows of one depth,
-    as in every training head, are written by a strided copy, and rows of
-    mixed depths through a mask of each row's first d_i keys."""
+    stand out of order, so a row is sorted whole by :func:`_argsort_rows`
+    if two such keys meet among its first w + 1, or if the key group at
+    its w-th entry runs past them and holds another distance anywhere in
+    the row.  A row that passes has exact first w entries, so exact first
+    d_i: the copy's checks hold for each of its shorter rows.  Rows of one
+    depth, as in every training head, are written by a strided copy, and
+    rows of mixed depths through a mask of each row's first d_i keys."""
     n = dist.shape[1]
+    depth = np.full(len(dist), depth)
+    bounds = np.concatenate(([0], np.cumsum(depth)))
     s = max(1, (n - 1).bit_length())
     drop, low, index = np.uint64(s - 1), np.uint64((1 << s) - 1), np.arange(n, dtype=np.uint64)
-    per_row = np.ndim(depth) > 0
-    bounds = np.concatenate(([0], np.cumsum(depth))) if per_row else None
-    out = np.empty(bounds[-1] if per_row else len(dist) * depth, dtype=np.min_scalar_type(n))
+    out = np.empty(bounds[-1], dtype=np.min_scalar_type(n))
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(dist), step):
-        block = dist[lo : lo + step]
-        if per_row:
-            d = depth[lo : lo + step]
-            w, dst = int(d.max()), out[bounds[lo] : bounds[lo + len(d)]]
-            even = d.min() == w
-        else:
-            w, dst, even = depth, out[lo * depth : (lo + len(block)) * depth], True
+        block, d = dist[lo : lo + step], depth[lo : lo + step]
+        w = int(d.max())
         read = min(n, w + 1)
         keys = block.view(np.uint64) >> drop
         keys <<= np.uint64(s)
@@ -184,22 +175,18 @@ def _nearest(dist: np.ndarray, depth) -> np.ndarray:
         row, j = np.divmod(np.flatnonzero(keys[:, 1:] ^ keys[:, :-1] <= low), read - 1)  # equal high bits
         if row.size:
             col = (keys[row, j] & low).astype(np.intp)
-            mixed = row[block[row, col] != block[row, (keys[row, j + 1] & low).astype(np.intp)]]
-            whole = row[:0]
+            bad = row[block[row, col] != block[row, (keys[row, j + 1] & low).astype(np.intp)]]
             if read > w:  # the group at the boundary may hold keys past the sorted ones
                 at = j == w - 1
                 split, edge = row[at], block[row[at], col[at], None]
                 group = block[split].view(np.uint64) >> drop == edge.view(np.uint64) >> drop
-                whole = np.unique(split[np.any(group & (block[split] != edge), axis=1)])
-            mixed = np.setdiff1d(mixed, whole)
-            if mixed.size:
-                head = keys[mixed, :w]
-                near = np.take_along_axis(block[mixed], (head & low).astype(np.intp), axis=1)
-                keys[mixed, :w] = np.take_along_axis(head, np.argsort(near, axis=1, kind="stable"), axis=1)
-            if whole.size:
-                keys[whole, :w] = _argsort_rows(block[whole])[:, :w]  # indices: below 2^s, kept by the mask
-        if even:
-            np.copyto(dst.reshape(len(block), w), keys[:, :w], casting="unsafe")
+                bad = np.append(bad, split[np.any(group & (block[split] != edge), axis=1)])
+            if bad.size:
+                bad = np.unique(bad)
+                keys[bad, :w] = _argsort_rows(block[bad])[:, :w]  # indices: below 2^s, kept by the mask
+        dst = out[bounds[lo] : bounds[lo + len(d)]]
+        if d.min() == w:
+            np.copyto(dst.reshape(len(d), w), keys[:, :w], casting="unsafe")
         else:
             np.copyto(dst, keys[np.arange(read) < d[:, None]], casting="unsafe")
     out &= out.dtype.type(low)  # the index bits of the truncated keys
@@ -244,13 +231,12 @@ class Ranking:
         group point, and c_i = #{d <= tau_i}, from one count over the block.
 
         The first group is partitioned over every row, and c_i counted.  A
-        later group G can raise tau_i only if fewer than k of its points lie
-        at or below it.  The vote group's count is c_i.  A class's count is
-        c_i less the first group's, read from its partitioned part, less at
-        most the n - n_G - n_first points of the other classes: exact in
-        two-class data.  Only the rows this bound leaves open are counted
-        in the class, only the rows still short are partitioned, and only
-        a row whose tau_i rose is recounted."""
+        later group can raise tau_i only in the rows with fewer than k of
+        its points at or below it.  The vote group's count is c_i; in
+        two-class data the other class's count is c_i less the first
+        class's, read from its partitioned part; any other class is counted
+        in its own columns.  Only the rows still short are partitioned, and
+        only a row whose tau_i rose is recounted."""
         n = dist.shape[1]
         if not self._groups:
             return np.full(len(dist), -np.inf), np.zeros(len(dist), dtype=np.intp)
@@ -260,13 +246,13 @@ class Ranking:
         tau = part[:, k0 - 1].copy()
         counts = np.count_nonzero(dist <= tau[:, None], axis=1)
         for cols, k in later:
-            low, rest = counts, 0
-            if len(cols) < n:  # a class other than the first group
-                low = counts - np.count_nonzero(part <= tau[:, None], axis=1)
-                rest = n - len(first) - len(cols)
-            rows = np.flatnonzero(low < k + rest)
-            if rest:  # count the class in the open rows
-                rows = rows[np.count_nonzero((dist <= tau[:, None])[np.ix_(rows, cols)], axis=1) < k]
+            if len(cols) == n:  # the vote group
+                inside = counts
+            elif len(first) + len(cols) == n:  # the other of two classes
+                inside = counts - np.count_nonzero(part <= tau[:, None], axis=1)
+            else:
+                inside = np.count_nonzero(dist.take(cols, axis=1) <= tau[:, None], axis=1)
+            rows = np.flatnonzero(inside < k)
             if rows.size:
                 kth = dist[np.ix_(rows, cols)]
                 kth.partition(k - 1, axis=1)

@@ -693,10 +693,13 @@ def _same_prefix(got, want, n):
 @SETTINGS
 @given(grid_problem(min_classes=1, max_classes=4), st.integers(0, 8), st.integers(0, 40))
 @example(TIED_COUNTS, 0, 0)
+@example((LabeledDataset(np.array([[0.0], [1.0]]), np.array([2, 1])), np.array([[1.0]])), 1, 0)
 def test_threshold_equals_reference(problem, k_max, vote_k):
     # k_max = vote_k = 0 leaves every row at -inf: zero-width prefixes.
-    # The counts come from one compare of the block and the bounds of
-    # the later groups; they must equal a full compare at tau.
+    # The counts come from one compare of the block; a later group's
+    # count is read from them, or counted in its own columns, and the
+    # final counts must equal a full compare at tau.  Two classes, the
+    # first's point at tau: the other's count at tau is 0, not 1.
     train, queries = problem
     dist = distance_rows(train.points, queries)
     tau, counts = Ranking(train, queries, k_max, vote_k)._threshold(dist)
@@ -806,36 +809,31 @@ def _spy_rows(monkeypatch, name):
     return rows
 
 
-@pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau", "ulp-apart-past-the-head"])
+@pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau"])
 def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     # Tie: distance 1 holds rows 0 and 1, whose keys differ in their index
     # bits only and so decide the tie: exact ties never take the whole-row
     # sort.  Ulp: with 6 rows keys drop two distance bits, so 2.0 (row 1,
     # at tau) and the next float (rows 2 and 3, outside the prefix) share a
-    # key's high bits.  The second query has no such pair.  If its prefix
-    # is its whole row, the key copy is sorted whole, the first query's
-    # head holds the group, and the head is re-sorted by exact distance.
-    # If its prefix is its nearest row, the copy is sorted to width 2, the
-    # group runs past it, and the first query's row is sorted whole.  In
-    # every case the two rows share one key copy, ranked in one call.
+    # key's high bits, and the first query's row is sorted whole.  The
+    # second query has no such pair, and its prefix is its whole row.  In
+    # both cases the two rows share one key copy, ranked in one call.
     up = np.nextafter(2.0, 3.0)
     x, tau = {
         "tie-inside-prefix": ([1.0, -1.0, 3.0, 4.0], 3.0),
         "ulp-apart-at-tau": ([1.0, 2.0, up, -up, 5.0, 6.0], 2.0),
-        "ulp-apart-past-the-head": ([1.0, 2.0, up, -up, 5.0, 6.0], 2.0),
     }[case]
     points = np.array(x)[:, None]
     queries = np.array([[0.0], [2.5]])
     dist = distance_rows(points, queries)
     assert dist[0].tolist() == np.abs(x).tolist()
-    tau = np.array([tau, dist[1].min() if case == "ulp-apart-past-the-head" else dist[1].max()])
+    tau = np.array([tau, dist[1].max()])
     rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
     got = ranked_prefix(dist, tau)
     assert rows == [2]
-    assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [], "ulp-apart-past-the-head": [1]}[case]
+    assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [1]}[case]
     _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
-    assert got[0][: got[1][0]].tolist() == {"tie-inside-prefix": [0, 1, 2], "ulp-apart-at-tau": [0, 1],
-                                            "ulp-apart-past-the-head": [0, 1]}[case]
+    assert got[0][: got[1][0]].tolist() == {"tie-inside-prefix": [0, 1, 2], "ulp-apart-at-tau": [0, 1]}[case]
 
 
 def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
@@ -859,14 +857,12 @@ def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
     assert got[0].tolist() == [0, 5, 6]
 
 
-def test_decimal_grid_rows_sort_whole_only_past_their_head(rng, monkeypatch):
+def test_decimal_grid_rows_equal_reference(rng, monkeypatch):
     # Points rounded to one decimal: their differences are inexact, so
     # distances a few ulps apart are common, and their keys share high
-    # bits.  A row whose such pairs all lie inside its head has its head
-    # re-sorted by exact distance; only a row whose key group at the
-    # head's end runs past it with another distance is sorted whole: here
-    # no query row and 9 of the 280 training heads, where most rows hold
-    # such a pair.
+    # bits.  Every row holding such a pair among its first w + 1 keys is
+    # sorted whole, here all 40 query rows and 182 of the 280 training
+    # heads; the prefixes and fold rows must still equal the references.
     means = 1.5 * np.eye(4, 6)
     labels = np.repeat([1, 2, 3, 4], [120, 80, 50, 30])
     train = LabeledDataset(np.round(means[labels - 1] + rng.normal(size=(280, 6)), 1), labels)
@@ -879,7 +875,7 @@ def test_decimal_grid_rows_sort_whole_only_past_their_head(rng, monkeypatch):
     val = np.flatnonzero(~fit)
     full = distance_rows(train.points, train.points)
     _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
-    assert sorts == [2, 3, 4]
+    assert sorts == [40, 74, 77, 31]
 
 
 @SETTINGS
