@@ -1,5 +1,8 @@
 """CSV ingestion, standardization, and the balanced split protocol.
 
+A CSV file is UTF-8 text with a header row, parsed by one ``np.loadtxt``
+call when it is clean and by the csv module otherwise (:func:`_read_csv`).
+
 The split protocol: per trial, m = round(fraction * smallest-class
 size) rows are drawn without replacement from every class to form the
 test set (so the test set is class-balanced with m rows per class) and
@@ -82,136 +85,106 @@ def _read_csv(path, select) -> tuple[list[str], np.ndarray, list[str]]:
     of the label column or None.  Header names must be unique, every
     nonblank row must have one field per name, every feature cell must
     parse as a finite float and every label cell must be nonblank; errors
-    cite the row and column.
+    cite the row and column, and a file that is not UTF-8 is named.
 
     A file with no quote and no carriage return is read by numpy's parser
     (:func:`_read_plain`).  Every other file, and every file that fails a
     check there, is read by the csv module (:func:`_read_rows`), which
-    gives the same values and labels and is the only source of the
-    row-and-column messages.
+    gives the same values and labels and is the only source of messages.
     """
     with open(path, "rb") as fh:
         parsed = _read_plain(path, fh, select)
     return _read_rows(path, select) if parsed is None else parsed
 
 
-def _line_blocks(fh):
-    """The bytes of the file ``fh`` in blocks of whole lines, about 256 kB each."""
-    rest = b""
-    for block in iter(lambda: fh.read(1 << 18), b""):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield rest + block[:cut]
-            rest = block[cut:]
-        else:
-            rest += block
-    if rest:
-        yield rest
-
-
 def _read_plain(path, fh, select) -> tuple[list[str], np.ndarray, list[str]] | None:
-    """:func:`_read_csv` of the binary file ``fh`` by ``np.loadtxt``, or
-    None if the file holds a quote or a carriage return, or a line fails
-    a check.  Without them the csv module splits a line at every comma,
-    as numpy does.
+    """:func:`_read_csv` of the binary file ``fh`` by one ``np.loadtxt``,
+    or None if the file holds a quote or a carriage return, or a check
+    fails.  Without them the csv module splits a line at every comma, as
+    numpy does.
 
-    A first pass reads the file in blocks of whole lines.  The header is
-    the first line, after a UTF-8 byte-order mark, split at its commas.
-    Every nonblank line after it must hold one comma fewer than the header
-    has names: ``loadtxt`` does not count the fields it skips.  The label
-    cells are sliced from the bytes between their line's commas, and
-    stripped.  A second pass, one ``loadtxt``, reads the feature columns.
-    It refuses every cell that ``float`` refuses, and a few that it takes
-    (``1_0``, non-ASCII digits, lines of spaces), which the csv module then
-    reads; it takes ``nan`` and ``inf``, which the csv module then names.
-    Besides the values and labels, a block at a time is held.
+    The header is the first line, after a UTF-8 byte-order mark, split at
+    its commas.  ``loadtxt`` reads the body into one field per name, a
+    float for a feature column and a str for any other, so it refuses a
+    row of any other length.  It refuses every cell that ``float`` refuses,
+    and a few that it takes (``1_0``, non-ASCII digits, lines of spaces),
+    which the csv module then reads; it takes ``nan`` and ``inf``, which
+    the csv module then names.
     """
-    header, labels, n_rows = None, [], 0
-    for lines in _line_blocks(fh):
-        if b'"' in lines or b"\r" in lines:
+    for block in iter(lambda: fh.read(1 << 18), b""):
+        if b'"' in block or b"\r" in block:
             return None
-        if header is None:
-            lines = lines.removeprefix(b"\xef\xbb\xbf")
-            if not lines:
-                return None
-            line, _, lines = lines.partition(b"\n")
-            try:
-                names = line.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            header = _header(path, names.split(",") if names else [])
-            positions, label_pos = select(header)
-        chars = np.frombuffer(lines, dtype=np.uint8)
-        ends = np.flatnonzero(chars == ord("\n"))
-        if not lines.endswith(b"\n"):
-            ends = np.append(ends, len(lines))
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        commas = np.flatnonzero(chars == ord(","))
-        nonblank = ends > starts
-        if np.any((np.searchsorted(commas, ends) - np.searchsorted(commas, starts))[nonblank] != len(header) - 1):
-            return None
-        n_rows += np.count_nonzero(nonblank)
-        if label_pos is not None:  # the cell between its commas, or a line's end
-            inner = commas.reshape(-1, len(header) - 1)
-            lo = inner[:, label_pos - 1] + 1 if label_pos else starts[nonblank]
-            hi = inner[:, label_pos] if label_pos < len(header) - 1 else ends[nonblank]
-            try:
-                labels += [lines[a:b].decode("utf-8").strip() for a, b in zip(lo.tolist(), hi.tolist())]
-            except UnicodeDecodeError:
-                return None
-    if not n_rows or not all(labels):
-        return None
     fh.seek(0)
+    fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)
+    line = fh.readline()
+    if not line:
+        return None  # an empty file
     try:
-        values = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, usecols=positions,
-                            quotechar=None, ndmin=2, encoding="utf-8")
+        names = line.removesuffix(b"\n").decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    header = _header(path, names.split(",") if names else [])
+    positions, label_pos = select(header)
+    start = fh.tell()
+    if all(blank == b"\n" for blank in fh):
+        return None  # no data rows; loadtxt would warn
+    fh.seek(start)
+    dtype = [(str(i), "f8" if i in positions else "O") for i in range(len(header))]
+    try:
+        rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                          ndmin=1, encoding="utf-8")
     except ValueError:  # UnicodeDecodeError too
         return None
-    return (header, values, labels) if np.isfinite(values).all() else None
+    values = np.stack([rows[str(i)] for i in positions], axis=1)
+    labels = [] if label_pos is None else [cell.strip() for cell in rows[str(label_pos)].tolist()]
+    return (header, values, labels) if all(labels) and np.isfinite(values).all() else None
 
 
 def _read_rows(path, select) -> tuple[list[str], np.ndarray, list[str]]:
     """:func:`_read_csv` by the csv module: the values go straight into
     one flat buffer of 8 bytes a cell, which the matrix views."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-        reader = csv.reader(fh)
-        try:
-            header = _header(path, next(reader))
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        positions, label_pos = select(header)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
+            reader = csv.reader(fh)
+            try:
+                header = _header(path, next(reader))
+            except StopIteration:
+                raise CsvFormatError(f"{path}: file is empty") from None
+            positions, label_pos = select(header)
 
-        values = array("d")
-        raw_labels: list[str] = []
-        bad_cells: list[str] = []
-        n_rows = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            for i in positions:
-                cell = row[i]
-                try:
-                    v = float(cell)
-                except ValueError:
-                    bad_cells.append(
-                        f"row {line_no}, column {header[i]!r}: non-numeric value {cell.strip()!r}"
-                    )
+            values = array("d")
+            raw_labels: list[str] = []
+            bad_cells: list[str] = []
+            n_rows = 0
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
                     continue
-                if not math.isfinite(v):
-                    bad_cells.append(
-                        f"row {line_no}, column {header[i]!r}: non-finite value {cell.strip()!r}"
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
                     )
-                    continue
-                values.append(v)
-            n_rows += 1
-            if label_pos is not None:
-                raw_labels.append(row[label_pos].strip())
-                if not raw_labels[-1]:
-                    bad_cells.append(f"row {line_no}, column {header[label_pos]!r}: empty label")
+                for i in positions:
+                    cell = row[i]
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        bad_cells.append(
+                            f"row {line_no}, column {header[i]!r}: non-numeric value {cell.strip()!r}"
+                        )
+                        continue
+                    if not math.isfinite(v):
+                        bad_cells.append(
+                            f"row {line_no}, column {header[i]!r}: non-finite value {cell.strip()!r}"
+                        )
+                        continue
+                    values.append(v)
+                n_rows += 1
+                if label_pos is not None:
+                    raw_labels.append(row[label_pos].strip())
+                    if not raw_labels[-1]:
+                        bad_cells.append(f"row {line_no}, column {header[label_pos]!r}: empty label")
+    except UnicodeDecodeError:
+        raise CsvFormatError(f"{path}: not valid UTF-8 text") from None
 
     if bad_cells:
         shown = "; ".join(bad_cells[:5])

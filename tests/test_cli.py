@@ -322,6 +322,17 @@ class TestFitPredict:
         assert code == 3
         assert cited in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["train", "queries"])
+    def test_non_utf8_file_is_named(self, binary_csv, tmp_path, capsys, bad):
+        # fit-predict reads two files; the message must say which is not text.
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(binary_csv.read_bytes().replace(b"healthy", b"h\xffalthy", 1))
+        files = {"train": binary_csv, "queries": binary_csv, bad: path}
+        code = main(["fit-predict", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                     "--label-column", "outcome"])
+        assert code == 3
+        assert capsys.readouterr().err == f"nbknn: error: {path}: not valid UTF-8 text\n"
+
 
 GOLDEN_FIT_PREDICT = {
     "proposed": (write_binary_fixture, ("f1", "f2"), "outcome", 4321, 0.75),

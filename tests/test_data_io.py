@@ -203,6 +203,12 @@ def _load(kind, path):
 @example(("train", "cls,x\n a ,1\nb,2\n"))
 @example(("query", "cls,z,x,y\n,1,2,3\n"))
 @example(("query", "z,y,x\n1,2,3\n"))
+@example(("train", "x,cls\n\n\n"))
+@example(("train", "x,cls\n1,a,\n"))
+@example(("train", "x,cls\n1,#a\n"))
+@example(("train", "x,cls\n1,a\x00\n"))
+@example(("train", "x,cls\n1\t,a\n"))
+@example(("query", "x,cls,y,z\n1,not a number,2,3\n"))
 def test_numpy_path_equals_csv_module(tmp_path_factory, case):
     # The same outcome with the numpy parser enabled and with every file
     # read by the csv module: values bit for bit, labels, or the error.
@@ -215,12 +221,39 @@ def test_numpy_path_equals_csv_module(tmp_path_factory, case):
         assert got == _load(kind, path)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("x\n1\n   \n2\n", "row 3, column 'x': non-numeric value ''"),
+    ("x\n1\n\n2\n", [[1.0], [2.0]]),
+])
+def test_one_feature_query_file(csv_file, text, expected):
+    # Lines of one field and no comma: both readers refuse a line of
+    # spaces and skip a blank line.
+    train = CsvDataset(LabeledDataset([[0.0]], [1]), "cls", ("x",), ("a",))
+    path = csv_file(text)
+    for read_plain in (nbknn.data_io._read_plain, lambda *args: None):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(nbknn.data_io, "_read_plain", read_plain)
+            try:
+                got = load_queries(path, train).tolist()
+            except CsvFormatError as err:
+                got = str(err).removeprefix(f"{path}: ")
+        assert got == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["x,cls\n", "x,cls", "x,cls\n\n\n"])
+def test_no_data_rows_raise_without_a_warning(csv_file, text):
+    path = csv_file(text)
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(path, "cls")
+    assert str(err.value) == f"{path}: no data rows"
+
+
 @pytest.mark.parametrize("flaw", [None, "ragged", "blank label", "quote", "nan"])
 def test_numpy_path_reads_blocks_of_whole_lines(csv_file, rng, flaw):
-    # 20,000 lines of about 45 bytes: the first pass reads several blocks,
-    # and lines cross their bounds.  A clean file does not reach the csv
-    # module; a flaw near its end sends it there, which names the bad cell
-    # or reads the quoted one.
+    # 20,000 lines of about 45 bytes, more than one block of the quote
+    # scan.  A clean file does not reach the csv module; a flaw near its
+    # end sends it there, which names the bad cell or reads the quoted one.
     points = rng.normal(size=(20000, 2))
     lines = ["x,cls,y"] + [f"{x!r},{'ab'[i % 3 == 0]},{y!r}" for i, (x, y) in enumerate(points.tolist())]
     lines.insert(9000, "")

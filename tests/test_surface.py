@@ -1,5 +1,8 @@
 """The public surface of the package, pinned name by name."""
 
+import re
+from pathlib import Path
+
 import nbknn
 
 PUBLIC = [
@@ -59,3 +62,12 @@ def test_every_name_resolves_and_star_import_matches():
     namespace: dict = {}
     exec("from nbknn import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+
+
+def test_readme_quickstart_runs(capsys):
+    # The README's library quickstart is run as written, so that it
+    # cannot drift from the API it shows.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quickstart\n+```python\n(.*?)```", readme, re.DOTALL).group(1)
+    exec(code, {})
+    assert capsys.readouterr().out == "[2 1]\n"
