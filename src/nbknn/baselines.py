@@ -52,8 +52,8 @@ def _votes_for_grid(
     ks: tuple[int, ...],
     n_classes: int,
     class_weight: np.ndarray,
-) -> dict[int, np.ndarray]:
-    """Predictions for every k in ``ks`` from one set of orderings.
+) -> np.ndarray:
+    """Predictions for every k in ``ks`` from one set of orderings, row j for ``ks[j]``.
 
     A running sum along a block of rows' neighbors gives each class's vote
     mass at every depth, with the adds of a column-by-column sum in its
@@ -65,7 +65,7 @@ def _votes_for_grid(
     for lo in range(0, len(labels), step):
         weight = (labels[lo : lo + step, :, None] == np.arange(1, n_classes + 1)) * class_weight
         preds[:, lo : lo + step] = np.argmax(np.cumsum(weight, axis=1)[:, np.subtract(ks, 1)], axis=2).T + 1
-    return dict(zip(ks, preds))
+    return preds
 
 
 def vote(ranking: Ranking, cfg: KnnConfig) -> np.ndarray:
@@ -75,7 +75,7 @@ def vote(ranking: Ranking, cfg: KnnConfig) -> np.ndarray:
     if cfg.k > train.n:
         raise ValueError(f"k={cfg.k} exceeds the training size {train.n}")
     weights = _vote_weights(train.class_counts, cfg.weighting)
-    return _votes_for_grid(ranking.head(cfg.k), (cfg.k,), train.n_classes, weights)[cfg.k]
+    return _votes_for_grid(ranking.head(cfg.k), (cfg.k,), train.n_classes, weights)[0]
 
 
 def knn_classify_batch(train: LabeledDataset, queries, cfg: KnnConfig) -> np.ndarray:
@@ -125,7 +125,7 @@ def select_k_cv(
         counts = np.bincount(train.labels[fit], minlength=train.n_classes + 1)[1:]
         weights = _vote_weights(counts, cfg.weighting)
         preds = _votes_for_grid(ordered_labels, ks, train.n_classes, weights)
-        f1 = macro_f1_many(train.labels[val_idx], np.stack([preds[k] for k in ks]), train.n_classes)
+        f1 = macro_f1_many(train.labels[val_idx], preds, train.n_classes)
         for k, score in zip(ks, f1.tolist()):
             scores[k].append(score)
     means = {k: float(np.mean(scores[k])) for k in ks}

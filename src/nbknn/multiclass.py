@@ -7,8 +7,7 @@ replays winner sets, which strictly shrink, so every query terminates.
 A pairing is :func:`binary._pair_evidence` of two groups of classes,
 which owns their roles and ties; it reads :meth:`Ranking.places` of the
 shared ranking, and a replay its :meth:`Ranking.take`, with no sort and
-no classifier fit.  A two-class OvR+ round plays one pairing and reads
-the other column as its mirror.
+no classifier fit.
 """
 
 from __future__ import annotations
@@ -25,12 +24,13 @@ from .neighbors import Ranking
 def _reduce(play, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray]:
     """Labels of the queries of ``ranking`` among ``active``, and this round's scores.
 
-    ``play(active, ranking)`` gives (classes, wins, score), one column per class.
-    A single winner wins; a winner set of 2 or more that is smaller than
-    ``classes`` replays among itself (counts, p0 and k caps recomputed); any
-    other query goes to the class of its first maximum score.
+    ``play(active, ranking)`` gives (wins, score), one column per active
+    class.  A single winner wins; a winner set of 2 or more that is smaller
+    than ``active`` replays among itself (counts, p0 and k caps recomputed);
+    any other query goes to the class of its first maximum score.
     """
-    classes, wins, score = play(active, ranking)
+    classes = np.array(active, dtype=np.int64)
+    wins, score = play(active, ranking)
     single = wins.sum(axis=1) == 1
     labels = classes[np.where(single, wins.argmax(axis=1), score.argmax(axis=1))]
     sets, inverse = np.unique(wins, axis=0, return_inverse=True)
@@ -41,7 +41,7 @@ def _reduce(play, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray
     return labels, score
 
 
-def _ovo_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ovo_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray]:
     """Each larger active class plays the smallest, the minority of every
     pairing, which wins none and is the fallback of an empty winner set."""
     counts = ranking.train.class_counts
@@ -54,23 +54,20 @@ def _ovo_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[n
     for j, cls in enumerate(active):
         if cls != smallest:
             wins[:, j] = _pair_evidence(ranking, (cls,), (smallest,), k_max)[0]
-    return classes, wins, np.broadcast_to(classes == smallest, wins.shape)
+    return wins, np.broadcast_to(classes == smallest, wins.shape)
 
 
-def _ovr_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ovr_round(k_max: int, active: tuple[int, ...], ranking: Ranking) -> tuple[np.ndarray, np.ndarray]:
     """Each active class against the pooled rest of the active set, roles
     and ties as :func:`binary._pair_evidence` decides.  The score is the
     class's side of the evidence, so the fallback is the maximum evidence,
-    ties to the smaller id.  Over two classes one pairing is played: the
-    other column is its mirror, wins negated and sides swapped."""
+    ties to the smaller id."""
     wins = np.zeros((len(ranking), len(active)), dtype=bool)
     evidence = np.zeros(wins.shape, dtype=np.float64)
-    for j, cls in enumerate(active[:1] if len(active) == 2 else active):
+    for j, cls in enumerate(active):
         rest = tuple(c for c in active if c != cls)
-        wins[:, j], evidence[:, j], mirror = _pair_evidence(ranking, (cls,), rest, k_max)
-    if len(active) == 2:
-        wins[:, 1], evidence[:, 1] = ~wins[:, 0], mirror
-    return np.array(active, dtype=np.int64), wins, evidence
+        wins[:, j], evidence[:, j] = _pair_evidence(ranking, (cls,), rest, k_max)[:2]
+    return wins, evidence
 
 
 def _classes(ranking: Ranking, k_max: int) -> tuple[int, ...]:
@@ -92,7 +89,7 @@ def ovr_evidence(ranking: Ranking, k_max: int) -> np.ndarray:
     """First one-vs-rest round evidence of the queries of ``ranking``, one row
     per query: column j is class j+1's side of its pairing against all
     other classes, as the first round of :func:`reduction` records it."""
-    return _ovr_round(k_max, _classes(ranking, k_max), ranking)[2]
+    return _ovr_round(k_max, _classes(ranking, k_max), ranking)[1]
 
 
 def classify_ovo_plus_batch(train: LabeledDataset, queries, k_max: int = 45) -> np.ndarray:

@@ -150,9 +150,8 @@ def _nearest(dist: np.ndarray, depth) -> np.ndarray:
     if two such keys meet among its first w + 1, or if the key group at
     its w-th entry runs past them and holds another distance anywhere in
     the row.  A row that passes has exact first w entries, so exact first
-    d_i: the copy's checks hold for each of its shorter rows.  Rows of one
-    depth, as in every training head, are written by a strided copy, and
-    rows of mixed depths through a mask of each row's first d_i keys."""
+    d_i: the copy's checks hold for each of its shorter rows.  Each copy is
+    written out through a mask of each row's first d_i keys."""
     n = dist.shape[1]
     depth = np.full(len(dist), depth)
     bounds = np.concatenate(([0], np.cumsum(depth)))
@@ -184,11 +183,7 @@ def _nearest(dist: np.ndarray, depth) -> np.ndarray:
             if bad.size:
                 bad = np.unique(bad)
                 keys[bad, :w] = _argsort_rows(block[bad])[:, :w]  # indices: below 2^s, kept by the mask
-        dst = out[bounds[lo] : bounds[lo + len(d)]]
-        if d.min() == w:
-            np.copyto(dst.reshape(len(d), w), keys[:, :w], casting="unsafe")
-        else:
-            np.copyto(dst, keys[np.arange(read) < d[:, None]], casting="unsafe")
+        np.copyto(out[bounds[lo] : bounds[lo + len(d)]], keys[np.arange(read) < d[:, None]], casting="unsafe")
     out &= out.dtype.type(low)  # the index bits of the truncated keys
     return out
 

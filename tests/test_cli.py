@@ -361,8 +361,8 @@ def test_fit_predict_golden_evidence(tmp_path, method, labeled):
 
 @pytest.mark.parametrize("method, emit, pair_evals", [
     ("proposed", True, 0),
-    ("ovr_plus", False, 5),
-    ("ovr_plus", True, 5),
+    ("ovr_plus", False, 7),
+    ("ovr_plus", True, 7),
     ("ovo_plus", False, 3),
     ("ovo_plus", True, 6),
 ])
@@ -370,7 +370,7 @@ def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals)
     # Each (query, training row) distance is computed once per call, and
     # no (training, training) distance at all; --emit-evidence reuses the
     # OvR+ first round instead of evaluating its pairs again.  OvR+ plays
-    # 3 pairings in its first round and 1 in each of two two-class replays.
+    # 3 pairings in its first round and 2 in each of two two-class replays.
     write_train, columns, label, seed, shift = GOLDEN_FIT_PREDICT[method]
     train = tmp_path / "train.csv"
     write_train(train)

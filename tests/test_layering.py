@@ -1,6 +1,7 @@
 """Layering: only ``neighbors.py`` knows how a ranking lays out its
 prefixes.  Every other module reads a ``Ranking`` through ``len``,
-``head``, ``places`` and ``take``, so the layout can change in one file.
+``head``, ``places``, ``take`` and ``fold``, and imports none of the
+kernels that build it, so the layout can change in one file.
 Only ``methods.py`` opens a run of evidence tables, so one module owns
 their lifetime."""
 
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import nbknn
 
-LAYOUT_NAMES = {"head", "take_rows", "prefix_rows", "label_rows"}
+# The kernels that rank, and the Ranking members that hold or build the layout.
+LAYOUT_NAMES = {"_nearest", "_threshold", "_argsort_rows", "distance_rows",
+                "test", "_groups", "_train_head", "_heads"}
 
 
 def test_only_neighbors_reads_the_prefix_layout():
@@ -20,7 +23,7 @@ def test_only_neighbors_reads_the_prefix_layout():
         if path.name == "neighbors.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in {"test", "take_rows", "prefix_rows", "label_rows"}:
+            if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
                 leaks.append(f"{path.name}:{node.lineno} reads .{node.attr}")
             elif isinstance(node, ast.ImportFrom):
                 leaks += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names

@@ -123,7 +123,7 @@ class TestRoundDriver:
     @staticmethod
     def _settle(wins, score):
         def play(active, prefix):
-            return np.array([1, 2, 3]), np.array(wins, dtype=bool), np.array(score)
+            return np.array(wins, dtype=bool), np.array(score)
 
         prefix = np.zeros(len(wins), dtype=np.int64), np.ones(len(wins), dtype=np.int64)
         return _reduce(play, (1, 2, 3), prefix)[0].tolist()
@@ -221,18 +221,21 @@ class TestConsistencyTrend:
     (2, (1, 2)), (3, (1, 3)), (3, (1, 2, 3)), (4, (1, 2, 3, 4)), (5, (2, 3, 5)),
 ])
 def test_ovr_round_pairings(rng, monkeypatch, n_classes, active):
-    # A J-class OvR+ round plays J pairings; a two-class round plays one,
-    # and its other column is the mirror of that pairing, bit for bit.
+    # A J-class OvR+ round plays J pairings, one per active class, two
+    # classes included; there each column is the other's mirror, bit for bit.
     ds = make_dataset(rng, n=60, n_classes=n_classes)
     ranking = Ranking(ds, rng.normal(size=(7, 2)), 6)
     played = []
     pair = nbknn.multiclass._pair_evidence
     monkeypatch.setattr(nbknn.multiclass, "_pair_evidence",
                         lambda *args: played.append(args[1]) or pair(*args))
-    _, wins, evidence = _ovr_round(6, active, ranking)
-    assert played == [(c,) for c in (active[:1] if len(active) == 2 else active)]
+    wins, evidence = _ovr_round(6, active, ranking)
+    assert played == [(c,) for c in active]
     for j, cls in enumerate(active):
         rest = tuple(c for c in active if c != cls)
         cls_wins, cls_side, _ = pair(ranking, (cls,), rest, 6)
         assert wins[:, j].tobytes() == cls_wins.tobytes()
         assert evidence[:, j].tobytes() == cls_side.tobytes()
+    if len(active) == 2:
+        assert wins[:, 1].tobytes() == (~wins[:, 0]).tobytes()
+        assert evidence[:, 1].tobytes() == pair(ranking, active[:1], active[1:], 6)[2].tobytes()
