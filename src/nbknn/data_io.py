@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,13 +217,9 @@ def load_csv(path, label_column: str) -> CsvDataset:
 
     header, points, raw_labels = _read_csv(path, select)
 
-    # Encode by descending count, ties by first appearance.
-    first_seen: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for pos, lab in enumerate(raw_labels):
-        counts[lab] = counts.get(lab, 0) + 1
-        first_seen.setdefault(lab, pos)
-    ordered = sorted(counts, key=lambda lab: (-counts[lab], first_seen[lab]))
+    # Encode by descending count, ties by first appearance (Counter order, kept by the stable sort).
+    counts = Counter(raw_labels)
+    ordered = sorted(counts, key=lambda lab: -counts[lab])
     encoding = {lab: i + 1 for i, lab in enumerate(ordered)}
     labels = np.array([encoding[lab] for lab in raw_labels], dtype=np.int64)
 

@@ -20,10 +20,11 @@ row whose tau_i rose is counted again.  One pass of packed (distance,
 index) keys ranks every row to its own c_i: a few rows at a time are
 sorted to their widest c_i and each row's head is written at its
 offset.  Exact ties are decided by the index bits, and a row whose keys
-cannot decide it (two distances that share the keys' high bits) is
-sorted whole.  A cross-validation fold reads its fit rows, as training
-indices, along each training row's head of its order, from the same
-keys; a short head ranks afresh.
+cannot decide it (two distances that share the keys' high bits) takes
+its head from a stable sort of its entries at or below its w-th
+distance, not of the whole row.  A cross-validation fold reads its fit
+rows, as training indices, along each training row's head of its
+order, from the same keys; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
 the order of ``np.sum(diff * diff, axis=-1)`` on C-contiguous input
@@ -123,16 +124,13 @@ def distance_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def _argsort_rows(dist: np.ndarray) -> np.ndarray:
-    """Each row's (distance, index) order: numpy's default argsort, then a
-    stable re-sort of the rows holding equal distances.  A row without
-    ties has only one sorted order."""
-    order = np.argsort(dist, axis=1)
-    ranked = np.take_along_axis(dist, order, axis=1)
-    tied = np.any(ranked[:, 1:] == ranked[:, :-1], axis=1)
-    if tied.any():
-        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-    return order
+def _exact_head(row: np.ndarray, w: int) -> np.ndarray:
+    """The first ``w`` entries of one row's (distance, index) order: the
+    entries at or below its w-th smallest distance, ties included, in
+    index order, stably sorted by distance.  ``np.partition`` copies, so
+    the caller's row is not written."""
+    near = np.flatnonzero(row <= np.partition(row, w - 1)[w - 1])
+    return near[np.argsort(row[near], kind="stable")[:w]]
 
 
 def _nearest(dist: np.ndarray, depth) -> np.ndarray:
@@ -146,7 +144,7 @@ def _nearest(dist: np.ndarray, depth) -> np.ndarray:
     copies of at most ``_BLOCK_CELLS`` cells, and each copy is sorted to
     its widest depth w, partitioned first at w + 1 if that is at most half
     the row.  Keys that share their high bits but not their distance may
-    stand out of order, so a row is sorted whole by :func:`_argsort_rows`
+    stand out of order, so a row takes its head from :func:`_exact_head`
     if two such keys meet among its first w + 1, or if the key group at
     its w-th entry runs past them and holds another distance anywhere in
     the row.  A row that passes has exact first w entries, so exact first
@@ -180,9 +178,8 @@ def _nearest(dist: np.ndarray, depth) -> np.ndarray:
                 split, edge = row[at], block[row[at], col[at], None]
                 group = block[split].view(np.uint64) >> drop == edge.view(np.uint64) >> drop
                 bad = np.append(bad, split[np.any(group & (block[split] != edge), axis=1)])
-            if bad.size:
-                bad = np.unique(bad)
-                keys[bad, :w] = _argsort_rows(block[bad])[:, :w]  # indices: below 2^s, kept by the mask
+            for r in np.unique(bad):
+                keys[r, :w] = _exact_head(block[r], w)  # indices: below 2^s, kept by the mask
         np.copyto(out[bounds[lo] : bounds[lo + len(d)]], keys[np.arange(read) < d[:, None]], casting="unsafe")
     out &= out.dtype.type(low)  # the index bits of the truncated keys
     return out

@@ -12,7 +12,7 @@ from scipy.special import betainc
 from nbknn import LabeledDataset
 from nbknn.binary import _is_minority, _sweep
 from nbknn.negbin import _log_pmf_grid, _log_pmf_many, _tail_terms, adjusted_pvalue_many
-from nbknn.neighbors import _argsort_rows, distance_rows
+from nbknn.neighbors import distance_rows
 
 
 def nb_pmf_exact(k: int, p0: float, n: int) -> Fraction:
@@ -128,10 +128,10 @@ def prefix_rows_reference(dist: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray
     width = int(counts.max(initial=0))
     if 0 < 2 * width <= n:
         kept = np.sort(np.argpartition(dist, width - 1, axis=1)[:, :width], axis=1)
-        by_dist = _argsort_rows(np.take_along_axis(dist, kept, axis=1))
+        by_dist = argsort_reference(np.take_along_axis(dist, kept, axis=1))
         orders = np.take_along_axis(kept, by_dist, axis=1)
     else:
-        orders = _argsort_rows(dist)[:, :width]
+        orders = argsort_reference(dist)[:, :width]
     orders = orders.astype(np.min_scalar_type(n))
     orders[np.arange(width) >= counts[:, None]] = n
     return orders, counts

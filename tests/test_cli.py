@@ -221,6 +221,28 @@ class TestBenchmark:
         assert code == 2
         assert "'ovr_plus' is listed more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("methods", [None, "ovo_plus,ovr_plus"])
+    def test_class_too_small_for_cv_folds(self, tmp_path, capsys, methods):
+        # Classes of 50, 40 and 6 rows: each split holds out round(0.25 * 6)
+        # = 2 rows of every class, so class "c" keeps 4 training rows.  The
+        # baselines' 5-fold CV needs 5 and stops the first trial with no
+        # output; the evidence methods need only the split's minimum of 4.
+        stream = Stream(96, 0)
+        x = stream.normal(192).reshape(96, 2)
+        names = ["a"] * 50 + ["b"] * 40 + ["c"] * 6
+        path = tmp_path / "small_class.csv"
+        path.write_text("f1,f2,y\n" + "".join(f"{float(u)!r},{float(v)!r},{c}\n" for (u, v), c in zip(x, names)))
+        out = tmp_path / "report.json"
+        argv = ["benchmark", "--input", str(path), "--label-column", "y", "--trials", "2",
+                "--output", str(out)]
+        if methods is None:
+            assert main(argv) == 3
+            assert "class 3 has 4 members, fewer than cv_folds=5" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert main(argv + ["--methods", methods]) == 0
+            assert [m["name"] for m in json.loads(out.read_text())["methods"]] == methods.split(",")
+
     def test_golden_report(self, binary_csv, tmp_path):
         # Frozen end-to-end run: any change to the PRNG, split protocol,
         # classifiers, metrics, or JSON layout shows up here.

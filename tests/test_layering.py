@@ -11,7 +11,7 @@ from pathlib import Path
 import nbknn
 
 # The kernels that rank, and the Ranking members that hold or build the layout.
-LAYOUT_NAMES = {"_nearest", "_threshold", "_argsort_rows", "distance_rows",
+LAYOUT_NAMES = {"_nearest", "_threshold", "_exact_head", "distance_rows",
                 "test", "_groups", "_train_head", "_heads"}
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from nbknn import LabeledDataset, fit_binary
 from nbknn.cli import main
-from nbknn.neighbors import _BLOCK_CELLS, _argsort_rows, _as_queries, distance_rows
+from nbknn.neighbors import _BLOCK_CELLS, _as_queries, _exact_head, distance_rows
 
 from conftest import (
     argsort_reference,
@@ -188,9 +188,10 @@ class TestNeighborOrder:
         assert np.getbufsize() == before
 
     @pytest.mark.parametrize("case", ["every-row-tied", "no-row-tied", "mixed", "width-1"])
-    def test_argsort_rows_equals_stable_argsort(self, rng, case):
-        # Integer-valued distances make ties common; a tie-free row has
-        # one sorted order, and tied rows must keep index order.
+    def test_exact_head_equals_stable_argsort(self, rng, case):
+        # Integer-valued distances make ties common, also at the head's
+        # last distance; a tie-free row has one sorted order, and tied
+        # entries must keep index order.  Every row at every depth.
         tied = rng.integers(0, 6, size=(30, 40)).astype(np.float64)
         distinct = rng.permuted(np.tile(np.arange(40.0), (30, 1)), axis=1)
         dist = {
@@ -199,7 +200,10 @@ class TestNeighborOrder:
             "mixed": np.where(np.arange(30)[:, None] % 3 == 0, tied, distinct),
             "width-1": tied[:, :1],
         }[case]
-        np.testing.assert_array_equal(_argsort_rows(dist), argsort_reference(dist))
+        want = argsort_reference(dist)
+        for r in range(len(dist)):
+            for d in range(1, dist.shape[1] + 1):
+                np.testing.assert_array_equal(_exact_head(dist[r], d), want[r, :d])
 
 
 class TestCountToKthMinority:

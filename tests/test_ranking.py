@@ -746,7 +746,7 @@ def test_prefix_rows_equals_reference_on_wide_blocks(rng, widths):
 
 
 # A ranking must hold the reference index prefixes, bit for bit and dtype
-# included, whether a row is decided by its keys or sorted whole, and its
+# included, whether a row is decided by its keys or by an exact head, and its
 # head must read the training labels along them.
 
 def _assert_ranking_equals_reference(train, queries, k_max, vote_k):
@@ -759,16 +759,21 @@ def _assert_ranking_equals_reference(train, queries, k_max, vote_k):
 
 
 @SETTINGS
-@given(grid_problem(max_classes=5), st.integers(0, 8), st.integers(0, 12), st.booleans())
-@example(TIED_COUNTS, 3, 0, False)
-def test_labels_equal_labels_of_reference_prefix(problem, k_max, vote_k, nudge):
+@given(grid_problem(max_classes=5), st.integers(0, 8), st.integers(0, 12),
+       st.sampled_from(["grid", "nudge", "decimal"]))
+@example(TIED_COUNTS, 3, 0, "grid")
+def test_labels_equal_labels_of_reference_prefix(problem, k_max, vote_k, points):
     # Grid points tie often, between labels and at tau.  Nudged points
     # scale by 1 + j ulp, so distances also lie a few ulps apart: the
-    # distance bits that index keys of up to 45 rows drop.
+    # distance bits that index keys of up to 45 rows drop.  Decimal points
+    # are the grid divided by 10, so their differences are inexact and
+    # many rows take their heads exactly.
     train, queries = problem
-    if nudge:
+    if points == "nudge":
         scale = 1 + np.arange(train.n)[:, None] % 4 * np.finfo(float).eps
         train = LabeledDataset(train.points * scale, train.labels)
+    if points == "decimal":
+        train, queries = LabeledDataset(train.points / 10, train.labels), np.asarray(queries) / 10
     _assert_ranking_equals_reference(train, queries, k_max, vote_k)
 
 
@@ -787,14 +792,14 @@ def test_ranking_of_more_than_2_16_rows_equals_reference(rng, monkeypatch):
     # Points on a grid of step 1/64 tie exactly and often, also at tau, and
     # distinct grid distances lie far apart: their keys decide a row.  500
     # points at x > 1/2 moved by 1 ulp lie a few ulps from their grid
-    # neighbors, so the rows of the queries there are sorted whole.  (On a
-    # decimal grid the differences are inexact and every row would be.)
+    # neighbors, so the queries there take their heads exactly.  (On a
+    # decimal grid the differences are inexact and every row would.)
     points = rng.integers(-64, 65, size=(70_000, 2)) / 64
     nudged = rng.choice(np.flatnonzero(points[:, 0] > 0.5), size=500, replace=False)
     points[nudged] = np.nextafter(points[nudged], np.inf)
     train = LabeledDataset(points, np.where(rng.random(70_000) < 0.1, 2, 1))
     queries = np.vstack([rng.integers(40, 65, size=(3, 2)), rng.integers(-64, -16, size=(4, 2))]) / 64
-    sorts = _spy_rows(monkeypatch, "_argsort_rows")
+    sorts = _spy_rows(monkeypatch, "_exact_head")
     got = Ranking(train, queries, 45, 31).test
     for got_part, want_part in zip(got, flat_prefix_reference(train, queries, 45, 31)):
         _same_array(got_part, want_part)
@@ -803,19 +808,20 @@ def test_ranking_of_more_than_2_16_rows_equals_reference(rng, monkeypatch):
 
 
 def _spy_rows(monkeypatch, name):
-    """The rows each call of ``nbknn.neighbors.<name>`` gets."""
+    """The rows each call of ``nbknn.neighbors.<name>`` gets, 1 for a 1-D row."""
     rows, kernel = [], getattr(nbknn.neighbors, name)
-    monkeypatch.setattr(nbknn.neighbors, name, lambda dist, *args: rows.append(len(dist)) or kernel(dist, *args))
+    monkeypatch.setattr(nbknn.neighbors, name,
+                        lambda dist, *args: rows.append(len(dist) if dist.ndim == 2 else 1) or kernel(dist, *args))
     return rows
 
 
 @pytest.mark.parametrize("case", ["tie-inside-prefix", "ulp-apart-at-tau"])
 def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     # Tie: distance 1 holds rows 0 and 1, whose keys differ in their index
-    # bits only and so decide the tie: exact ties never take the whole-row
-    # sort.  Ulp: with 6 rows keys drop two distance bits, so 2.0 (row 1,
+    # bits only and so decide the tie: exact ties never take the exact
+    # head.  Ulp: with 6 rows keys drop two distance bits, so 2.0 (row 1,
     # at tau) and the next float (rows 2 and 3, outside the prefix) share a
-    # key's high bits, and the first query's row is sorted whole.  The
+    # key's high bits, and the first query takes its head exactly.  The
     # second query has no such pair, and its prefix is its whole row.  In
     # both cases the two rows share one key copy, ranked in one call.
     up = np.nextafter(2.0, 3.0)
@@ -828,7 +834,7 @@ def test_undecidable_rows_take_the_index_path(monkeypatch, case):
     dist = distance_rows(points, queries)
     assert dist[0].tolist() == np.abs(x).tolist()
     tau = np.array([tau, dist[1].max()])
-    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
+    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_exact_head")
     got = ranked_prefix(dist, tau)
     assert rows == [2]
     assert exact == {"tie-inside-prefix": [], "ulp-apart-at-tau": [1]}[case]
@@ -850,7 +856,7 @@ def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
     dist = distance_rows(points, queries)
     assert dist[0, :6].tolist() == [0.0, up, up, up, up, 2.0]
     tau = np.array([2.0, 0.0])
-    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_argsort_rows")
+    rows, exact = _spy_rows(monkeypatch, "_nearest"), _spy_rows(monkeypatch, "_exact_head")
     got = ranked_prefix(dist, tau)
     assert (rows, exact) == ([2], [1])
     _same_prefix(got, prefix_rows_reference(distance_rows_reference(points, queries), tau), len(x))
@@ -860,14 +866,15 @@ def test_a_key_copy_checks_its_widest_row_at_its_own_depth(monkeypatch):
 def test_decimal_grid_rows_equal_reference(rng, monkeypatch):
     # Points rounded to one decimal: their differences are inexact, so
     # distances a few ulps apart are common, and their keys share high
-    # bits.  Every row holding such a pair among its first w + 1 keys is
-    # sorted whole, here all 40 query rows and 182 of the 280 training
-    # heads; the prefixes and fold rows must still equal the references.
+    # bits.  Every row holding such a pair among its first w + 1 keys
+    # takes its head exactly, one row a call: here all 40 query rows and
+    # 182 of the 280 training heads (74 + 77 + 31 per key copy), 222 in
+    # all; the prefixes and fold rows must still equal the references.
     means = 1.5 * np.eye(4, 6)
     labels = np.repeat([1, 2, 3, 4], [120, 80, 50, 30])
     train = LabeledDataset(np.round(means[labels - 1] + rng.normal(size=(280, 6)), 1), labels)
     queries = np.round(rng.normal(size=(40, 6)), 1)
-    sorts = _spy_rows(monkeypatch, "_argsort_rows")
+    sorts = _spy_rows(monkeypatch, "_exact_head")
     ranking = Ranking(train, queries, 45, 31)
     for got_part, want_part in zip(ranking.test, flat_prefix_reference(train, queries, 45, 31)):
         _same_array(got_part, want_part)
@@ -875,7 +882,7 @@ def test_decimal_grid_rows_equal_reference(rng, monkeypatch):
     val = np.flatnonzero(~fit)
     full = distance_rows(train.points, train.points)
     _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
-    assert sorts == [40, 74, 77, 31]
+    assert sorts == [1] * 222
 
 
 @SETTINGS
@@ -916,7 +923,7 @@ def test_fold_paths_equal_reference(rng, monkeypatch, path):
     cells = []
     monkeypatch.setattr(nbknn.neighbors, "distance_rows",
                         lambda p, q: cells.append(len(p) * len(q)) or distance_rows(p, q))
-    sorts = _spy_rows(monkeypatch, "_argsort_rows")
+    sorts = _spy_rows(monkeypatch, "_exact_head")
     for f in range(folds):
         fit = np.arange(400) % folds != f
         val = np.flatnonzero(~fit)
@@ -940,7 +947,7 @@ def test_fold_reads_a_head_whose_boundary_splits_a_key_group(monkeypatch):
     full = distance_rows(points, points)
     assert full[0, :6].tolist() == [0.0, up, up, up, up, 2.0]
     ranking = Ranking(LabeledDataset(points, np.arange(40) % 2 + 1), points)
-    rows = _spy_rows(monkeypatch, "_argsort_rows")
+    rows = _spy_rows(monkeypatch, "_exact_head")
     fit = np.ones(40, dtype=bool)
     fit[[0, 10, 20, 30]] = False
     val = np.flatnonzero(~fit)
