@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from .baselines import KnnConfig
 from .data_io import CsvDataset, SplitSpec, balanced_split, standardize
-from .methods import run_trials, score_trial, validate_methods
+from .methods import KNN, WNN, run_trials, score_trial, validate_methods
 from .metrics import PrfReport, TrialReport
 from .rng import fold_seed
 
@@ -28,9 +29,16 @@ def run_csv_benchmark(
     """Score the requested methods over ``spec.trials`` random splits.
 
     Each trial re-standardizes with its own training statistics; the
-    test rows never influence the standardization.
+    test rows never influence the standardization.  A class too small for
+    the k-NN baselines' cross-validation stops the run before any trial.
     """
     data = csv_data.data
     methods = validate_methods(methods, n_classes=data.n_classes)
+    if {KNN, WNN} & set(methods):  # each trial holds out as many rows per class
+        kept, folds = balanced_split(data, spec, 0)[0].class_counts, KnnConfig().cv_folds
+        if kept.min() < folds:
+            vote = " and ".join(name for name in methods if name in (KNN, WNN))
+            raise ValueError(f"class {csv_data.class_name(int(kept.argmin()) + 1)!r} keeps {kept.min()} "
+                             f"training rows in each trial, fewer than the cv_folds={folds} that {vote} need")
     args = [(data, spec, t, methods, int(k_max)) for t in range(spec.trials)]
     return run_trials(_benchmark_trial, args, methods, jobs)

@@ -12,18 +12,18 @@ subset's order: a reader counts them along the prefix, with no copy.
 A ranking holds its queries' prefixes of training indices end to end in
 one flat array, and their lengths; a reader that needs more raises.
 
-Ranking does only the work its readers use.  The threshold partitions
-the first group over every row and counts c_i = #{d <= tau_i} once over
-the block.  A later group's k-th point is looked for only in the rows
-with fewer than k of the group's points at or below tau_i, and only a
-row whose tau_i rose is counted again.  One pass of packed (distance,
-index) keys ranks every row to its own c_i: a few rows at a time are
-sorted to their widest c_i and each row's head is written at its
-offset.  Exact ties are decided by the index bits, and a row whose keys
-cannot decide it (two distances that share the keys' high bits) takes
-its head from a stable sort of its entries at or below its w-th
-distance, not of the whole row.  A cross-validation fold reads its fit
-rows, as training indices, along each training row's head of its
+Ranking does only the work its readers use.  tau_i takes the groups in
+turn, and a group's k-th point is looked for only in the rows with fewer
+than k of its points at or below tau_i: counted in the group's own
+columns, or, for a group of most columns, as c_i = #{d <= tau_i} less
+the rest's count.  Only a row whose tau_i rose is counted again.  One
+pass of packed (distance, index) keys ranks every row to its own c_i: a
+few rows at a time are sorted to their widest c_i and each row's head is
+written at its offset.  Exact ties are decided by the index bits, and a
+row whose keys cannot decide it (two distances that share the keys' high
+bits) takes its head from a stable sort of its entries at or below its
+w-th distance, not of the whole row.  A cross-validation fold reads its
+fit rows, as training indices, along each training row's head of its
 order, from the same keys; a short head ranks afresh.
 
 A distance adds its p squared differences in numpy's pairwise order,
@@ -209,47 +209,38 @@ class Ranking:
         self._heads: dict[int, np.ndarray] = {}
 
     @cached_property
-    def _groups(self) -> list[tuple[np.ndarray, int]]:
-        """(member columns, depth) of every group with a nonzero depth: the
-        classes from smallest to largest, then the vote group of all rows."""
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """(member columns, rest columns, depth) of each group of nonzero depth:
+        the classes from smallest to largest, then the vote group of all rows."""
         counts = self.train.class_counts
-        groups = [(np.flatnonzero(self.labels == c + 1), min(self.k_max, int(counts[c])))
+        groups = [(self.labels == c + 1, min(self.k_max, int(counts[c])))
                   for c in np.argsort(counts, kind="stable")]
-        groups.append((np.arange(self.labels.size), min(self.vote_k, self.labels.size)))
-        return [(cols, k) for cols, k in groups if k]
+        groups.append((np.ones(self.labels.size, dtype=bool), min(self.vote_k, self.labels.size)))
+        return [(np.flatnonzero(cols), np.flatnonzero(~cols), k) for cols, k in groups if k]
 
     def _threshold(self, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """tau_i, the largest over the groups of the row's k-th nearest
-        group point, and c_i = #{d <= tau_i}, from one count over the block.
+        group point, and c_i = #{d <= tau_i}, in one loop over the groups.
 
-        The first group is partitioned over every row, and c_i counted.  A
-        later group can raise tau_i only in the rows with fewer than k of
-        its points at or below it.  The vote group's count is c_i; in
-        two-class data the other class's count is c_i less the first
-        class's, read from its partitioned part; any other class is counted
-        in its own columns.  Only the rows still short are partitioned, and
-        only a row whose tau_i rose is recounted."""
-        n = dist.shape[1]
-        if not self._groups:
-            return np.full(len(dist), -np.inf), np.zeros(len(dist), dtype=np.intp)
-        (first, k0), *later = self._groups
-        part = dist.take(first, axis=1)
-        part.partition(k0 - 1, axis=1)
-        tau = part[:, k0 - 1].copy()
-        counts = np.count_nonzero(dist <= tau[:, None], axis=1)
-        for cols, k in later:
-            if len(cols) == n:  # the vote group
-                inside = counts
-            elif len(first) + len(cols) == n:  # the other of two classes
-                inside = counts - np.count_nonzero(part <= tau[:, None], axis=1)
+        A group can raise tau_i only in the rows with fewer than k of its
+        points at or below it: while every c_i is 0, every row, read in
+        place; after that, the rows short in the group's own columns, or,
+        for a group of more columns than the rest, in c_i less the rest's
+        count.  Only those rows are copied, partitioned and recounted."""
+        tau, counts = np.full(len(dist), -np.inf), np.zeros(len(dist), dtype=np.intp)
+        for cols, rest, k in self._groups:
+            if not counts.any():  # nothing counted yet
+                rows = slice(None)
+            elif len(cols) > len(rest):
+                rows = np.flatnonzero(counts - np.count_nonzero(dist.take(rest, axis=1) <= tau[:, None], axis=1) < k)
             else:
-                inside = np.count_nonzero(dist.take(cols, axis=1) <= tau[:, None], axis=1)
-            rows = np.flatnonzero(inside < k)
-            if rows.size:
-                kth = dist[np.ix_(rows, cols)]
+                rows = np.flatnonzero(np.count_nonzero(dist.take(cols, axis=1) <= tau[:, None], axis=1) < k)
+            short = dist[rows]
+            if len(short):
+                kth = short.take(cols, axis=1)
                 kth.partition(k - 1, axis=1)
                 tau[rows] = kth[:, k - 1]
-                counts[rows] = np.count_nonzero(dist[rows] <= tau[rows, None], axis=1)
+                counts[rows] = np.count_nonzero(short <= tau[rows, None], axis=1)
         return tau, counts
 
     @cached_property

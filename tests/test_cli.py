@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nbknn.benchmark
 import nbknn.cli
 import nbknn.multiclass
 import nbknn.neighbors
@@ -222,11 +223,12 @@ class TestBenchmark:
         assert "'ovr_plus' is listed more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize("methods", [None, "ovo_plus,ovr_plus"])
-    def test_class_too_small_for_cv_folds(self, tmp_path, capsys, methods):
+    def test_class_too_small_for_cv_folds(self, tmp_path, capsys, monkeypatch, methods):
         # Classes of 50, 40 and 6 rows: each split holds out round(0.25 * 6)
         # = 2 rows of every class, so class "c" keeps 4 training rows.  The
-        # baselines' 5-fold CV needs 5 and stops the first trial with no
-        # output; the evidence methods need only the split's minimum of 4.
+        # baselines' 5-fold CV needs 5, so the run stops before its first
+        # trial with no output; the evidence methods need only the split's
+        # minimum of 4.
         stream = Stream(96, 0)
         x = stream.normal(192).reshape(96, 2)
         names = ["a"] * 50 + ["b"] * 40 + ["c"] * 6
@@ -236,8 +238,10 @@ class TestBenchmark:
         argv = ["benchmark", "--input", str(path), "--label-column", "y", "--trials", "2",
                 "--output", str(out)]
         if methods is None:
+            monkeypatch.delattr(nbknn.benchmark, "run_trials")  # no trial may start
             assert main(argv) == 3
-            assert "class 3 has 4 members, fewer than cv_folds=5" in capsys.readouterr().err
+            assert ("class 'c' keeps 4 training rows in each trial, fewer than the cv_folds=5 that knn and wnn"
+                    " need") in capsys.readouterr().err
             assert not out.exists()
         else:
             assert main(argv + ["--methods", methods]) == 0

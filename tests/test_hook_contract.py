@@ -13,15 +13,24 @@ tests pin what such a wrapper sees in one ``simulate`` and one
   right after it;
 - exactly one ``baselines.select_k_cv`` call inside each k-NN or wnn
   prediction, and none inside another method's;
+- exactly one ``baselines._stratified_folds`` call inside each
+  ``select_k_cv``, and none anywhere else;
 - ``negbin.adjusted_pvalue_many`` calls inside each evidence prediction
   and none inside another method's: in a ``simulate`` trial, the
   'proposed' prediction reads its whole sweep in one call, with ``k`` of
   shape (1, k_eff) and ``n_obs`` of shape (n_test, k_eff).  A run's
   evidence table lives inside that function, so such a wrapper still
   sees every cell read.
+
+Every ``(module, function)`` that the benchmark's output checker in
+``bench/checks.py`` wraps must exist and be pinned here, since the
+checker skips a target it cannot find.
 """
 
+import ast
+import importlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,26 +47,26 @@ HOOKS = (
     (nbknn.metrics, "confusion"),
     (nbknn.baselines, "select_k_cv"),
     (nbknn.negbin, "adjusted_pvalue_many"),
+    (nbknn.baselines, "_stratified_folds"),
 )
 
 
 @pytest.fixture()
 def calls(monkeypatch):
-    """(function name, index of the enclosing prediction or None, positional
-    arguments) of every hooked call, each hook wrapped at all of its aliases."""
-    record, open_predictions = [], []
+    """(function name, index of the innermost enclosing hooked call or None,
+    positional arguments) of every hooked call, each hook wrapped at all of
+    its aliases."""
+    record, open_calls = [], []
     modules = [mod for name, mod in sys.modules.items() if name == "nbknn" or name.startswith("nbknn.")]
 
     def wrap(name, original):
         def wrapper(*args, **kwargs):
-            record.append((name, open_predictions[-1] if open_predictions else None, args))
-            if name != "predict_with_method":
-                return original(*args, **kwargs)
-            open_predictions.append(len(record) - 1)
+            record.append((name, open_calls[-1] if open_calls else None, args))
+            open_calls.append(len(record) - 1)
             try:
                 return original(*args, **kwargs)
             finally:
-                open_predictions.pop()
+                open_calls.pop()
         return wrapper
 
     for home, name in HOOKS:
@@ -85,6 +94,12 @@ def _assert_one_trial(calls, methods, n_train, n_test, dim):
         expected = ["select_k_cv"] if method in ("knn", "wnn") else []
         assert [name for name in inside if name not in ("confusion", "adjusted_pvalue_many")] == expected, method
         assert ("adjusted_pvalue_many" in inside) == (method in ("proposed", "ovo_plus", "ovr_plus")), method
+    for i, (name, parent, _) in enumerate(calls):
+        if name == "select_k_cv":
+            inner = [inside for inside, at, _ in calls if at == i and inside != "confusion"]
+            assert inner == ["_stratified_folds"]
+        if name == "_stratified_folds":
+            assert parent is not None and calls[parent][0] == "select_k_cv"
 
 
 def test_simulate_trial_calls(tmp_path, calls):
@@ -112,3 +127,19 @@ def test_benchmark_trial_calls(tmp_path, calls):
     assert main(argv) == 0
     train, test = balanced_split(load_csv(str(path), "kind").data, SplitSpec(0.25, seed=4, trials=1), 0)
     _assert_one_trial(calls, ("ovo_plus", "ovr_plus", "knn", "wnn"), train.n, test.n, 2)
+
+
+def test_checker_targets_are_pinned():
+    # Read only: every (module, function) literal passed to patch(...) in
+    # bench/checks.py resolves in nbknn.<module> and is in HOOKS.
+    path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    patches = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch"]
+    targets = {tuple(e.value for e in pair.elts) for call in patches for pair in ast.walk(call)
+               if isinstance(pair, ast.Tuple) and len(pair.elts) == 2
+               and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in pair.elts)}
+    assert targets
+    pinned = {(home.__name__, name) for home, name in HOOKS}
+    for module, name in sorted(targets):
+        assert callable(getattr(importlib.import_module(f"nbknn.{module}"), name, None)), (module, name)
+        assert (f"nbknn.{module}", name) in pinned, (module, name)

@@ -673,6 +673,12 @@ def test_vote_deeper_than_evidence_equals_full_sort(tmp_path):
 # group over every row, the prefix sorted to the block's widest row, and
 # the fold that partitioned twice.
 
+MOSTLY_ONE = (
+    LabeledDataset(np.arange(8.0)[:, None], np.array([1, 1, 1, 2, 1, 3, 1, 1])),
+    np.array([[0.5], [6.5], [3.0]]),
+)
+
+
 def _same_array(got, want):
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
@@ -694,12 +700,17 @@ def _same_prefix(got, want, n):
 @given(grid_problem(min_classes=1, max_classes=4), st.integers(0, 8), st.integers(0, 40))
 @example(TIED_COUNTS, 0, 0)
 @example((LabeledDataset(np.array([[0.0], [1.0]]), np.array([2, 1])), np.array([[1.0]])), 1, 0)
+@example(MOSTLY_ONE, 4, 7)
+@example(MOSTLY_ONE, 0, 3)
 def test_threshold_equals_reference(problem, k_max, vote_k):
     # k_max = vote_k = 0 leaves every row at -inf: zero-width prefixes.
-    # The counts come from one compare of the block; a later group's
-    # count is read from them, or counted in its own columns, and the
-    # final counts must equal a full compare at tau.  Two classes, the
-    # first's point at tau: the other's count at tau is 0, not 1.
+    # The first group finds every row short; a later group is counted in
+    # its own columns, or as c_i less the rest's count when it holds most
+    # columns, and the final counts must equal a full compare at tau.  Two
+    # classes, the first's point at tau: the other's count at tau is 0,
+    # not 1.  In MOSTLY_ONE the class of most rows is counted through the
+    # rest, with short rows in every group; at k_max 0 the vote group is
+    # the first group.
     train, queries = problem
     dist = distance_rows(train.points, queries)
     tau, counts = Ranking(train, queries, k_max, vote_k)._threshold(dist)
