@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .baselines import KnnConfig
-from .data_io import CsvDataset, SplitSpec, balanced_split, standardize
+from .data_io import CsvDataset, SplitSpec, balanced_split, held_out_per_class, standardize
 from .methods import KNN, WNN, run_trials, score_trial, validate_methods
 from .metrics import PrfReport, TrialReport
 from .rng import fold_seed
@@ -35,7 +35,8 @@ def run_csv_benchmark(
     data = csv_data.data
     methods = validate_methods(methods, n_classes=data.n_classes)
     if {KNN, WNN} & set(methods):  # each trial holds out as many rows per class
-        kept, folds = balanced_split(data, spec, 0)[0].class_counts, KnnConfig().cv_folds
+        kept = data.class_counts - held_out_per_class(data.class_counts, spec.minority_test_fraction)
+        folds = KnnConfig().cv_folds
         if kept.min() < folds:
             vote = " and ".join(name for name in methods if name in (KNN, WNN))
             raise ValueError(f"class {csv_data.class_name(int(kept.argmin()) + 1)!r} keeps {kept.min()} "

@@ -283,28 +283,32 @@ def standardize(
     return apply(train), [apply(ds) for ds in others], params
 
 
+def held_out_per_class(counts: np.ndarray, fraction: float) -> int:
+    """The test rows m each class gives up in every trial of the split
+    protocol, round(fraction * smallest class).  Raises for an empty class,
+    a smallest class below 4 rows, m = 0, or m that takes the whole
+    smallest class."""
+    if counts.min() < 1:
+        raise ValueError("every class needs at least one training row")
+    smallest = int(counts.min())
+    if smallest < 4:
+        raise ValueError(f"smallest class has {smallest} rows; need at least 4 to split")
+    m = round(fraction * smallest)
+    if m == 0:
+        raise ValueError(f"test allocation rounds to zero rows per class (fraction {fraction} of {smallest})")
+    if m >= smallest:
+        raise ValueError(f"test allocation {m} (fraction {fraction} of {smallest}) "
+                         f"leaves the smallest class no training rows")
+    return m
+
+
 def split_indices(
     data: LabeledDataset, spec: SplitSpec, trial: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices (train, test) for one trial of the split protocol."""
     if trial < 0:
         raise ValueError(f"trial index must be nonnegative, got {trial}")
-    counts = data.class_counts
-    if counts.min() < 1:
-        raise ValueError("every class needs at least one training row")
-    smallest = int(counts.min())
-    if smallest < 4:
-        raise ValueError(f"smallest class has {smallest} rows; need at least 4 to split")
-    m = round(spec.minority_test_fraction * smallest)
-    if m == 0:
-        raise ValueError(
-            f"test allocation rounds to zero rows per class "
-            f"(fraction {spec.minority_test_fraction} of {smallest})"
-        )
-    if m >= smallest:
-        raise ValueError(f"test allocation {m} (fraction {spec.minority_test_fraction} of "
-                         f"{smallest}) leaves the smallest class no training rows")
-
+    m = held_out_per_class(data.class_counts, spec.minority_test_fraction)
     stream = Stream(spec.seed, stream_id(SPLIT_PURPOSE, trial))
     test_parts = []
     for cls in range(1, data.n_classes + 1):

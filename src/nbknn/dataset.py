@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,18 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def gram_columns(self) -> np.ndarray:
+        """The points transposed, then their squared norms, then ones: the
+        ``(dim + 2) x n`` training side of ``neighbors``' distance bound,
+        made once per training set and read-only."""
+        cols = np.empty((self.dim + 2, self.n))
+        cols[: self.dim] = self.points.T
+        np.einsum("ij,ij->i", self.points, self.points, out=cols[self.dim])
+        cols[self.dim + 1] = 1.0
+        cols.setflags(write=False)
+        return cols
 
     def subset(self, indices) -> "LabeledDataset":
         """Rows ``indices`` as a new dataset in the same label space."""

@@ -35,6 +35,37 @@ bits depend neither on the memory layout of the inputs nor on the other
 rows of a batch.  It sets numpy's ufunc buffer below one row for its own
 elementwise steps, which keeps numpy from copying the broadcast query
 through the buffer, and restores the caller's size.
+
+A query block of p >= ``_BOUND_DIM`` features computes exactly only the
+cells its prefixes can reach.  One matrix product of the rows
+[-2q, 1, |q|^2] and the training columns [x; |x|^2; 1] gives each cell's
+b, an approximation of D = |q - x|^2, summed in whatever order the BLAS
+takes.  With u = 2^-53, eta = 2^-1074 and S = |q|^2 + max |x|^2 (the
+computed norms), to first order:
+
+* the product errs by at most (p + 2)u times the sum of its terms'
+  magnitudes, at most 2S, and the norms by pu S in all: |b - D| <= E =
+  (3p + 4)u S + (3p + 2)eta, in any summation order;
+* the exact kernel's sum s lies within (p + 2)u D + p eta of D, and its
+  distance d = sqrt(s) within a relative u of the root;
+* ``_threshold`` run on b gives V, the largest over the groups of the
+  group's k-th smallest b.  A group has k cells with D <= V + E, so its
+  k-th distance, and tau, have tau^2 <= (V + E)(1 + (p + 4)u) + p eta;
+* a cell with d <= tau has D <= tau^2 (1 + (p + 4)u) + 2p eta, so, as
+  V <= 2S + E, b <= V + (10p + 24)u S + (8p + 4)eta.
+
+Each row's reach is V + 2M, with the margin M = K(u S + eta) and
+K = 32p + 128: more than six times that, which also covers the rounding
+of M and of the reach.  Every cell with b at or below the reach takes the
+exact kernel, in ``_pairwise_sum`` order over 1-D takes of the operands;
+every other cell has d > tau and holds b + 2, also above tau: b exceeds
+the reach, which exceeds both tau^2 and 0, so b + 2 > max(tau^2, 2) >= tau.
+The cells at or below tau are
+then the same cells with the same bits, so ``_threshold``, ``_nearest``
+and ``_exact_head`` give the bits of tau, c_i and every prefix that
+:func:`distance_rows`' matrix gives.  A block whose 4S overflows could
+overflow the product, and is computed exactly.  Below 8 features the
+product and the masks cost more than the cells they skip (BENCH_33.json).
 """
 
 from __future__ import annotations
@@ -51,6 +82,8 @@ _CHUNK_ELEMS = 1 << 20  # distance cells ranked at once
 _BLOCK_CELLS = 1 << 15  # distance cells summed, or keyed and sorted, at once: the temporaries stay in cache
 _HEAD_CELLS = 1 << 17  # training distances ranked at once; keyed in _BLOCK_CELLS copies, so freed pages are reused
 _UFUNC_BUFFER = 16  # numpy's ufunc buffer in distance_rows, elements: below a row (BENCH_19.json)
+_BOUND_DIM = 8  # features from which Ranking.test bounds a block's distances before computing them
+_U, _ETA = 2.0**-53, 2.0**-1074  # float64's unit roundoff and smallest subnormal
 
 
 def chunk_rows(n: int) -> int:
@@ -243,12 +276,45 @@ class Ranking:
                 counts[rows] = np.count_nonzero(short <= tau[rows, None], axis=1)
         return tau, counts
 
+    def _bounded_rows(self, queries: np.ndarray) -> np.ndarray:
+        """A query block's distance matrix whose cells at or below each row's
+        tau hold the bits of :func:`distance_rows` and the rest b + 2, above
+        tau (module docstring).  The reach is found from b, then the rows
+        are masked, taken and computed in slices of about ``8 * _BLOCK_CELLS``
+        cells, so the mask spans ``_BLOCK_CELLS`` float64s; with 6.4% of
+        the cells candidates (BENCH_33.json) the index arrays and terms
+        hold about half as many."""
+        cols = self.train.gram_columns
+        (n, p), norms = self.points.shape, np.einsum("ij,ij->i", queries, queries)
+        scale = norms + cols[p].max()
+        if not np.isfinite(4 * scale.max(initial=0.0)):
+            return distance_rows(self.points, queries)
+        out = np.column_stack([-2.0 * queries, np.ones(len(queries)), norms]) @ cols
+        reach = self._threshold(out)[0] + 2 * (32 * p + 128) * (_U * scale + _ETA)
+        step = max(1, 8 * _BLOCK_CELLS // n)
+        for lo in range(0, len(out), step):
+            rows, block = out[lo : lo + step], queries[lo : lo + step]
+            flat = np.flatnonzero(rows <= reach[lo : lo + step, None])
+            r, c = np.divmod(flat, n)
+
+            def term(j: int) -> np.ndarray:
+                d = block[:, j].take(r)
+                d -= cols[j].take(c)
+                d *= d
+                return d
+
+            rows += 2.0
+            rows.reshape(-1)[flat] = np.sqrt(_pairwise_sum(term, range(p)))
+        return out
+
     @cached_property
     def test(self) -> tuple[np.ndarray, np.ndarray]:
         step = chunk_rows(self.points.shape[0])
+        bound = self.points.shape[1] >= _BOUND_DIM
         blocks = []
         for lo in range(0, max(1, len(self.queries)), step):
-            dist = distance_rows(self.points, self.queries[lo : lo + step])
+            block = self.queries[lo : lo + step]
+            dist = self._bounded_rows(block) if bound else distance_rows(self.points, block)
             counts = self._threshold(dist)[1]
             blocks.append((_nearest(dist, counts), counts))
         return tuple(map(np.concatenate, zip(*blocks)))

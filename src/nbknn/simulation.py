@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import KnnConfig
 from .dataset import LabeledDataset
-from .methods import SIMULATION_METHODS, run_trials, score_trial, validate_methods
+from .methods import KNN, SIMULATION_METHODS, WNN, run_trials, score_trial, validate_methods
 from .metrics import PrfReport, TrialReport
 from .rng import Stream, fold_seed, stream_id
 
@@ -147,6 +148,13 @@ def _run_design(
             _class_counts(int(n), proportions)
         except ValueError as exc:
             raise ValueError(f"the {sample} (size {n}): {exc}; raise {flag}") from None
+    if {KNN, WNN} & set(methods):  # every trial draws the same class counts
+        counts, folds = _class_counts(int(train_size), (1.0 - alpha, alpha)), KnnConfig().cv_folds
+        if counts.min() < folds:
+            vote = " and ".join(name for name in methods if name in (KNN, WNN))
+            raise ValueError(f"the training sample at alpha {alpha} (size {train_size}) gives its minority, "
+                             f"class {int(counts.argmin()) + 1}, {counts.min()} rows, fewer than the "
+                             f"cv_folds={folds} that {vote} need; raise --train-size")
     args = [
         (specs, float(alpha), int(seed), t, methods, int(k_max), int(train_size), int(test_size))
         for t in range(trials)

@@ -14,6 +14,7 @@ import nbknn.benchmark
 import nbknn.cli
 import nbknn.multiclass
 import nbknn.neighbors
+import nbknn.simulation
 from nbknn import Stream
 from nbknn.cli import main
 
@@ -145,6 +146,26 @@ class TestSimulate:
         assert capsys.readouterr().err == f"nbknn: error: {message}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("methods", [None, "proposed,bayes"])
+    def test_class_too_small_for_cv_folds(self, tmp_path, capsys, monkeypatch, methods):
+        # At alpha 0.05 a training sample of 60 gives the minority 3 rows,
+        # fewer than the 5 folds of the k-NN baselines' CV: the run stops
+        # before its first trial, with no output.  Without knn and wnn the
+        # evidence method and the oracle run.
+        out = tmp_path / "r.json"
+        argv = ["simulate", "--design", "location", "--alpha", "0.05", "--train-size", "60",
+                "--test-size", "40", "--trials", "2", "--output", str(out)]
+        if methods is None:
+            monkeypatch.delattr(nbknn.simulation, "run_trials")  # no trial may start
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                "nbknn: error: the training sample at alpha 0.05 (size 60) gives its minority, class 2, "
+                "3 rows, fewer than the cv_folds=5 that knn and wnn need; raise --train-size\n")
+            assert not out.exists()
+        else:
+            assert main(argv + ["--methods", methods]) == 0
+            assert [m["name"] for m in json.loads(out.read_text())["methods"]] == methods.split(",")
+
     def test_zero_trials_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--design", "location", "--alpha", "0.3", "--trials", "0"])
@@ -246,6 +267,15 @@ class TestBenchmark:
         else:
             assert main(argv + ["--methods", methods]) == 0
             assert [m["name"] for m in json.loads(out.read_text())["methods"]] == methods.split(",")
+
+    def test_class_size_check_takes_no_split(self, three_class_csv, capsys, monkeypatch):
+        # round(0.7 * 12) = 8 of the 12 cedar rows are held out, leaving 4:
+        # the check reads the class counts, and no split runs before it.
+        monkeypatch.delattr(nbknn.benchmark, "run_trials")
+        monkeypatch.delattr(nbknn.benchmark, "balanced_split")
+        assert main(["benchmark", "--input", str(three_class_csv), "--label-column", "species",
+                     "--fraction", "0.7", "--trials", "1"]) == 3
+        assert "class 'cedar' keeps 4 training rows in each trial" in capsys.readouterr().err
 
     def test_golden_report(self, binary_csv, tmp_path):
         # Frozen end-to-end run: any change to the PRNG, split protocol,
@@ -419,6 +449,37 @@ def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals)
     assert main(argv + (["--emit-evidence"] if emit else [])) == 0
     n_train = len(train.read_text().splitlines()) - 1
     assert counts == {"_pair_evidence": pair_evals, "distance_rows": 30 * n_train}
+
+
+@pytest.mark.parametrize("method, n_classes", [("proposed", 2), ("ovr_plus", 3)])
+def test_fit_predict_bound_changes_no_byte(tmp_path, monkeypatch, method, n_classes):
+    # 12 features reach the Gram-matrix bound, which computes no
+    # distance_rows block; with the bound set out of reach every query
+    # distance comes from distance_rows.  Both write the same bytes.  No
+    # golden case has 8 or more features.
+    rng = np.random.default_rng(33)
+    labels = rng.permutation(np.repeat(np.arange(n_classes), {2: [500, 100], 3: [360, 180, 60]}[n_classes]))
+    points = rng.normal(size=(600, 12)) + 0.5 * labels[:, None]
+    header = ",".join(f"x{j}" for j in range(12))
+    (tmp_path / "train.csv").write_text(header + ",y\n" + "".join(
+        ",".join(map(repr, row)) + f",c{c}\n" for row, c in zip(points.tolist(), labels)))
+    (tmp_path / "queries.csv").write_text(header + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in (rng.normal(size=(200, 12)) + 0.5).tolist()))
+    calls = []
+    original = nbknn.neighbors.distance_rows
+    monkeypatch.setattr(nbknn.neighbors, "distance_rows", lambda *args: calls.append(1) or original(*args))
+    outputs = []
+    for bound_dim in (8, 13):
+        monkeypatch.setattr(nbknn.neighbors, "_BOUND_DIM", bound_dim)
+        out = tmp_path / f"preds_{bound_dim}.csv"
+        assert main(["fit-predict", "--train", str(tmp_path / "train.csv"), "--queries",
+                     str(tmp_path / "queries.csv"), "--label-column", "y", "--method", method,
+                     "--emit-evidence", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        calls.append(bound_dim)
+    assert calls == [8, 1, 13]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 201
 
 
 def fit_predict_golden_case(tmp_path: Path, method: str) -> tuple[list[str], int]:

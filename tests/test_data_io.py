@@ -15,7 +15,7 @@ from nbknn import (
     split_indices,
     standardize,
 )
-from nbknn.data_io import CsvDataset, load_queries
+from nbknn.data_io import CsvDataset, held_out_per_class, load_queries
 
 
 @pytest.fixture()
@@ -410,6 +410,13 @@ class TestBalancedSplit:
         train_idx, test_idx = split_indices(data, SplitSpec(0.7, seed=0), 0)
         assert data.labels[train_idx].tolist().count(2) == 1
         assert test_idx.size == 6
+
+    @pytest.mark.parametrize("counts, fraction", [([1000, 80], 0.25), ([100, 60, 40], 0.25),
+                                                  ([40, 10], 0.25), ([8, 4], 0.7)])
+    def test_held_out_per_class_is_the_split_allocation(self, counts, fraction):
+        data = imbalanced_dataset(counts)
+        _, test = balanced_split(data, SplitSpec(fraction, seed=0), 0)
+        assert test.class_counts.tolist() == [held_out_per_class(data.class_counts, fraction)] * len(counts)
 
     def test_negative_trial_rejected(self):
         data = imbalanced_dataset([40, 8])

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import nbknn
 
-# The kernels that rank, and the Ranking members that hold or build the layout.
-LAYOUT_NAMES = {"_nearest", "_threshold", "_exact_head", "distance_rows",
-                "test", "_groups", "_train_head", "_heads"}
+# The kernels that rank, the Ranking members that hold or build the layout,
+# and the training operand of the distance bound.
+LAYOUT_NAMES = {"_nearest", "_threshold", "_exact_head", "distance_rows", "_bounded_rows",
+                "test", "_groups", "_train_head", "_heads", "gram_columns"}
 
 
 def test_only_neighbors_reads_the_prefix_layout():

@@ -10,6 +10,7 @@ tie-break would show.
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import re
@@ -63,6 +64,29 @@ from conftest import (
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
+# _BOUND_DIM that keeps every dimension off Ranking.test's Gram-matrix
+# bound, and one that puts every dimension on it.
+BOUND_DIMS = {"exact": 1 << 30, "bound": 1}
+
+
+@contextlib.contextmanager
+def distance_path(path):
+    """Ranking.test's query distances from distance_rows alone, or through the bound."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(nbknn.neighbors, "_BOUND_DIM", BOUND_DIMS[path])
+        yield
+
+
+def through_both_distance_paths(test):
+    """Run ``test`` on both distance paths in turn: each must pass."""
+
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        for path in BOUND_DIMS:
+            with distance_path(path):
+                test(*args, **kwargs)
+
+    return both
 
 
 def grid(n_rows, dim):
@@ -327,6 +351,7 @@ def test_pair_evidence_symmetric_in_its_groups(problem, groups, k_max):
 @example(TIED_COUNTS, [1, 2, 0, 2, 2], 4, 1, 1)
 @example(TIED_PAIR, [0, 1, 2, 2, 2], 2, 2, 0)
 @example(TIED_PAIR, [1, 0, 2, 2, 2], 3, 0, None)
+@through_both_distance_paths
 def test_pair_evidence_equals_restricted_reference(problem, groups, k_max, depth, batch):
     # Class c joins group a, group b or neither as groups[c - 1] is 0, 1 or
     # 2.  The prefixes are ranked to a depth that may be below the pair's
@@ -482,6 +507,7 @@ def test_prefix_rows_equal_head_of_full_order(problem, data):
     assert np.iinfo(orders.dtype).max >= train.n
 
 
+@through_both_distance_paths
 def test_query_chunks_equal_head_of_full_order(rng):
     # 5000 training rows make chunks of 209 queries: 500 queries are
     # ranked in three blocks, laid end to end.  The grid makes ties.
@@ -520,6 +546,7 @@ def _depth_in_order(members, depth):
 @SETTINGS
 @given(grid_problem(max_classes=4, min_per_class=5), st.integers(1, 6), st.integers(1, 8),
        st.integers(0, 2**32 - 1))
+@through_both_distance_paths
 def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
     train, queries = problem
     ranking = Ranking(train, queries, k_max, vote_k)
@@ -547,6 +574,7 @@ def test_every_consumer_reads_inside_its_prefix(problem, k_max, vote_k, seed):
 
 @SETTINGS
 @given(grid_problem(max_classes=3), st.integers(1, 6), st.data())
+@through_both_distance_paths
 def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data):
     train, queries = problem
     drawn = np.array(data.draw(st.lists(st.booleans(), min_size=train.n, max_size=train.n)))
@@ -567,6 +595,7 @@ def test_restriction_of_prefix_equals_head_of_subset_order(problem, k_max, data)
 
 @SETTINGS
 @given(grid_problem(), st.integers(1, 4))
+@through_both_distance_paths
 def test_reading_past_a_prefix_raises(problem, k_max):
     train, queries = problem
     ranking = Ranking(train, queries, k_max)
@@ -590,6 +619,7 @@ def test_reading_past_a_prefix_raises(problem, k_max):
 
 @SETTINGS
 @given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10), st.data())
+@through_both_distance_paths
 def test_take_equals_queries_ranked_alone(problem, k_max, vote_k, data):
     # k_max = vote_k = 0 gives zero-length prefixes; a mask or indices,
     # in any order and with repeats, may pick no row or every row.
@@ -646,6 +676,7 @@ DEGENERATE = {
 
 @pytest.mark.parametrize("rows", [0, 5], ids=["no-queries", "queries"])
 @pytest.mark.parametrize("case", DEGENERATE.values(), ids=DEGENERATE.keys())
+@through_both_distance_paths
 def test_degenerate_depths_equal_full_sort(case, rows):
     train, k_max = case
     queries = np.arange(2.0 * rows).reshape(rows, 2)[:, : train.dim] % 3
@@ -773,6 +804,7 @@ def _assert_ranking_equals_reference(train, queries, k_max, vote_k):
 @given(grid_problem(max_classes=5), st.integers(0, 8), st.integers(0, 12),
        st.sampled_from(["grid", "nudge", "decimal"]))
 @example(TIED_COUNTS, 3, 0, "grid")
+@through_both_distance_paths
 def test_labels_equal_labels_of_reference_prefix(problem, k_max, vote_k, points):
     # Grid points tie often, between labels and at tau.  Nudged points
     # scale by 1 + j ulp, so distances also lie a few ulps apart: the
@@ -788,6 +820,7 @@ def test_labels_equal_labels_of_reference_prefix(problem, k_max, vote_k, points)
     _assert_ranking_equals_reference(train, queries, k_max, vote_k)
 
 
+@through_both_distance_paths
 def test_labels_of_300_classes_equal_reference(rng):
     # 300 classes over 600 rows: 10 index bits, 9 distance bits dropped,
     # uint16 indices.  Grid rows tie; normal rows are decided by their keys.
@@ -811,11 +844,14 @@ def test_ranking_of_more_than_2_16_rows_equals_reference(rng, monkeypatch):
     train = LabeledDataset(points, np.where(rng.random(70_000) < 0.1, 2, 1))
     queries = np.vstack([rng.integers(40, 65, size=(3, 2)), rng.integers(-64, -16, size=(4, 2))]) / 64
     sorts = _spy_rows(monkeypatch, "_exact_head")
-    got = Ranking(train, queries, 45, 31).test
-    for got_part, want_part in zip(got, flat_prefix_reference(train, queries, 45, 31)):
-        _same_array(got_part, want_part)
-    assert got[0].dtype == np.uint32
-    assert sorts == [1, 1, 1]
+    want = flat_prefix_reference(train, queries, 45, 31)
+    for path in BOUND_DIMS:
+        with distance_path(path):
+            got = Ranking(train, queries, 45, 31).test
+        for got_part, want_part in zip(got, want):
+            _same_array(got_part, want_part)
+        assert got[0].dtype == np.uint32
+    assert sorts == [1, 1, 1] * 2
 
 
 def _spy_rows(monkeypatch, name):
@@ -881,19 +917,25 @@ def test_decimal_grid_rows_equal_reference(rng, monkeypatch):
     # takes its head exactly, one row a call: here all 40 query rows and
     # 182 of the 280 training heads (74 + 77 + 31 per key copy), 222 in
     # all; the prefixes and fold rows must still equal the references.
+    # Through the bound, query row 17 sorts by its keys: its one such pair
+    # lies past its tau (240 of 280 entries), where the matrix holds b + 2.
     means = 1.5 * np.eye(4, 6)
     labels = np.repeat([1, 2, 3, 4], [120, 80, 50, 30])
     train = LabeledDataset(np.round(means[labels - 1] + rng.normal(size=(280, 6)), 1), labels)
     queries = np.round(rng.normal(size=(40, 6)), 1)
     sorts = _spy_rows(monkeypatch, "_exact_head")
-    ranking = Ranking(train, queries, 45, 31)
-    for got_part, want_part in zip(ranking.test, flat_prefix_reference(train, queries, 45, 31)):
-        _same_array(got_part, want_part)
+    want = flat_prefix_reference(train, queries, 45, 31)
     fit = np.arange(280) % 5 != 0
     val = np.flatnonzero(~fit)
     full = distance_rows(train.points, train.points)
-    _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
-    assert sorts == [1] * 222
+    for path, exact_heads in (("exact", 222), ("bound", 221)):
+        sorts.clear()
+        with distance_path(path):
+            ranking = Ranking(train, queries, 45, 31)
+            for got_part, want_part in zip(ranking.test, want):
+                _same_array(got_part, want_part)
+            _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
+        assert sorts == [1] * exact_heads
 
 
 @SETTINGS
@@ -970,6 +1012,7 @@ def test_fold_reads_a_head_whose_boundary_splits_a_key_group(monkeypatch):
 
 @SETTINGS
 @given(grid_problem(max_classes=3), st.integers(0, 6), st.integers(0, 10))
+@through_both_distance_paths
 def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
     # A row's prefix does not depend on the rows sharing its block or its
     # key copy, nor on their widths: alone it has the same entries.
@@ -981,3 +1024,68 @@ def test_query_alone_equals_query_in_batch(problem, k_max, vote_k):
         width = alone.shape[1]
         assert batch[i, :width].tobytes() == alone[0].tobytes()
         assert np.all(batch[i, width:] == train.n)
+
+
+# The Gram-matrix bound must keep every bit on the inputs where its error
+# terms are largest: p across numpy's pairwise-sum branches (below 8, up to
+# 128, two halves past it), exact and inexact grids, duplicated rows,
+# cancellation at an offset, and scales near overflow and underflow.
+WIDE_KINDS = ["normal", "integer-grid", "decimal-grid", "duplicated", "offset-1e6", "scale-1e150",
+              "scale-1e-150", "scale-1e160", "scale-1e-165", "constant-column"]
+
+
+def _wide_problem(p, kind):
+    """240 training rows of classes of 170, 60 and 10 rows (k_max 45 passes
+    the smallest) and 30 queries, 10 of them training rows."""
+    rng = np.random.default_rng([p, WIDE_KINDS.index(kind)])
+    labels = np.repeat([1, 2, 3], [170, 60, 10])[rng.permutation(240)]
+    x = rng.normal(size=(240, p)) + 0.5 * (labels == 2)[:, None]
+    q = rng.normal(size=(30, p))
+    if kind == "duplicated":
+        x = x[np.arange(240) // 3]
+    q[:10] = x[::24]
+    if kind in ("integer-grid", "decimal-grid"):
+        x, q = (np.round(a * 2, 1 if kind == "decimal-grid" else 0) for a in (x, q))
+    if kind == "offset-1e6":
+        x, q = x + 1e6, q + 1e6
+    if kind.startswith("scale-"):
+        x, q = x * float(kind[6:]), q * float(kind[6:])
+    if kind == "constant-column":
+        x[:, 0] = q[:, 0] = 3.0
+    return LabeledDataset(x, labels), q
+
+
+@pytest.mark.parametrize("path", BOUND_DIMS)
+@pytest.mark.parametrize("kind", WIDE_KINDS)
+@pytest.mark.parametrize("p", [8, 12, 13, 130])
+def test_wide_rankings_equal_reference(monkeypatch, p, kind, path):
+    # On the bound path distance_rows (spied: its 240 points) runs only
+    # where 4S overflows (1e160), for the whole block; at 1e-165 every
+    # square underflows and every cell is a candidate.  Both paths give
+    # the reference prefixes.  At 1e160 the squares overflow on either
+    # path, as in the reference: every distance is inf.
+    train, queries = _wide_problem(p, kind)
+    calls = _spy_rows(monkeypatch, "distance_rows")
+    with distance_path(path), np.errstate(over="ignore" if kind == "scale-1e160" else "warn"):
+        for k_max, vote_k in ((45, 0), (3, 31)):
+            got = Ranking(train, queries, k_max, vote_k).test
+            for got_part, want_part in zip(got, flat_prefix_reference(train, queries, k_max, vote_k)):
+                _same_array(got_part, want_part)
+    assert calls == ([] if path == "bound" and kind != "scale-1e160" else [240, 240])
+
+
+@pytest.mark.parametrize("p", [8, 12, 13, 130])
+def test_bounded_rows_are_exact_up_to_tau(rng, p):
+    # Every cell at or below its row's tau holds distance_rows' bits and
+    # every other cell a value above tau; the cells past tau are skipped.
+    labels = np.repeat([1, 2], [900, 100])
+    train = LabeledDataset(rng.normal(size=(1000, p)) + 0.5 * (labels == 2)[:, None], labels)
+    queries = rng.normal(size=(50, p))
+    ranking = Ranking(train, queries, 45, 31)
+    exact = distance_rows(train.points, queries)
+    tau = ranking._threshold(exact)[0][:, None] + np.zeros_like(exact)
+    got = ranking._bounded_rows(queries)
+    inside = exact <= tau
+    assert got[inside].tobytes() == exact[inside].tobytes()
+    assert np.all(got[~inside] > tau[~inside])
+    assert np.count_nonzero(inside) <= np.count_nonzero(got == exact) < got.size
