@@ -13,10 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from . import __version__
 from .benchmark import run_csv_benchmark
@@ -238,6 +241,12 @@ def _cmd_fit_predict(args) -> int:
     if method == "auto":
         method = PROPOSED if data.n_classes == 2 else OVR_PLUS
     validate_methods((method,), n_classes=data.n_classes)
+    # fit-predict does not standardize: past this limit a squared distance
+    # can overflow to inf, and the cells at inf would rank in index order.
+    span = float(np.abs(data.points).max()) + float(np.abs(queries).max(initial=0.0))
+    if not math.isfinite(data.dim * span * span):
+        raise ValueError(f"coordinates too large: {data.dim} features x (max |train| + max |query| = "
+                         f"{span:.3g})^2 must stay below {sys.float_info.max:.3g}, the largest float64")
 
     columns = ["E1", "E2"] if method == PROPOSED else [f"evidence_{name}" for name in train_csv.class_names]
     header = [f"predicted_{args.label_column}"] + (columns if emit else [])

@@ -68,16 +68,21 @@ class LabeledDataset:
         return self.points.shape[1]
 
     @cached_property
-    def gram_columns(self) -> np.ndarray:
-        """The points transposed, then their squared norms, then ones: the
-        ``(dim + 2) x n`` training side of ``neighbors``' distance bound,
-        made once per training set and read-only."""
+    def gram_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The training side of ``neighbors``' distance bound, made once per
+        training set and read-only: the ``(dim + 2) x n`` columns of each
+        point transposed, its squared norm and a one, grouped by class in
+        label order and in index order within a class, and the training
+        index of each column.  A class's columns are one contiguous slice."""
+        order = np.argsort(self.labels, kind="stable")
+        points = self.points[order]
         cols = np.empty((self.dim + 2, self.n))
-        cols[: self.dim] = self.points.T
-        np.einsum("ij,ij->i", self.points, self.points, out=cols[self.dim])
+        cols[: self.dim] = points.T
+        np.einsum("ij,ij->i", points, points, out=cols[self.dim])
         cols[self.dim + 1] = 1.0
-        cols.setflags(write=False)
-        return cols
+        for arr in (cols, order):
+            arr.setflags(write=False)
+        return cols, order
 
     def subset(self, indices) -> "LabeledDataset":
         """Rows ``indices`` as a new dataset in the same label space."""

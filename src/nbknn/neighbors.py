@@ -36,36 +36,44 @@ rows of a batch.  It sets numpy's ufunc buffer below one row for its own
 elementwise steps, which keeps numpy from copying the broadcast query
 through the buffer, and restores the caller's size.
 
-A query block of p >= ``_BOUND_DIM`` features computes exactly only the
-cells its prefixes can reach.  One matrix product of the rows
-[-2q, 1, |q|^2] and the training columns [x; |x|^2; 1] gives each cell's
-b, an approximation of D = |q - x|^2, summed in whatever order the BLAS
-takes.  With u = 2^-53, eta = 2^-1074 and S = |q|^2 + max |x|^2 (the
-computed norms), to first order:
+A query block of p >= ``_BOUND_DIM`` features computes exactly, and
+ranks, only the cells its prefixes can reach.  One matrix product of the
+rows [-2q, 1, |q|^2] and the training columns [x; |x|^2; 1] gives each
+cell's b, an approximation of D = |q - x|^2, summed in whatever order
+the BLAS takes.  With u = 2^-53, eta = 2^-1074 and S = |q|^2 + max |x|^2
+(the computed norms), to first order:
 
 * the product errs by at most (p + 2)u times the sum of its terms'
   magnitudes, at most 2S, and the norms by pu S in all: |b - D| <= E =
   (3p + 4)u S + (3p + 2)eta, in any summation order;
 * the exact kernel's sum s lies within (p + 2)u D + p eta of D, and its
   distance d = sqrt(s) within a relative u of the root;
-* ``_threshold`` run on b gives V, the largest over the groups of the
-  group's k-th smallest b.  A group has k cells with D <= V + E, so its
-  k-th distance, and tau, have tau^2 <= (V + E)(1 + (p + 4)u) + p eta;
+* V, the largest over the groups of the group's k-th smallest b: a
+  group has k cells with D <= V + E, so its k-th distance, and tau, have
+  tau^2 <= (V + E)(1 + (p + 4)u) + p eta;
 * a cell with d <= tau has D <= tau^2 (1 + (p + 4)u) + 2p eta, so, as
   V <= 2S + E, b <= V + (10p + 24)u S + (8p + 4)eta.
 
 Each row's reach is V + 2M, with the margin M = K(u S + eta) and
 K = 32p + 128: more than six times that, which also covers the rounding
-of M and of the reach.  Every cell with b at or below the reach takes the
-exact kernel, in ``_pairwise_sum`` order over 1-D takes of the operands;
-every other cell has d > tau and holds b + 2, also above tau: b exceeds
-the reach, which exceeds both tau^2 and 0, so b + 2 > max(tau^2, 2) >= tau.
-The cells at or below tau are
-then the same cells with the same bits, so ``_threshold``, ``_nearest``
-and ``_exact_head`` give the bits of tau, c_i and every prefix that
-:func:`distance_rows`' matrix gives.  A block whose 4S overflows could
-overflow the product, and is computed exactly.  Below 8 features the
-product and the masks cost more than the cells they skip (BENCH_33.json).
+of M and of the reach.  Every cell with b at or below the reach, a
+candidate, takes the exact kernel, in ``_pairwise_sum`` order over 1-D
+takes of the operands, so it has the bits of :func:`distance_rows`; every
+other cell has d > tau.  The candidates are the whole ranking:
+
+* every cell of a group at or below its k-th distance t_g is at or below
+  tau, so a candidate: the group's k-th candidate distance is t_g, and
+  tau, the largest t_g, has the bits of the full row's;
+* every cell at or below tau is a candidate, so the candidates at or
+  below tau, in (distance, index) order, are the prefix, c_i of them.
+
+V is found with the training columns grouped by class, so each group's
+k-th bound is a partition of one contiguous slice, and the candidates
+are ranked by one sort of packed keys per row slice, every candidate
+sorted (:meth:`Ranking._rank_slice`).  A block whose 4S overflows could
+overflow the product, and is ranked from :func:`distance_rows`' matrix.
+Below 8 features the product and the masks cost more than the cells they
+skip (BENCH_33.json).
 """
 
 from __future__ import annotations
@@ -222,8 +230,10 @@ class Ranking:
     """A trial's neighbor orderings of the ``train`` rows, made on first use.
 
     ``test`` holds the query prefixes of training indices and their
-    lengths, ranked a chunk of queries at a time by :func:`_nearest`,
-    each row to its own length, so no queries x n matrix is held;
+    lengths, ranked a chunk of queries at a time, each row to its own
+    length, so no queries x n matrix is held: by :func:`_nearest` over
+    the chunk's distances, or from its candidate cells at p >=
+    ``_BOUND_DIM`` features (module docstring);
     :meth:`head` and :meth:`places` read the labels of the indices.
     tau_i is the farthest, over classes c, of the min(k_max, n_c)-th
     nearest point of c, or the ``vote_k``-th nearest point if farther.  A
@@ -276,47 +286,107 @@ class Ranking:
                 counts[rows] = np.count_nonzero(short <= tau[rows, None], axis=1)
         return tau, counts
 
-    def _bounded_rows(self, queries: np.ndarray) -> np.ndarray:
-        """A query block's distance matrix whose cells at or below each row's
-        tau hold the bits of :func:`distance_rows` and the rest b + 2, above
-        tau (module docstring).  The reach is found from b, then the rows
-        are masked, taken and computed in slices of about ``8 * _BLOCK_CELLS``
-        cells, so the mask spans ``_BLOCK_CELLS`` float64s; with 6.4% of
-        the cells candidates (BENCH_33.json) the index arrays and terms
-        hold about half as many."""
-        cols = self.train.gram_columns
+    @cached_property
+    def _slices(self) -> list[tuple[int, int, int, int]]:
+        """(label, first column, end column, depth) of each group of
+        :attr:`_groups`, in its order, over the class-ordered columns of
+        ``gram_columns``; label 0 is the vote group, every column."""
+        counts = self.train.class_counts
+        ends = np.cumsum(counts)
+        groups = [(int(c) + 1, int(ends[c] - counts[c]), int(ends[c]), min(self.k_max, int(counts[c])))
+                  for c in np.argsort(counts, kind="stable")]
+        groups.append((0, 0, self.labels.size, min(self.vote_k, self.labels.size)))
+        return [group for group in groups if group[3]]
+
+    def _bound_tau(self, bound: np.ndarray) -> np.ndarray:
+        """V, the largest over the groups of the row's k-th smallest bound in
+        the group's own slice of columns.  After the first group, a group is
+        partitioned only in the rows with fewer than k of its cells at or
+        below V, counted in its slice."""
+        tau = np.full(len(bound), -np.inf)
+        for i, (_, lo, hi, k) in enumerate(self._slices):
+            own = bound[:, lo:hi]
+            rows = np.flatnonzero(np.count_nonzero(own <= tau[:, None], axis=1) < k) if i else slice(None)
+            tau[rows] = np.partition(own[rows], k - 1, axis=1)[:, k - 1]
+        return tau
+
+    def _bounded_prefix(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A query block's prefixes and their lengths from its candidate
+        cells alone (module docstring): the bound gives each row's reach,
+        and :meth:`_rank_slice` ranks the block in row slices of about
+        ``8 * _BLOCK_CELLS`` bound cells.  A block whose 4S overflows is
+        ranked from its full distance matrix."""
+        cols = self.train.gram_columns[0]
         (n, p), norms = self.points.shape, np.einsum("ij,ij->i", queries, queries)
         scale = norms + cols[p].max()
         if not np.isfinite(4 * scale.max(initial=0.0)):
-            return distance_rows(self.points, queries)
-        out = np.column_stack([-2.0 * queries, np.ones(len(queries)), norms]) @ cols
-        reach = self._threshold(out)[0] + 2 * (32 * p + 128) * (_U * scale + _ETA)
+            return self._exact_prefix(queries)
+        bound = np.column_stack([-2.0 * queries, np.ones(len(queries)), norms]) @ cols
+        reach = self._bound_tau(bound) + 2 * (32 * p + 128) * (_U * scale + _ETA)
         step = max(1, 8 * _BLOCK_CELLS // n)
-        for lo in range(0, len(out), step):
-            rows, block = out[lo : lo + step], queries[lo : lo + step]
-            flat = np.flatnonzero(rows <= reach[lo : lo + step, None])
-            r, c = np.divmod(flat, n)
+        return tuple(map(np.concatenate, zip(*(
+            self._rank_slice(bound[lo : lo + step], queries[lo : lo + step], reach[lo : lo + step])
+            for lo in range(0, max(1, len(bound)), step)))))
 
-            def term(j: int) -> np.ndarray:
-                d = block[:, j].take(r)
-                d -= cols[j].take(c)
-                d *= d
-                return d
+    def _rank_slice(self, rows: np.ndarray, queries: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The prefixes of a slice of queries and their lengths from the
+        candidates, the cells whose bound in ``rows`` is within ``reach``.
 
-            rows += 2.0
-            rows.reshape(-1)[flat] = np.sqrt(_pairwise_sum(term, range(p)))
-        return out
+        They take the exact kernel and one sort of keys row | the distance's
+        high bits | training index: with t bits for the row and s for the
+        index, 64 - t - s of the distance's 63 bits below the sign.  A row
+        whose keys share their high bits across two distances is ordered
+        exactly by :func:`_exact_head` of all its candidates, which stand in
+        index order among equal distances.  ``rows`` is overwritten: it holds
+        each candidate's distance at its training index, read back in key
+        order.  Each candidate array is dropped as it is replaced: with 6.4%
+        of the cells candidates (BENCH_33.json), about half as many elements
+        as the mask."""
+        cols, order = self.train.gram_columns
+        (m, n), p = rows.shape, queries.shape[1]
+        r, c = np.divmod(np.flatnonzero(rows <= reach[:, None]), n)
+
+        def term(j: int) -> np.ndarray:
+            d = queries[:, j].take(r)
+            d -= cols[j].take(c)
+            d *= d
+            return d
+
+        dist = np.sqrt(_pairwise_sum(term, range(p)))
+        c = order.take(c)  # from here on, each candidate's training index
+        s, t = max(1, (n - 1).bit_length()), max(1, (m - 1).bit_length())
+        low = np.uint64((1 << s) - 1)
+        keys = r.astype(np.uint64) << np.uint64(64 - t)
+        keys |= dist.view(np.uint64) >> np.uint64(t + s - 1) << np.uint64(s)
+        keys |= c.astype(np.uint64)
+        keys.sort()
+        scratch = rows.reshape(-1)
+        scratch[r * n + c] = dist
+        r, c = (keys >> np.uint64(64 - t)).astype(np.intp), (keys & low).astype(np.intp)
+        dist = scratch.take(r * n + c)
+        starts = np.searchsorted(r, np.arange(m + 1))
+        for i in np.unique(r[1:][(keys[1:] ^ keys[:-1] <= low) & (dist[1:] != dist[:-1])]):
+            seg = slice(starts[i], starts[i + 1])
+            at = _exact_head(dist[seg], starts[i + 1] - starts[i])
+            c[seg], dist[seg] = c[seg][at], dist[seg][at]
+        labels, tau = self.labels.take(c), np.full(m, -np.inf)
+        for label, _, _, k in self._slices:
+            at = np.flatnonzero(labels == label) if label else np.arange(len(c))
+            np.maximum(tau, dist[at[np.searchsorted(at, starts[:-1]) + k - 1]], out=tau)
+        keep = dist <= tau.take(r)
+        return c[keep].astype(np.min_scalar_type(n)), np.bincount(r[keep], minlength=m)
+
+    def _exact_prefix(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A query block's prefixes and their lengths from its full distance matrix."""
+        dist = distance_rows(self.points, queries)
+        counts = self._threshold(dist)[1]
+        return _nearest(dist, counts), counts
 
     @cached_property
     def test(self) -> tuple[np.ndarray, np.ndarray]:
         step = chunk_rows(self.points.shape[0])
-        bound = self.points.shape[1] >= _BOUND_DIM
-        blocks = []
-        for lo in range(0, max(1, len(self.queries)), step):
-            block = self.queries[lo : lo + step]
-            dist = self._bounded_rows(block) if bound else distance_rows(self.points, block)
-            counts = self._threshold(dist)[1]
-            blocks.append((_nearest(dist, counts), counts))
+        rank = self._bounded_prefix if self.points.shape[1] >= _BOUND_DIM else self._exact_prefix
+        blocks = [rank(self.queries[lo : lo + step]) for lo in range(0, max(1, len(self.queries)), step)]
         return tuple(map(np.concatenate, zip(*blocks)))
 
     def __len__(self) -> int:

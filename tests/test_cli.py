@@ -451,12 +451,13 @@ def test_fit_predict_sorts_once(tmp_path, monkeypatch, method, emit, pair_evals)
     assert counts == {"_pair_evidence": pair_evals, "distance_rows": 30 * n_train}
 
 
-@pytest.mark.parametrize("method, n_classes", [("proposed", 2), ("ovr_plus", 3)])
+@pytest.mark.parametrize("method, n_classes", [("proposed", 2), ("ovr_plus", 3), ("ovo_plus", 3)])
 def test_fit_predict_bound_changes_no_byte(tmp_path, monkeypatch, method, n_classes):
     # 12 features reach the Gram-matrix bound, which computes no
     # distance_rows block; with the bound set out of reach every query
-    # distance comes from distance_rows.  Both write the same bytes.  No
-    # golden case has 8 or more features.
+    # distance comes from distance_rows.  Both write the same bytes, the
+    # evidence columns of every evidence method included.  No golden case
+    # has 8 or more features.
     rng = np.random.default_rng(33)
     labels = rng.permutation(np.repeat(np.arange(n_classes), {2: [500, 100], 3: [360, 180, 60]}[n_classes]))
     points = rng.normal(size=(600, 12)) + 0.5 * labels[:, None]
@@ -480,6 +481,26 @@ def test_fit_predict_bound_changes_no_byte(tmp_path, monkeypatch, method, n_clas
     assert calls == [8, 1, 13]
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 201
+
+
+@pytest.mark.parametrize("scale, code", [(1e160, 3), (1e150, 0)])
+def test_fit_predict_fails_on_coordinates_whose_distances_overflow(tmp_path, capsys, scale, code):
+    # fit-predict does not standardize.  At 1e160 the squared distances
+    # overflow to inf, and the queries would rank in index order: exit 3
+    # before any ranking, naming the limit, with no output file.  At 1e150
+    # 2 features x (max |x| + max |q|)^2 stay finite and the call runs.
+    write_binary_fixture(tmp_path / "train.csv")
+    lines = (tmp_path / "train.csv").read_text().splitlines()
+    scaled = [",".join(repr(float(v) * scale) for v in line.split(",")[:-1]) + "," + line.split(",")[-1]
+              for line in lines[1:]]
+    (tmp_path / "train.csv").write_text("\n".join([lines[0]] + scaled) + "\n")
+    out = tmp_path / "preds.csv"
+    assert main(["fit-predict", "--train", str(tmp_path / "train.csv"), "--queries", str(tmp_path / "train.csv"),
+                 "--label-column", "outcome", "--output", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert "coordinates too large" in err and "1.8e+308, the largest float64" in err
 
 
 def fit_predict_golden_case(tmp_path: Path, method: str) -> tuple[list[str], int]:

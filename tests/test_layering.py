@@ -12,8 +12,30 @@ import nbknn
 
 # The kernels that rank, the Ranking members that hold or build the layout,
 # and the training operand of the distance bound.
-LAYOUT_NAMES = {"_nearest", "_threshold", "_exact_head", "distance_rows", "_bounded_rows",
-                "test", "_groups", "_train_head", "_heads", "gram_columns"}
+LAYOUT_NAMES = {"_nearest", "_threshold", "_exact_head", "distance_rows", "_exact_prefix", "_bounded_prefix",
+                "_bound_tau", "_rank_slice", "test", "_groups", "_slices", "_train_head", "_heads",
+                "gram_columns"}
+
+
+def _defined_names(path: Path) -> set[str]:
+    """Every function, class, variable and attribute a module defines or assigns."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names |= {leaf.id if isinstance(leaf, ast.Name) else leaf.attr for leaf in ast.walk(target)
+                          if isinstance(leaf, (ast.Name, ast.Attribute))}
+    return names
+
+
+def test_layout_names_are_all_defined():
+    # A kernel deleted or renamed must leave the list, or the leak check
+    # below would guard a name that no longer exists.
+    package = Path(nbknn.__file__).parent
+    defined = _defined_names(package / "neighbors.py") | _defined_names(package / "dataset.py")
+    assert not LAYOUT_NAMES - defined, sorted(LAYOUT_NAMES - defined)
 
 
 def test_only_neighbors_reads_the_prefix_layout():

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,25 +508,37 @@ def test_prefix_rows_equal_head_of_full_order(problem, data):
     assert np.iinfo(orders.dtype).max >= train.n
 
 
-@through_both_distance_paths
 def test_query_chunks_equal_head_of_full_order(rng):
     # 5000 training rows make chunks of 209 queries: 500 queries are
-    # ranked in three blocks, laid end to end.  The grid makes ties.
+    # ranked in three blocks, laid end to end: by _nearest over each
+    # block's distance matrix, or on the bound path from each block's
+    # candidates, in row slices of 52 queries.  The grid makes ties.
     train = LabeledDataset(rng.integers(-6, 7, size=(5000, 2)).astype(float),
                            (rng.random(5000) < 0.1) + 1)
     queries = rng.integers(-6, 7, size=(500, 2)).astype(float)
-    blocks = []
-    original = nbknn.neighbors._nearest
+    for path in BOUND_DIMS:
+        _assert_query_chunks(train, queries, path)
 
-    def ranked_block(dist, counts):
-        flat = original(dist, counts)
-        blocks.append((flat, counts))
-        return flat
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(nbknn.neighbors, "_nearest", ranked_block)
+def _assert_query_chunks(train, queries, path):
+    """Each block's prefixes, spied from the kernel that ranks it on
+    ``path``, are the heads of the full order, and so is the whole."""
+    bound = path == "bound"
+    owner, name = (Ranking, "_bounded_prefix") if bound else (nbknn.neighbors, "_nearest")
+    blocks, original = [], getattr(owner, name)
+
+    def ranked_block(*args):
+        ranked = original(*args)
+        blocks.append(ranked if bound else (ranked, args[1]))
+        return ranked
+
+    with pytest.MonkeyPatch.context() as m, distance_path(path):
+        m.setattr(owner, name, ranked_block)
+        slices, nearest = _spy_rows(m, "Ranking._rank_slice"), _spy_rows(m, "_nearest")
         prefix = Ranking(train, queries, k_max=20, vote_k=31).test
     assert [len(b[1]) for b in blocks] == [209, 209, 82]
+    assert slices == ([52] * 4 + [1] + [52] * 4 + [1, 52, 30] if bound else [])
+    assert not (bound and nearest)
     full = order_rows(train.points, queries)
     counts = np.concatenate([_assert_flat_heads(b, full[rows])
                              for b, rows in zip(blocks, np.split(np.arange(500), [209, 418]))])
@@ -844,21 +857,36 @@ def test_ranking_of_more_than_2_16_rows_equals_reference(rng, monkeypatch):
     train = LabeledDataset(points, np.where(rng.random(70_000) < 0.1, 2, 1))
     queries = np.vstack([rng.integers(40, 65, size=(3, 2)), rng.integers(-64, -16, size=(4, 2))]) / 64
     sorts = _spy_rows(monkeypatch, "_exact_head")
+    slices = _spy_rows(monkeypatch, "Ranking._rank_slice")
     want = flat_prefix_reference(train, queries, 45, 31)
     for path in BOUND_DIMS:
+        sorts.clear()
         with distance_path(path):
             got = Ranking(train, queries, 45, 31).test
         for got_part, want_part in zip(got, want):
             _same_array(got_part, want_part)
         assert got[0].dtype == np.uint32
-    assert sorts == [1, 1, 1] * 2
+        # Both paths sort the same three rows exactly.  On the bound path
+        # each slice of 3 queries (3 x 70,000 bound cells) is key-sorted,
+        # and a row whose keys share high bits across two distances is
+        # then re-sorted.
+        assert sorts == [1, 1, 1]
+    assert slices == [3, 3, 1]
 
 
 def _spy_rows(monkeypatch, name):
-    """The rows each call of ``nbknn.neighbors.<name>`` gets, 1 for a 1-D row."""
-    rows, kernel = [], getattr(nbknn.neighbors, name)
-    monkeypatch.setattr(nbknn.neighbors, name,
-                        lambda dist, *args: rows.append(len(dist) if dist.ndim == 2 else 1) or kernel(dist, *args))
+    """The rows each call of ``nbknn.neighbors.<name>`` gets, 1 for a 1-D
+    row; ``Ranking.<name>`` spies on a method, its first argument the rows."""
+    owner = Ranking if name.startswith("Ranking.") else nbknn.neighbors
+    name = name.removeprefix("Ranking.")
+    rows, kernel = [], getattr(owner, name)
+
+    def spy(*args):
+        dist = args[owner is Ranking]
+        rows.append(len(dist) if dist.ndim == 2 else 1)
+        return kernel(*args)
+
+    monkeypatch.setattr(owner, name, spy)
     return rows
 
 
@@ -917,25 +945,30 @@ def test_decimal_grid_rows_equal_reference(rng, monkeypatch):
     # takes its head exactly, one row a call: here all 40 query rows and
     # 182 of the 280 training heads (74 + 77 + 31 per key copy), 222 in
     # all; the prefixes and fold rows must still equal the references.
-    # Through the bound, query row 17 sorts by its keys: its one such pair
-    # lies past its tau (240 of 280 entries), where the matrix holds b + 2.
+    # Through the bound, the one slice of 40 rows is key-sorted, and every
+    # row but row 17 is then re-sorted exactly: row 17's one such pair lies
+    # past its tau (240 of 280 entries) and past its reach, for its 240
+    # candidates are its prefix.
     means = 1.5 * np.eye(4, 6)
     labels = np.repeat([1, 2, 3, 4], [120, 80, 50, 30])
     train = LabeledDataset(np.round(means[labels - 1] + rng.normal(size=(280, 6)), 1), labels)
     queries = np.round(rng.normal(size=(40, 6)), 1)
     sorts = _spy_rows(monkeypatch, "_exact_head")
+    slices = _spy_rows(monkeypatch, "Ranking._rank_slice")
     want = flat_prefix_reference(train, queries, 45, 31)
     fit = np.arange(280) % 5 != 0
     val = np.flatnonzero(~fit)
     full = distance_rows(train.points, train.points)
-    for path, exact_heads in (("exact", 222), ("bound", 221)):
+    for path, query_sorts in (("exact", 40), ("bound", 39)):
         sorts.clear()
         with distance_path(path):
             ranking = Ranking(train, queries, 45, 31)
             for got_part, want_part in zip(ranking.test, want):
                 _same_array(got_part, want_part)
+            assert sorts == [1] * query_sorts
             _same_array(ranking.fold(val, fit, 31), _in_training(fold_reference(full, val, fit, 31), fit))
-        assert sorts == [1] * exact_heads
+        assert sorts == [1] * (query_sorts + 182)
+    assert slices == [40]
 
 
 @SETTINGS
@@ -1075,17 +1108,71 @@ def test_wide_rankings_equal_reference(monkeypatch, p, kind, path):
 
 
 @pytest.mark.parametrize("p", [8, 12, 13, 130])
-def test_bounded_rows_are_exact_up_to_tau(rng, p):
-    # Every cell at or below its row's tau holds distance_rows' bits and
-    # every other cell a value above tau; the cells past tau are skipped.
+def test_candidates_hold_every_cell_up_to_tau(rng, monkeypatch, p):
+    # The bound path computes exact distances for its candidate cells
+    # alone (one row slice here), and writes each over the slice's bound
+    # cells at its training index: every cell at or below its row's tau
+    # then holds distance_rows' bits, and not every cell does.  Ranked,
+    # the candidates give the reference prefixes.
     labels = np.repeat([1, 2], [900, 100])
     train = LabeledDataset(rng.normal(size=(1000, p)) + 0.5 * (labels == 2)[:, None], labels)
     queries = rng.normal(size=(50, p))
-    ranking = Ranking(train, queries, 45, 31)
+    slices, original = [], Ranking._rank_slice
+    monkeypatch.setattr(Ranking, "_rank_slice",
+                        lambda self, rows, *args: slices.append(rows) or original(self, rows, *args))
+    got = Ranking(train, queries, 45, 31).test
+    (written,) = slices
     exact = distance_rows(train.points, queries)
-    tau = ranking._threshold(exact)[0][:, None] + np.zeros_like(exact)
-    got = ranking._bounded_rows(queries)
-    inside = exact <= tau
-    assert got[inside].tobytes() == exact[inside].tobytes()
-    assert np.all(got[~inside] > tau[~inside])
-    assert np.count_nonzero(inside) <= np.count_nonzero(got == exact) < got.size
+    inside = exact <= threshold_reference(train.labels, 45, 31, exact)[:, None]
+    assert written[inside].tobytes() == exact[inside].tobytes()
+    assert np.count_nonzero(inside) <= np.count_nonzero(written == exact) < written.size
+    for got_part, want_part in zip(got, flat_prefix_reference(train, queries, 45, 31)):
+        _same_array(got_part, want_part)
+
+
+def test_a_wide_bound_block_holds_little_beside_its_bound_matrix(rng):
+    # One block of the fit_predict_wide shape, 104 queries x 10,000 rows x
+    # 12 features: its 8.3 MB bound matrix is its one large array.  tau's
+    # partitions and counts and each row slice's mask and candidates add
+    # less than 30% of its bytes to the traced peak.  The training operand
+    # is made once per training set, before the block.
+    labels = np.where(rng.random(10_000) < 0.1, 2, 1)
+    train = LabeledDataset(rng.normal(size=(10_000, 12)) + 0.5 * (labels == 2)[:, None], labels)
+    ranking = Ranking(train, rng.normal(size=(104, 12)), 45)
+    assert nbknn.neighbors.chunk_rows(train.n) == 104
+    train.gram_columns
+    tracemalloc.start()
+    try:
+        ranking.test
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 104 * 10_000 * 8
+
+
+@SETTINGS
+@given(grid_problem(min_classes=1, max_classes=4), st.integers(0, 8), st.integers(0, 40))
+@example(TIED_COUNTS, 0, 0)
+@example(MOSTLY_ONE, 4, 7)
+@example(MOSTLY_ONE, 0, 3)
+def test_bound_tau_equals_reference(problem, k_max, vote_k):
+    # The reach's tau takes each group's k-th value in the group's own
+    # slice of gram_columns' class-ordered columns; given the exact
+    # distances in that order, it is the reference tau.
+    train, queries = problem
+    dist = distance_rows(train.points, queries)
+    tau = Ranking(train, queries, k_max, vote_k)._bound_tau(dist[:, train.gram_columns[1]])
+    _same_array(tau, threshold_reference(train.labels, k_max, vote_k, dist))
+
+
+@pytest.mark.parametrize("p", [2, 12])
+@through_both_distance_paths
+def test_a_block_of_no_queries_ranks_nothing(rng, p):
+    # A ranking of no queries is one block of no rows, on either path.
+    train = LabeledDataset(rng.normal(size=(100, p)), np.repeat([1, 2], [90, 10]))
+    queries = np.empty((0, p))
+    for depths in ((45, 31), (0, 0)):
+        ranking = Ranking(train, queries, *depths)
+        assert len(ranking) == 0
+        for got_part, want_part in zip(ranking.test, flat_prefix_reference(train, queries, *depths)):
+            _same_array(got_part, want_part)
